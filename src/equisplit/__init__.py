@@ -28,7 +28,6 @@ from .cohomology import (
     Section,
     StabilizationError,
     cech_cohomology,
-    cech_h0_dim,
     euler_check,
     h0_character,
     h0_dim,
@@ -49,7 +48,7 @@ from .equivariant import (
     weight_project_hom,
 )
 from .laurent import LaurentPoly, Rational, poly_ext_gcd, poly_gcd
-from .linalg import LaurentMatrix, mat_adjugate, mat_det, solve_rational_kernel
+from .linalg import LaurentMatrix, mat_adjugate, mat_det
 from .splitting import (
     CertReport,
     InvariantViolation,
@@ -86,7 +85,6 @@ __all__ = [
     "ValidationReport",
     "Weight",
     "cech_cohomology",
-    "cech_h0_dim",
     "check_equivariance",
     "degree",
     "direct_sum",
@@ -113,7 +111,6 @@ __all__ = [
     "poly_gcd",
     "random_instance",
     "section_from_hom_element",
-    "solve_rational_kernel",
     "splitting_hom",
     "standard_linearization",
     "triangular_clear",

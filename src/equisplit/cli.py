@@ -22,7 +22,7 @@ from .jsonio import (
     load_json_file,
 )
 from .selftest import run_all
-from .splitting import equivariant_split, verify_certificate
+from .splitting import InvariantViolation, equivariant_split, verify_certificate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -86,8 +86,7 @@ def cmd_split(args) -> int:
         _log(f"certificate written to {args.certificate}")
     _emit({"summands": [{"n": s.n, "lam": list(s.lam)} for s in summands]})
     if expected is not None:
-        got = sorted(summands, key=LineSummand.sort_key)
-        if got != sorted(expected, key=LineSummand.sort_key):
+        if summands != sorted(expected, key=LineSummand.sort_key):
             _log("warning: split disagrees with the file's expected block")
             return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -120,8 +119,15 @@ def _parse_summands(text: str, r: int) -> list[LineSummand]:
     return out
 
 
+def _parse_torus(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(",") if x != "")
+    except ValueError as exc:
+        raise ParseError("--torus", f"bad base character {text!r}: {exc}") from exc
+
+
 def cmd_random(args) -> int:
-    a = tuple(int(x) for x in args.torus.split(",") if x != "") if args.torus else ()
+    a = _parse_torus(args.torus)
     torus = TorusAction(len(a), a)
     summands = _parse_summands(args.summands, torus.rank)
     E, hidden = random_instance(args.seed, summands, args.ops, torus)
@@ -190,11 +196,14 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         _emit({"error": {"pointer": exc.pointer, "message": exc.message}})
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, unreadable or directory paths
         _emit({"error": {"message": str(exc)}})
         return EXIT_USAGE
     except StabilizationError as exc:
         _emit({"error": {"message": str(exc)}})
+        return EXIT_CHECK_FAILED
+    except InvariantViolation as exc:
+        _emit({"error": {"message": "internal invariant failed", "invariant": str(exc)}})
         return EXIT_CHECK_FAILED
 
 

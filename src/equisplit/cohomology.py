@@ -23,11 +23,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .bundle import EquivariantBundle, Weight, degree, dual, twist, weight_scale, weight_sub
 from .equivariant import Character, monomial_weight
 from .laurent import LaurentPoly
-from .linalg import kernel_sparse, rank_sparse, rref_sparse
+from .linalg import LaurentMatrix, kernel_sparse, rank_sparse, rref_sparse
 
 #: Environment override for the absolute window cap of the truncated complex.
 MAX_WINDOW_ENV = "EQUISPLIT_MAX_WINDOW"
@@ -76,6 +77,20 @@ class Section:
         return None
 
 
+def _integer_monomials(M: LaurentMatrix) -> tuple[int, list[list[list[tuple[int, int]]]]]:
+    """M scaled to integer coefficients, as (L, entries).
+
+    L is the lcm of M's coefficient denominators, and entries[i][j] lists the
+    monomials (exponent, integer coefficient) of L * M[i][j].
+    """
+    L = lcm(*(c.denominator for row in M.entries for p in row for _, c in p.monomials()))
+    entries = [
+        [[(d, c.numerator * (L // c.denominator)) for d, c in p.monomials()] for p in row]
+        for row in M.entries
+    ]
+    return L, entries
+
+
 @dataclass
 class _BasisRecord:
     section: Section
@@ -116,21 +131,17 @@ def _h0_basis(E: EquivariantBundle) -> list[_BasisRecord]:
         weight_sub(E.lambdaInf[i], weight_scale(e, a)) for i in range(m) for e in range(lo, 1)
     ]
 
-    # constraint rows: coefficient of z^x in (adj(A) h)_i must vanish for x < dt_exp
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    # constraint rows: coefficient of z^x in (L adj(A) h)_i must vanish for
+    # x < dt_exp; column (j, e) meets row (i, x) through the one monomial
+    # of exponent x - e
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    _, adj_int = _integer_monomials(adj)
     for i in range(m):
         for j in range(m):
-            for d, c in adj.entries[i][j].monomials():
+            for d, c in adj_int[i][j]:
                 for e in range(lo, 1):
-                    x = d + e
-                    if x < dt_exp:
-                        row = rows.setdefault((i, x), {})
-                        cidx = col(j, e)
-                        s = row.get(cidx, Fraction(0)) + c
-                        if s:
-                            row[cidx] = s
-                        else:
-                            del row[cidx]
+                    if d + e < dt_exp:
+                        rows.setdefault((i, d + e), {})[col(j, e)] = c
 
     # group columns by weight and solve each class independently; a graded
     # system never mixes classes within a row, so straddling rows mean the
@@ -249,21 +260,18 @@ def _cech_once(E: EquivariantBundle, W: int) -> tuple[int, Character]:
         return m * fw + i * gw + e
 
     ncols = m * fw + m * gw
-    krows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    # integer rows of L A f - L g(1/z); column (j, e) meets row (i, x)
+    # through the one monomial of exponent x - e
+    L, A = _integer_monomials(E.A)
+    krows: dict[tuple[int, int], dict[int, int]] = {}
     for i in range(m):
         for j in range(m):
-            for d, c in E.A.entries[i][j].monomials():
+            for d, c in A[i][j]:
                 for e in range(fw):
-                    row = krows.setdefault((i, d + e), {})
-                    cidx = fcol(j, e)
-                    s = row.get(cidx, Fraction(0)) + c
-                    if s:
-                        row[cidx] = s
-                    else:
-                        del row[cidx]
+                    krows.setdefault((i, d + e), {})[fcol(j, e)] = c
     for i in range(m):
         for e in range(gw):
-            krows.setdefault((i, -e), {})[gcol(i, e)] = Fraction(-1)
+            krows.setdefault((i, -e), {})[gcol(i, e)] = -L
     kernel_dim = ncols - rank_sparse(krows.values(), ncols)
 
     # cokernel inside exponents [1, W]: the g-side image covers everything
@@ -273,18 +281,9 @@ def _cech_once(E: EquivariantBundle, W: int) -> tuple[int, Character]:
 
     gen_rows = []
     for j in range(m):
-        base = [(i, d, c) for i in range(m) for d, c in E.A.entries[i][j].monomials()]
+        base = [(i, d, c) for i in range(m) for d, c in A[i][j]]
         for e in range(fw):
-            row: dict[int, Fraction] = {}
-            for i, d, c in base:
-                x = d + e
-                if 1 <= x <= W:
-                    cidx = ocol(i, x)
-                    s = row.get(cidx, Fraction(0)) + c
-                    if s:
-                        row[cidx] = s
-                    else:
-                        del row[cidx]
+            row = {ocol(i, d + e): c for i, d, c in base if 1 <= d + e <= W}
             if row:
                 gen_rows.append(row)
     pivots, _ = rref_sparse(gen_rows, m * W)
@@ -323,11 +322,6 @@ def cech_cohomology(
         f"overlap complex did not stabilize below window {cap} "
         f"(set {MAX_WINDOW_ENV} to raise the cap)"
     )
-
-
-def cech_h0_dim(E: EquivariantBundle, max_window: int | None = None) -> int:
-    """H^0 dimension from the truncated complex (independent of the adjugate route)."""
-    return cech_cohomology(E, max_window)[0]
 
 
 def h1_character(E: EquivariantBundle, max_window: int | None = None) -> Character:

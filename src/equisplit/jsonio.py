@@ -187,3 +187,5 @@ def load_json_file(path: str) -> Any:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"(line {exc.lineno}, column {exc.colno})", exc.msg) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"(byte {exc.start})", f"not UTF-8 text: {exc.reason}") from exc

@@ -5,14 +5,21 @@ Two small engines live here:
 * ``LaurentMatrix`` — rectangular matrices over the Laurent ring, with exact
   determinant and adjugate (division-free Laplace expansion, memoized over
   column subsets) and Kronecker products.
-* rational row reduction — a sparse reduced-row-echelon eliminator over
-  ``Fraction`` used by every cohomology computation, plus the dense
-  ``solve_rational_kernel`` front end.
+* rational row reduction — one sparse, fraction-free elimination routine
+  over Python integers, used by every cohomology computation.  Rows enter
+  with their denominators cleared, are combined by integer
+  cross-multiplication and kept primitive by dividing out their content;
+  ``rank_sparse`` is its forward pass, and ``rref_sparse`` (with
+  ``kernel_sparse`` on top) back-substitutes and returns to ``Fraction``
+  only to normalize each row by its pivot, so its output is the canonical
+  reduced row echelon form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .laurent import LaurentPoly, Scalar
@@ -235,92 +242,109 @@ def _monomial_power(mono: LaurentPoly, k: int) -> LaurentPoly:
     return LaurentPoly.monomial(e * k, c**k)
 
 
-# -- rational row reduction ---------------------------------------------
+# -- fraction-free row reduction ------------------------------------------
 
 
-def rref_sparse(rows: Iterable[dict[int, Fraction]], ncols: int) -> tuple[list[int], list[dict[int, Fraction]]]:
+def _integer_row(row: dict[int, Scalar]) -> dict[int, int]:
+    """The row scaled by the lcm of its denominators, zeros dropped."""
+    den = reduce(lcm, (v.denominator for v in row.values()), 1)
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+
+
+def _combine(row: dict[int, int], a: int, b: int, piv: dict[int, int]) -> dict[int, int]:
+    """a*row - b*piv divided by its content.
+
+    a and b are the entries of piv and row in the column being eliminated,
+    so that column cancels; both are divided by their gcd first.
+    """
+    g = gcd(a, b)
+    if g > 1:
+        a //= g
+        b //= g
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    for c, v in piv.items():
+        s = row.get(c, 0) - b * v
+        if s:
+            row[c] = s
+        else:
+            del row[c]
+    # reduce, not gcd(*values): one argument tuple per row fills CPython's
+    # tuple free lists, which raised peak RSS by about 1 MB
+    g = reduce(gcd, row.values(), 0)
+    if g > 1:
+        row = {c: v // g for c, v in row.items()}
+    return row
+
+
+def _echelon(rows: Iterable[dict[int, Scalar]], ncols: int) -> tuple[list[int], list[dict[int, int]]]:
+    """Fraction-free forward elimination over the integers.
+
+    Rows may hold ``int`` or ``Fraction`` values; each enters with its
+    denominators cleared.  A row is reduced against the pivot row of its
+    leading column by integer cross-multiplication and then divided by its
+    content, which keeps entries small as Bareiss's exact division by the
+    previous pivot does (Math. Comp. 22, 1968), with no rational arithmetic.
+    Columns are taken in ascending order, so the pivot columns are those of
+    the canonical reduced echelon form.  Returns (pivot columns, echelon
+    rows): integer rows spanning the input's row space, row k leading at
+    pivots[k].
+    """
+    # bucket rows by their current leading column
+    pending: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        row = _integer_row(row)
+        if row:
+            pending.setdefault(min(row), []).append(row)
+
+    pivots: list[int] = []
+    echelon: list[dict[int, int]] = []
+    for col in range(ncols):
+        bucket = pending.pop(col, None)
+        if not bucket:
+            continue
+        piv = bucket.pop(0)
+        a = piv[col]
+        for row in bucket:
+            row = _combine(row, a, row[col], piv)
+            if row:
+                pending.setdefault(min(row), []).append(row)
+        pivots.append(col)
+        echelon.append(piv)
+    return pivots, echelon
+
+
+def rref_sparse(rows: Iterable[dict[int, Scalar]], ncols: int) -> tuple[list[int], list[dict[int, Fraction]]]:
     """Reduced row echelon form of sparse rational rows.
 
     Columns are eliminated in ascending index order, so the pivot set and the
     reduced rows are canonical.  Returns (pivot column list, reduced rows),
     with reduced row k having leading 1 in pivots[k] and zeros in every other
-    pivot column.
+    pivot column.  The elimination runs over the integers; only the final
+    division of each row by its pivot entry produces fractions.
     """
-    # bucket rows by their current leading column
-    pending: dict[int, list[dict[int, Fraction]]] = {}
-
-    def push(row: dict[int, Fraction]) -> None:
-        if row:
-            pending.setdefault(min(row), []).append(row)
-
-    for row in rows:
-        push({c: v for c, v in row.items() if v})
-
-    pivots: list[int] = []
-    reduced: list[dict[int, Fraction]] = []
-    for col in range(ncols):
-        bucket = pending.pop(col, None)
-        if not bucket:
-            continue
-        piv = bucket.pop(0)
-        inv = 1 / piv[col]
-        piv = {c: v * inv for c, v in piv.items()}
-        for row in bucket:
-            factor = row[col]
-            for c, v in piv.items():
-                s = row.get(c, Fraction(0)) - factor * v
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
-            push(row)
-        # back-eliminate col from earlier reduced rows
-        for r in reduced:
-            factor = r.get(col)
-            if factor:
-                for c, v in piv.items():
-                    s = r.get(c, Fraction(0)) - factor * v
-                    if s:
-                        r[c] = s
-                    else:
-                        r.pop(c, None)
-        pivots.append(col)
-        reduced.append(piv)
+    pivots, echelon = _echelon(rows, ncols)
+    position = {p: k for k, p in enumerate(pivots)}
+    # back-substitute from the bottom, so every row used is already reduced
+    for k in range(len(pivots) - 1, -1, -1):
+        row = echelon[k]
+        for c in [c for c in row if c in position and c != pivots[k]]:
+            j = position[c]
+            row = _combine(row, echelon[j][c], row[c], echelon[j])
+        echelon[k] = row
+    reduced = []
+    for p, row in zip(pivots, echelon):
+        lead = row[p]
+        reduced.append({c: Fraction(row[c], lead) for c in sorted(row)})
     return pivots, reduced
 
 
-def rank_sparse(rows: Iterable[dict[int, Fraction]], ncols: int) -> int:
-    """Rank only; row echelon without back-elimination."""
-    pending: dict[int, list[dict[int, Fraction]]] = {}
-
-    def push(row: dict[int, Fraction]) -> None:
-        if row:
-            pending.setdefault(min(row), []).append(row)
-
-    for row in rows:
-        push({c: v for c, v in row.items() if v})
-
-    rank = 0
-    for col in range(ncols):
-        bucket = pending.pop(col, None)
-        if not bucket:
-            continue
-        piv = bucket.pop(0)
-        inv = 1 / piv[col]
-        for row in bucket:
-            factor = row[col] * inv
-            for c, v in piv.items():
-                s = row.get(c, Fraction(0)) - factor * v
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
-            push(row)
-        rank += 1
-    return rank
+def rank_sparse(rows: Iterable[dict[int, Scalar]], ncols: int) -> int:
+    """Rank only; forward elimination without back-substitution."""
+    return len(_echelon(rows, ncols)[0])
 
 
-def kernel_sparse(rows: Iterable[dict[int, Fraction]], ncols: int) -> tuple[list[int], list[dict[int, Fraction]]]:
+def kernel_sparse(rows: Iterable[dict[int, Scalar]], ncols: int) -> tuple[list[int], list[dict[int, Fraction]]]:
     """Canonical kernel basis from the reduced row echelon form.
 
     Returns (free columns, basis vectors as sparse dicts); basis vector k has
@@ -339,20 +363,3 @@ def kernel_sparse(rows: Iterable[dict[int, Fraction]], ncols: int) -> tuple[list
                 vec[p] = -v
         basis.append(vec)
     return free, basis
-
-
-def solve_rational_kernel(M: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
-    """Exact kernel basis of a dense rational matrix (reduced echelon form).
-
-    The basis is canonical: one vector per free column, in echelon order,
-    with unit entry at its free column.  Size of the basis equals
-    cols - rank(M); an empty matrix of c columns yields the standard basis.
-    """
-    M = [list(row) for row in M]
-    ncols = len(M[0]) if M else 0
-    rows = [
-        {j: Fraction(v) for j, v in enumerate(row) if v}
-        for row in M
-    ]
-    _, basis = kernel_sparse(rows, ncols)
-    return [[vec.get(j, Fraction(0)) for j in range(ncols)] for vec in basis]

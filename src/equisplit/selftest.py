@@ -66,7 +66,6 @@ class CriterionResult:
             "name": self.name,
             "pass": self.passed,
             "detail": self.detail,
-            "seconds": round(self.seconds, 2),
         }
 
 

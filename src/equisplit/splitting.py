@@ -335,8 +335,9 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
 
     Repeatedly peels the top-degree line subbundle, accumulating the frame
     changes into a global triangularization, then clears the upper part.
-    Summands come out sorted by non-increasing degree.  With a rank-0 torus
-    this is a constructive splitting-type computation.
+    Summands come out in canonical ``LineSummand.sort_key`` order
+    (non-increasing degree, then weight).  With a rank-0 torus this is a
+    constructive splitting-type computation.
     """
     report = validate(E)
     if not report.ok:
@@ -365,6 +366,12 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
     W0, WInf = triangular_clear(R, lam0, lamInf, torus)
     M0 = _inverse_constant_det(W0 @ Utot)
     MInf = WInf @ Vtot
+    # peel order breaks degree ties by frame; emit the canonical order instead,
+    # permuting the columns of M0 and the rows of MInf to match
+    order = sorted(range(m), key=lambda k: summands[k].sort_key())
+    summands = [summands[k] for k in order]
+    M0 = M0.submatrix(range(m), order)
+    MInf = MInf.submatrix(order, range(m))
     cert = SplittingCertificate(summands, M0, MInf)
     check = verify_certificate(E, cert)
     if not check.ok:

@@ -13,14 +13,16 @@ from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
 
 
-def dense_rank(rows: list[list[Fraction]]) -> int:
-    """Plain dense Gaussian elimination over Fraction."""
-    if not rows:
-        return 0
+def dense_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Plain dense Gauss-Jordan elimination over Fraction.
+
+    Returns (pivot columns, the nonzero rows of the reduced row echelon form).
+    """
     m = [list(map(Fraction, r)) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
+    nrows = len(m)
+    pivots: list[int] = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = None
         for r in range(rank, nrows):
             if m[r][col] != 0:
@@ -35,8 +37,12 @@ def dense_rank(rows: list[list[Fraction]]) -> int:
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots, m[: len(pivots)]
+
+
+def dense_rank(rows: list[list[Fraction]]) -> int:
+    return len(dense_rref(rows, len(rows[0]) if rows else 0)[0])
 
 
 def naive_det(M: LaurentMatrix) -> LaurentPoly:

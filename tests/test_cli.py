@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from equisplit import cli
+from equisplit.bundle import LineSummand, TorusAction, random_instance, random_reframe
 from equisplit.cli import main
-from equisplit.jsonio import dumps_canonical, load_json_file
-from equisplit.selftest import fixture_dir
+from equisplit.jsonio import dumps_canonical, instance_to_json, load_json_file
+from equisplit.selftest import CriterionResult, fixture_dir
+from equisplit.splitting import InvariantViolation
 
 
 def run(capsys, *argv):
@@ -99,6 +102,25 @@ class TestSplit:
         assert json.loads(out)["ok"] is True
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reframing_keeps_the_document(self, capsys, tmp_path, seed):
+        # degree ties: peel order depends on the frame, the printed order must not
+        summands = [LineSummand(1, (0,)), LineSummand(1, (-1,)), LineSummand(0, (2,)),
+                    LineSummand(0, (1,))]
+        E, _ = random_instance(seed, summands, 6, TorusAction(1, (0,)))
+        docs = []
+        for k, bundle in enumerate((E, random_reframe(E, seed + 100, 6))):
+            path = tmp_path / f"inst{k}.json"
+            path.write_text(dumps_canonical(instance_to_json(bundle)))
+            code, out, _ = run(capsys, "split", str(path))
+            assert code == 0
+            docs.append(out)
+        assert docs[0] == docs[1]
+        assert json.loads(docs[0])["summands"] == [
+            {"n": 1, "lam": [-1]}, {"n": 1, "lam": [0]}, {"n": 0, "lam": [1]}, {"n": 0, "lam": [2]}
+        ]
+
+
 class TestVerify:
     def test_tampered_certificate(self, capsys, tmp_path):
         cert_file = tmp_path / "cert.json"
@@ -153,3 +175,51 @@ class TestRandom:
         inst = tmp_path / "inst.json"
         inst.write_text(out)
         assert run(capsys, "validate", str(inst))[0] == 0
+
+
+class TestErrors:
+    """Bad inputs give one JSON error document and exit code 2, never a traceback."""
+
+    def test_directory_argument(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "split", str(tmp_path))
+        assert code == 2
+        assert "error" in json.loads(out)
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"rank": 1, "A": "\xff\xfe"}')
+        code, out, _ = run(capsys, "cohomology", str(bad))
+        assert code == 2
+        assert "UTF-8" in json.loads(out)["error"]["message"]
+
+    def test_bad_torus(self, capsys):
+        code, out, _ = run(capsys, "random", "--seed", "1", "--summands", "1:0", "--torus", "x")
+        assert code == 2
+        assert json.loads(out)["error"]["pointer"] == "--torus"
+
+    def test_unreadable_file(self, capsys, monkeypatch):
+        # a permission bit cannot be relied on when the tests run as root
+        def deny(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "load_json_file", deny)
+        code, out, _ = run(capsys, "validate", fixture_path("o_3"))
+        assert code == 2
+        assert "Permission denied" in json.loads(out)["error"]["message"]
+
+    def test_invariant_violation_exit_1(self, capsys, monkeypatch):
+        def broken(E):
+            raise InvariantViolation("peel degrees out of order: 2 after 1")
+
+        monkeypatch.setattr(cli, "equivariant_split", broken)
+        code, out, _ = run(capsys, "split", fixture_path("o_3"))
+        assert code == 1
+        assert json.loads(out)["error"]["invariant"] == "peel degrees out of order: 2 after 1"
+
+
+class TestSelftest:
+    def test_json_carries_no_timing(self):
+        fast = CriterionResult(1, "round trip", True, "", 0.5).to_json()
+        slow = CriterionResult(1, "round trip", True, "", 50.0).to_json()
+        assert fast == slow
+        assert "seconds" not in fast

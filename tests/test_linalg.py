@@ -1,7 +1,10 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import (
@@ -12,9 +15,8 @@ from equisplit.linalg import (
     mat_det,
     rank_sparse,
     rref_sparse,
-    solve_rational_kernel,
 )
-from oracles import dense_rank, naive_det
+from oracles import dense_rank, dense_rref, naive_det
 
 P = LaurentPoly
 
@@ -113,12 +115,18 @@ class TestAdjugate:
             assert kron_adjugate(B, C, detB, detC) == mat_adjugate(K)
 
 
+def dense_kernel(M, ncols):
+    """kernel_sparse on dense rows, with the basis vectors made dense."""
+    _, basis = kernel_sparse([{j: v for j, v in enumerate(row) if v} for row in M], ncols)
+    return [[vec.get(j, Fraction(0)) for j in range(ncols)] for vec in basis]
+
+
 class TestRationalKernel:
     def test_full_rank(self):
-        assert solve_rational_kernel([[1, 0], [0, 1]]) == []
+        assert dense_kernel([[1, 0], [0, 1]], 2) == []
 
     def test_one_relation(self):
-        basis = solve_rational_kernel([[1, 1]])
+        basis = dense_kernel([[1, 1]], 2)
         assert len(basis) == 1
         v = basis[0]
         # spans the line through (1, -1)
@@ -126,7 +134,7 @@ class TestRationalKernel:
         assert v[0] + v[1] == 0
 
     def test_zero_matrix(self):
-        basis = solve_rational_kernel([[0, 0, 0], [0, 0, 0]])
+        basis = dense_kernel([[0, 0, 0], [0, 0, 0]], 3)
         assert len(basis) == 3
 
     def test_rank_nullity_and_annihilation(self):
@@ -135,7 +143,7 @@ class TestRationalKernel:
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
             M = [[Fraction(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
-            basis = solve_rational_kernel(M)
+            basis = dense_kernel(M, cols)
             assert len(basis) == cols - dense_rank(M)
             for v in basis:
                 for row in M:
@@ -189,3 +197,59 @@ class TestMatrixOps:
     def test_exponent_range(self):
         assert lm([[{-2: 1}, {5: 1}]]).exponent_range() == (-2, 5)
         assert LaurentMatrix.zeros(2, 2).exponent_range() is None
+
+
+# small and huge (above 2^64) integers and fractions, mixed in one matrix
+_VALUES = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.integers(-(2**80), 2**80),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**70)),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """(dense rows, sparse rows, ncols) with zero and duplicate rows mixed in."""
+    ncols = draw(st.integers(1, 7))
+    row = st.lists(_VALUES, min_size=ncols, max_size=ncols)
+    dense = draw(st.lists(row, max_size=6))
+    dense += [[0] * ncols] * draw(st.integers(0, 1))
+    if dense:
+        dense += draw(st.lists(st.sampled_from(dense), max_size=2))
+    dense = draw(st.permutations(dense))
+    keep_zeros = draw(st.booleans())
+    sparse = [{j: v for j, v in enumerate(r) if v or keep_zeros} for r in dense]
+    return dense, sparse, ncols
+
+
+class TestEliminationProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_matrices())
+    def test_rref_matches_dense_oracle(self, case):
+        dense, sparse, ncols = case
+        before = copy.deepcopy(sparse)
+        pivots, reduced = rref_sparse(sparse, ncols)
+        assert sparse == before
+        want_pivots, want_rows = dense_rref(dense, ncols)
+        assert pivots == want_pivots
+        assert [[r.get(j, Fraction(0)) for j in range(ncols)] for r in reduced] == want_rows
+        assert all(type(v) is Fraction and v for r in reduced for v in r.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(_matrices())
+    def test_rank_matches_dense_oracle(self, case):
+        dense, sparse, ncols = case
+        assert rank_sparse(sparse, ncols) == dense_rank(dense)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_matrices())
+    def test_kernel_vectors_annihilate_every_row(self, case):
+        dense, sparse, ncols = case
+        free, basis = kernel_sparse(sparse, ncols)
+        assert len(basis) == ncols - dense_rank(dense)
+        for f, vec in zip(free, basis):
+            assert vec[f] == 1
+            for r in dense:
+                assert sum(r[j] * vec.get(j, 0) for j in range(ncols)) == 0

@@ -215,9 +215,11 @@ class TestEquivariantSplit:
     def test_worked_example(self):
         E = e3_bundle()
         summands, cert = equivariant_split(E)
-        assert canon(summands) == canon([LineSummand(1, (0,)), LineSummand(1, (-1,))])
-        assert cert.M0 == lm([[{0: 1}, {1: -1}], [{}, {0: 1}]])
-        assert cert.MInf == LaurentMatrix.identity(2)
+        # canonical order puts weight -1 first: the peel frames with their
+        # two summand coordinates swapped
+        assert summands == [LineSummand(1, (-1,)), LineSummand(1, (0,))]
+        assert cert.M0 == lm([[{1: -1}, {0: 1}], [{0: 1}, {}]])
+        assert cert.MInf == lm([[{}, {0: 1}], [{0: 1}, {}]])
 
     def test_jump_type(self):
         summands, cert = equivariant_split(jump_bundle())

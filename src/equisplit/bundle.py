@@ -96,7 +96,8 @@ class LineSummand:
 class EquivariantBundle:
     """Transition matrix plus per-chart frame weights under a torus action."""
 
-    __slots__ = ("A", "lambda0", "lambdaInf", "torus", "_det", "_adj")
+    # _h0 caches the H^0 basis that cohomology solves for
+    __slots__ = ("A", "lambda0", "lambdaInf", "torus", "_det", "_adj", "_h0")
 
     def __init__(
         self,
@@ -111,6 +112,7 @@ class EquivariantBundle:
         self.torus = torus
         self._det: LaurentPoly | None = None
         self._adj: LaurentMatrix | None = None
+        self._h0: list | None = None
 
     @property
     def rank(self) -> int:
@@ -235,7 +237,7 @@ def twist(E: EquivariantBundle, n: int, lam: Weight) -> EquivariantBundle:
     lam = tuple(lam)
     shift_inf = weight_sub(lam, weight_scale(n, E.torus.a))
     out = EquivariantBundle(
-        E.A.scale(LaurentPoly.monomial(-n)),
+        E.A.shift(-n),
         tuple(weight_add(w, lam) for w in E.lambda0),
         tuple(weight_add(w, shift_inf) for w in E.lambdaInf),
         E.torus,
@@ -243,7 +245,7 @@ def twist(E: EquivariantBundle, n: int, lam: Weight) -> EquivariantBundle:
     if E._det is not None:
         out._det = E._det.shift(-n * E.rank)
     if E._adj is not None:
-        out._adj = E._adj.scale(LaurentPoly.monomial(-n * (E.rank - 1)))
+        out._adj = E._adj.shift(-n * (E.rank - 1))
     return out
 
 

@@ -146,8 +146,19 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors raised as ParseError, so they print JSON.
+
+    Subparsers inherit the class; usage text still goes to stderr.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ParseError(self.prog, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="equisplit",
         description="Exact equivariant splitting of vector bundles on the projective line.",
     )
@@ -190,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except ParseError as exc:
         _emit({"error": {"pointer": exc.pointer, "message": exc.message}})

@@ -13,7 +13,9 @@ H^1 is computed from a truncated two-chart cover complex: chains (f, g) with
 deg f <= W + E and deg g <= W map to overlap vectors by (f, g) -> A f - g(1/z),
 and the cokernel is taken inside the exponent window [-W, W].  Every overlap
 monomial with exponent <= 0 is hit by a g-chain alone, so the elimination
-runs on exponents in [1, W] only.  The window doubles until two consecutive
+runs on exponents in [1, W] only.  Dually, each kernel equation with exponent
+in [-W, 0] holds a g-chain unknown of its own, so the kernel rank eliminates
+only the remaining equations, over the f unknowns.  The window doubles until two consecutive
 windows agree and the Euler identity h0 - h1 = degree + rank holds; a hard
 cap turns a failure to stabilize into an error.
 """
@@ -203,23 +205,32 @@ def _section_from_h(
     return Section(tuple(f), tuple(g), weight)
 
 
+def _h0_records(E: EquivariantBundle) -> list[_BasisRecord]:
+    """The canonical H^0 basis of E, solved once per bundle object and cached.
+
+    Callers must not mutate the returned list.
+    """
+    if E._h0 is None:
+        E._h0 = _h0_basis(E)
+    return E._h0
+
+
 def h0_sections(E: EquivariantBundle) -> list[tuple[Section, Weight]]:
     """A basis of the global sections, graded by weight.
 
     Sections are returned sorted by weight (then by echelon position); the
     number of entries is dim H^0.
     """
-    records = _h0_basis(E)
-    records.sort(key=lambda r: (r.weight, r.echelon_col))
+    records = sorted(_h0_records(E), key=lambda r: (r.weight, r.echelon_col))
     return [(r.section, r.weight) for r in records]
 
 
 def h0_dim(E: EquivariantBundle) -> int:
-    return len(_h0_basis(E))
+    return len(_h0_records(E))
 
 
 def h0_character(E: EquivariantBundle) -> Character:
-    return Character.from_weights(r.weight for r in _h0_basis(E))
+    return Character.from_weights(r.weight for r in _h0_records(E))
 
 
 # -- truncated overlap (Cech) complex ---------------------------------------
@@ -256,23 +267,21 @@ def _cech_once(E: EquivariantBundle, W: int) -> tuple[int, Character]:
     def fcol(j: int, e: int) -> int:
         return j * fw + e
 
-    def gcol(i: int, e: int) -> int:
-        return m * fw + i * gw + e
-
-    ncols = m * fw + m * gw
     # integer rows of L A f - L g(1/z); column (j, e) meets row (i, x)
-    # through the one monomial of exponent x - e
-    L, A = _integer_monomials(E.A)
-    krows: dict[tuple[int, int], dict[int, int]] = {}
+    # through the one monomial of exponent x - e.  Each of the m * gw rows
+    # with x in [-Wg, 0] holds its own g-chain column, which no other row
+    # meets, so those rows are independent of everything else: the rank is
+    # m * gw plus the rank of the remaining rows, which hold f columns only.
+    _, A = _integer_monomials(E.A)
+    frows: dict[tuple[int, int], dict[int, int]] = {}
     for i in range(m):
         for j in range(m):
             for d, c in A[i][j]:
                 for e in range(fw):
-                    krows.setdefault((i, d + e), {})[fcol(j, e)] = c
-    for i in range(m):
-        for e in range(gw):
-            krows.setdefault((i, -e), {})[gcol(i, e)] = -L
-    kernel_dim = ncols - rank_sparse(krows.values(), ncols)
+                    if not -Wg <= d + e <= 0:
+                        frows.setdefault((i, d + e), {})[fcol(j, e)] = c
+    # kernel dimension = (m * fw + m * gw) - (m * gw + rank of the f rows)
+    kernel_dim = m * fw - rank_sparse(frows.values(), m * fw)
 
     # cokernel inside exponents [1, W]: the g-side image covers everything
     # below, so only chart-0 generators projected to the window remain.

@@ -306,13 +306,17 @@ def poly_ext_gcd2(
     return r0.scale(1 / lc), s0.scale(1 / lc), t0.scale(1 / lc)
 
 
-def poly_ext_gcd(polys: list[LaurentPoly]) -> tuple[LaurentPoly, list[list[LaurentPoly]]]:
+def poly_ext_gcd(
+    polys: list[LaurentPoly],
+) -> tuple[LaurentPoly, list[list[LaurentPoly]], list[list[LaurentPoly]]]:
     """Unimodular completion of a polynomial column via 2x2 Bezout blocks.
 
-    Returns (g, U) with g the monic gcd of the inputs and U a k-by-k
+    Returns (g, U, Uinv) with g the monic gcd of the inputs, U a k-by-k
     polynomial matrix with det(U) a nonzero rational constant such that
-    U @ (f_1, ..., f_k)^T = (g, 0, ..., 0)^T.  Entries are folded left to
-    right, so the output is deterministic.
+    U @ (f_1, ..., f_k)^T = (g, 0, ..., 0)^T, and Uinv its exact inverse.
+    Each block acts on U by row operations and on Uinv by the inverse column
+    operations, so no determinant or adjugate is ever formed.  Entries are
+    folded left to right, so the output is deterministic.
     """
     k = len(polys)
     if k == 0 or all(p.is_zero() for p in polys):
@@ -324,21 +328,26 @@ def poly_ext_gcd(polys: list[LaurentPoly]) -> tuple[LaurentPoly, list[list[Laure
         [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(k)]
         for i in range(k)
     ]
+    Uinv = [row[:] for row in U]  # entries are replaced, never mutated
     g = polys[0]
     for i in range(1, k):
         f = polys[i]
         if f.is_zero():
             continue
         g2, s, t = poly_ext_gcd2(g, f)
-        # 2x2 block [[s, t], [-f/g2, g/g2]] has determinant exactly 1.
-        m00, m01 = s, t
-        m10, m11 = -poly_exact_div(f, g2), poly_exact_div(g, g2)
-        row0 = [m00 * U[0][j] + m01 * U[i][j] for j in range(k)]
-        rowi = [m10 * U[0][j] + m11 * U[i][j] for j in range(k)]
+        # 2x2 block [[s, t], [-f/g2, g/g2]] has determinant exactly 1, and
+        # inverse [[g/g2, -t], [f/g2, s]]
+        fq, gq = poly_exact_div(f, g2), poly_exact_div(g, g2)
+        row0 = [s * U[0][j] + t * U[i][j] for j in range(k)]
+        rowi = [gq * U[i][j] - fq * U[0][j] for j in range(k)]
         U[0], U[i] = row0, rowi
+        for r in Uinv:
+            r[0], r[i] = r[0] * gq + r[i] * fq, r[i] * s - r[0] * t
         g = g2
     if not g.is_zero() and g.leading_coeff() != 1:
-        inv = 1 / g.leading_coeff()
-        U[0] = [u.scale(inv) for u in U[0]]
-        g = g.scale(inv)
-    return g, U
+        lc = g.leading_coeff()
+        U[0] = [u.scale(1 / lc) for u in U[0]]
+        for r in Uinv:
+            r[0] = r[0].scale(lc)
+        g = g.scale(1 / lc)
+    return g, U, Uinv

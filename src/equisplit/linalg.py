@@ -117,6 +117,10 @@ class LaurentMatrix:
             p = LaurentPoly.constant(p)
         return LaurentMatrix([[e * p for e in row] for row in self.entries])
 
+    def shift(self, k: int) -> "LaurentMatrix":
+        """Multiply every entry by z**k (an exponent shift, no arithmetic)."""
+        return self.map(lambda e: e.shift(k))
+
     def transpose(self) -> "LaurentMatrix":
         return LaurentMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
 

@@ -8,6 +8,12 @@ triangular-clearing pass makes diagonal.  The output is the summand list
 together with the two invertible frame matrices whose product identity is
 machine-checkable, plus an independent verifier for that certificate.
 
+Every chart-0 frame carries its inverse: the Bezout and monomial completions,
+the accumulated peel frames and the unipotent clearing factor are all built
+from elementary operations, and each operation's inverse is applied alongside
+it.  The producer therefore forms no determinant or adjugate of a frame; only
+``splitting_hom`` inverts a certificate frame through its adjugate.
+
 With no torus (rank-0 action) the same pipeline is a constructive splitting
 of an arbitrary bundle into line bundles.
 """
@@ -32,7 +38,7 @@ from .bundle import (
     weight_scale,
     weight_sub,
 )
-from .cohomology import Section, _h0_basis, h0_dim, h0_sections
+from .cohomology import Section, _h0_records, h0_dim, h0_sections
 from .equivariant import (
     HomElement,
     chart_map_violations,
@@ -55,12 +61,14 @@ def _inverse_constant_det(M: LaurentMatrix) -> LaurentMatrix:
     return mat_adjugate(M).scale(1 / det.constant_value())
 
 
-def max_twist(E: EquivariantBundle) -> int:
+def max_twist(E: EquivariantBundle) -> tuple[int, EquivariantBundle]:
     """The largest k with nonzero global sections after twisting by -k.
 
     Searches downward from -o (o the minimum exponent in A), where the
     section window is empty; theory guarantees a hit at or before
-    ceil(degree/rank), so running past it is an internal error.
+    ceil(degree/rank), so running past it is an internal error.  Returns k
+    together with the twist E(-k), whose H^0 basis is already solved and
+    cached for ``eigen_section``.
     """
     if E.rank == 0:
         raise ValueError("max_twist of a rank-0 bundle")
@@ -72,8 +80,9 @@ def max_twist(E: EquivariantBundle) -> int:
     zero = E.torus.zero_weight
     E.adj_transition()  # seed the cache once; twists reuse it
     for k in range(hi, floor - 1, -1):
-        if h0_dim(twist(E, -k, zero)) > 0:
-            return k
+        Et = twist(E, -k, zero)
+        if h0_dim(Et) > 0:
+            return k, Et
     raise InvariantViolation(
         f"twist search found no sections in [{floor}, {hi}]; "
         "the instance cannot be a valid bundle"
@@ -88,7 +97,7 @@ def eigen_section(E: EquivariantBundle) -> Section:
     the graded section system are weight-homogeneous, so this is always an
     eigenvector; with a nontrivial base action its entries are monomials.
     """
-    records = _h0_basis(E)
+    records = _h0_records(E)
     if not records:
         raise ValueError("the bundle has no nonzero global sections")
     rec = min(records, key=lambda r: r.echelon_col)
@@ -104,15 +113,16 @@ def eigen_section(E: EquivariantBundle) -> Section:
 
 @dataclass
 class PeelStep:
-    """One induction step: V A U^-1 = [[z^-n, beta], [0, quotient.A]].
+    """One induction step: V A Uinv = [[z^-n, beta], [0, quotient.A]].
 
     U (over k[z]) and V (over k[w]) have constant nonzero determinant and are
     equivariant from the input frame weights to (summand weight, quotient
-    weights); beta is the extension row.
+    weights); Uinv is the exact inverse of U and beta is the extension row.
     """
 
     summand: LineSummand
     U: LaurentMatrix
+    Uinv: LaurentMatrix
     V: LaurentMatrix
     beta: list[LaurentPoly]
     quotient: EquivariantBundle
@@ -135,11 +145,13 @@ class PeelStep:
         )
 
 
-def _completion_monomial(entries: list[LaurentPoly]) -> LaurentMatrix:
-    """M with M @ entries = e_1 for a monomial vector whose minimal exponent is 0.
+def _completion_monomial(entries: list[LaurentPoly]) -> tuple[LaurentMatrix, LaurentMatrix]:
+    """(M, M^-1) with M @ entries = e_1 for a monomial vector whose minimal exponent is 0.
 
     Pivot swap, constant scaling, then monomial eliminations; every factor is
-    equivariant monomial-by-monomial when the entries share one weight.
+    equivariant monomial-by-monomial when the entries share one weight.  The
+    inverse needs no arithmetic: its column 0 is the input vector and its
+    column i is e_perm[i].
     """
     k = len(entries)
     pivot = None
@@ -159,25 +171,31 @@ def _completion_monomial(entries: list[LaurentPoly]) -> LaurentMatrix:
     permuted = [entries[perm[i]] for i in range(k)]
     c0 = permuted[0].constant_value()
     M = LaurentMatrix.zeros(k, k)
+    Minv = LaurentMatrix.zeros(k, k)
     M.entries[0][perm[0]] = LaurentPoly.constant(1 / c0)
+    for i in range(k):
+        Minv.entries[i][0] = entries[i]
     for i in range(1, k):
         M.entries[i][perm[i]] = LaurentPoly.one()
+        Minv.entries[perm[i]][i] = LaurentPoly.one()
         # eliminate entry i against the unit pivot
         if not permuted[i].is_zero():
             M.entries[i][perm[0]] = permuted[i].scale(-1 / c0)
-    return M
+    return M, Minv
 
 
-def _completion_bezout(entries: list[LaurentPoly]) -> LaurentMatrix:
-    """M with M @ entries = e_1 via the extended-gcd unimodular completion."""
-    g, U = poly_ext_gcd(entries)
+def _completion_bezout(entries: list[LaurentPoly]) -> tuple[LaurentMatrix, LaurentMatrix]:
+    """(M, M^-1) with M @ entries = e_1 via the extended-gcd unimodular completion."""
+    g, U, Uinv = poly_ext_gcd(entries)
     if not (g.is_constant() and not g.is_zero()):
         raise InvariantViolation("vector entries have a nonconstant common divisor")
-    return LaurentMatrix(U)
+    return LaurentMatrix(U), LaurentMatrix(Uinv)
 
 
-def _frame_completion(entries: list[LaurentPoly], monomial_path: bool) -> LaurentMatrix:
-    M = _completion_monomial(entries) if monomial_path else _completion_bezout(entries)
+def _frame_completion(
+    entries: list[LaurentPoly], monomial_path: bool
+) -> tuple[LaurentMatrix, LaurentMatrix]:
+    M, Minv = _completion_monomial(entries) if monomial_path else _completion_bezout(entries)
     achieved = [LaurentPoly.zero() for _ in entries]
     for i in range(len(entries)):
         for j, p in enumerate(entries):
@@ -185,7 +203,7 @@ def _frame_completion(entries: list[LaurentPoly], monomial_path: bool) -> Lauren
     want = [LaurentPoly.one()] + [LaurentPoly.zero()] * (len(entries) - 1)
     if achieved != want:
         raise InvariantViolation("frame completion failed to reduce the section to e_1")
-    return M
+    return M, Minv
 
 
 def peel(E: EquivariantBundle) -> PeelStep:
@@ -201,8 +219,7 @@ def peel(E: EquivariantBundle) -> PeelStep:
         raise ValueError("peel of a rank-0 bundle")
     m = E.rank
     torus = E.torus
-    n1 = max_twist(E)
-    Et = twist(E, -n1, torus.zero_weight)
+    n1, Et = max_twist(E)
     sigma = eigen_section(Et)
     chi = sigma.weight
 
@@ -214,8 +231,8 @@ def peel(E: EquivariantBundle) -> PeelStep:
         raise InvariantViolation(f"section vanishes on chart inf: gcd {gcd_g!r}")
 
     monomial_path = not torus.base_is_fixed()
-    U = _frame_completion(list(sigma.f), monomial_path)
-    V = _frame_completion(list(sigma.g), monomial_path)
+    U, Uinv = _frame_completion(list(sigma.f), monomial_path)
+    V, _ = _frame_completion(list(sigma.g), monomial_path)
 
     nu0 = derive_target_weights(U, E.lambda0, torus, 0)
     nuInf = derive_target_weights(V, E.lambdaInf, torus, "inf")
@@ -231,7 +248,7 @@ def peel(E: EquivariantBundle) -> PeelStep:
             f"peeled frame weight {nu0[0]}/{nuInf[0]} does not match the section weight {chi}"
         )
 
-    A_new = (V.invert_variable() @ E.A) @ _inverse_constant_det(U)
+    A_new = (V.invert_variable() @ E.A) @ Uinv
     mono = LaurentPoly.monomial(-n1)
     for i in range(m):
         want = mono if i == 0 else LaurentPoly.zero()
@@ -249,7 +266,7 @@ def peel(E: EquivariantBundle) -> PeelStep:
             raise InvariantViolation("peel produced an invalid quotient: " + "; ".join(qreport.violations))
         if degree(quotient) != degree(E) - n1:
             raise InvariantViolation("quotient degree mismatch")
-    return PeelStep(summand, U, V, beta, quotient)
+    return PeelStep(summand, U, Uinv, V, beta, quotient)
 
 
 def triangular_clear(
@@ -257,7 +274,7 @@ def triangular_clear(
     lam0: tuple[Weight, ...],
     lamInf: tuple[Weight, ...],
     torus: TorusAction,
-) -> tuple[LaurentMatrix, LaurentMatrix]:
+) -> tuple[LaurentMatrix, LaurentMatrix, LaurentMatrix]:
     """Clear the strictly-upper part of an equivariant triangular transition.
 
     R must be upper triangular with diagonal z^(-n_i), n_1 >= ... >= n_m.
@@ -265,7 +282,8 @@ def triangular_clear(
     z^(-n_i) with gamma in k[z] and delta in k[w]; monomials with exponent
     >= -n_i go to gamma, the rest to delta (the two ranges cover all
     exponents because n_i >= n_j).  Returns unipotent (W0 over k[z], WInf
-    over k[w]) with WInf @ R @ W0^-1 diagonal.
+    over k[w], W0inv = W0^-1) with WInf @ R @ W0inv diagonal; W0inv is built
+    by the opposite column operations, not by inverting W0.
     """
     m = R.rows
     degrees = []
@@ -282,6 +300,7 @@ def triangular_clear(
 
     Rc = LaurentMatrix([row[:] for row in R.entries])
     W0 = LaurentMatrix.identity(m)
+    W0inv = LaurentMatrix.identity(m)
     WInf = LaurentMatrix.identity(m)
     for s in range(1, m):
         for i in range(0, m - s):
@@ -298,10 +317,12 @@ def triangular_clear(
                 Rc.entries[i][t] = Rc.entries[i][t] - delta_z * Rc.entries[j][t]
             for t in range(m):
                 Rc.entries[t][j] = Rc.entries[t][j] + gamma * Rc.entries[t][i]
-            # accumulate the unipotent factors
+            # accumulate the unipotent factors; W0 gains row i -= gamma *
+            # row j, so its inverse gains col j += gamma * col i
             for t in range(m):
                 WInf.entries[i][t] = WInf.entries[i][t] - delta_w * WInf.entries[j][t]
                 W0.entries[i][t] = W0.entries[i][t] - gamma * W0.entries[j][t]
+                W0inv.entries[t][j] = W0inv.entries[t][j] + gamma * W0inv.entries[t][i]
 
     for i in range(m):
         for j in range(m):
@@ -313,7 +334,7 @@ def triangular_clear(
     )
     if bad:
         raise InvariantViolation("clearing factors broke equivariance: " + "; ".join(bad))
-    return W0, WInf
+    return W0, WInf, W0inv
 
 
 @dataclass
@@ -335,6 +356,10 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
 
     Repeatedly peels the top-degree line subbundle, accumulating the frame
     changes into a global triangularization, then clears the upper part.
+    Only the chart-0 inverse Uinv_tot = U_1^-1 ... U_k^-1 and the chart-inf
+    frame Vtot = V_k ... V_1 are accumulated; peel k acts on coordinates
+    t.. (t = k - 1), so it updates columns t.. of Uinv_tot and rows t.. of
+    Vtot in place.
     Summands come out in canonical ``LineSummand.sort_key`` order
     (non-increasing degree, then weight).  With a rank-0 torus this is a
     constructive splitting-type computation.
@@ -344,7 +369,7 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
         raise ValueError("cannot split an invalid bundle: " + "; ".join(report.violations))
     m = E.rank
     torus = E.torus
-    Utot = LaurentMatrix.identity(m)
+    Uinv_tot = LaurentMatrix.identity(m)
     Vtot = LaurentMatrix.identity(m)
     summands: list[LineSummand] = []
     current = E
@@ -356,15 +381,17 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
             )
         summands.append(step.summand)
         t = m - step.U.rows
-        Utot = _embed(step.U, m, t) @ Utot
-        Vtot = _embed(step.V, m, t) @ Vtot
+        cols = Uinv_tot.submatrix(range(m), range(t, m)) @ step.Uinv
+        for row, new in zip(Uinv_tot.entries, cols.entries):
+            row[t:] = new
+        Vtot.entries[t:] = (step.V @ Vtot.submatrix(range(t, m), range(m))).entries
         current = step.quotient
 
-    R = (Vtot.invert_variable() @ E.A) @ _inverse_constant_det(Utot)
+    R = (Vtot.invert_variable() @ E.A) @ Uinv_tot
     lam0 = tuple(s.lam for s in summands)
     lamInf = tuple(s.chart_inf_weight(torus) for s in summands)
-    W0, WInf = triangular_clear(R, lam0, lamInf, torus)
-    M0 = _inverse_constant_det(W0 @ Utot)
+    _, WInf, W0inv = triangular_clear(R, lam0, lamInf, torus)
+    M0 = Uinv_tot @ W0inv
     MInf = WInf @ Vtot
     # peel order breaks degree ties by frame; emit the canonical order instead,
     # permuting the columns of M0 and the rows of MInf to match
@@ -377,14 +404,6 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
     if not check.ok:
         raise InvariantViolation("produced certificate failed verification: " + check.summary())
     return summands, cert
-
-
-def _embed(M: LaurentMatrix, m: int, offset: int) -> LaurentMatrix:
-    out = LaurentMatrix.identity(m)
-    for i in range(M.rows):
-        for j in range(M.cols):
-            out.entries[offset + i][offset + j] = M.entries[i][j]
-    return out
 
 
 @dataclass

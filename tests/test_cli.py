@@ -207,6 +207,28 @@ class TestErrors:
         assert code == 2
         assert "Permission denied" in json.loads(out)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "argv, phrase",
+        [
+            (["random", "--summands", "1"], "--seed"),
+            (["bogus"], "invalid choice"),
+            (["random", "--seed", "x", "--summands", "1"], "invalid int value"),
+        ],
+    )
+    def test_usage_error_is_one_json_document(self, capsys, argv, phrase):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        doc = json.loads(out)  # exactly one document: trailing text would not parse
+        assert list(doc) == ["error"]
+        assert phrase in doc["error"]["message"]
+        assert "usage:" in err and "Traceback" not in err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_invariant_violation_exit_1(self, capsys, monkeypatch):
         def broken(E):
             raise InvariantViolation("peel degrees out of order: 2 after 1")

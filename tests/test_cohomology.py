@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,8 @@ from equisplit.bundle import (
 )
 from equisplit.cohomology import (
     StabilizationError,
+    _cech_once,
+    _initial_window,
     cech_cohomology,
     euler_check,
     h0_character,
@@ -24,7 +27,8 @@ from equisplit.cohomology import (
 from equisplit.equivariant import Character
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
-from oracles import brute_force_h0_dim
+from equisplit.selftest import sample_case
+from oracles import brute_force_h0_dim, dense_rank
 
 P = LaurentPoly
 T1 = TorusAction(1, (1,))
@@ -187,3 +191,28 @@ class TestStabilization:
     def test_rank_zero(self):
         E = EquivariantBundle(LaurentMatrix.zeros(0, 0), (), (), T1)
         assert cech_cohomology(E) == (0, Character())
+
+
+def full_cech_kernel_dim(E, W):
+    """Kernel dimension of the whole W-truncated system f, g -> A f - g(1/z), densely."""
+    m = E.rank
+    lo, _ = E.A.exponent_range()
+    fw, gw = W + max(0, -lo) + 1, W + 1
+    ncols = m * fw + m * gw
+    rows = {}
+    for i in range(m):
+        for j in range(m):
+            for d, c in E.A.entries[i][j].monomials():
+                for e in range(fw):
+                    rows.setdefault((i, d + e), [Fraction(0)] * ncols)[j * fw + e] += c
+        for e in range(gw):
+            rows.setdefault((i, -e), [Fraction(0)] * ncols)[m * fw + i * gw + e] -= 1
+    return ncols - dense_rank(list(rows.values()))
+
+
+def test_cech_kernel_dim_matches_full_system_rank():
+    for seed in range(12):
+        E, _, _ = sample_case(seed, max_rank=3, max_ops=6)
+        W = _initial_window(E)
+        for w in (1, W):
+            assert _cech_once(E, w)[0] == full_cech_kernel_dim(E, w), (seed, w)

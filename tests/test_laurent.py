@@ -114,21 +114,24 @@ class TestUnimodularCompletion:
     def test_bezout_pair(self):
         # 1*(z+1) - 1*z = 1, so gcd(z, z+1) = 1
         fs = [lp((1, 1)), lp((1, 1), (0, 1))]
-        g, U = poly_ext_gcd(fs)
+        g, U, Uinv = poly_ext_gcd(fs)
         assert g == P.one()
         assert self.apply(U, fs) == [P.one(), P.zero()]
+        assert matmul(U, Uinv) == identity(2)
 
     def test_single_entry(self):
-        g, U = poly_ext_gcd([lp((2, 1))])
+        g, U, Uinv = poly_ext_gcd([lp((2, 1))])
         assert g == lp((2, 1))
         assert U == [[P.one()]]
+        assert Uinv == [[P.one()]]
 
     def test_zero_then_constant(self):
-        g, U = poly_ext_gcd([P.zero(), P.constant(5)])
+        g, U, Uinv = poly_ext_gcd([P.zero(), P.constant(5)])
         assert g == P.one()
         # constant permutation/scaling block
         assert all(e.is_constant() for row in U for e in row)
         assert self.apply(U, [P.zero(), P.constant(5)]) == [P.one(), P.zero()]
+        assert matmul(U, Uinv) == identity(2)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -139,7 +142,7 @@ class TestUnimodularCompletion:
     def test_completion_properties(self, fs):
         if all(f.is_zero() for f in fs):
             return
-        g, U = poly_ext_gcd(fs)
+        g, U, Uinv = poly_ext_gcd(fs)
         from equisplit.linalg import LaurentMatrix, mat_det
 
         det = mat_det(LaurentMatrix(U))
@@ -151,11 +154,41 @@ class TestUnimodularCompletion:
         for f in fs:
             if not f.is_zero():
                 assert poly_divmod(f, g)[1].is_zero()
+        assert matmul(U, Uinv) == matmul(Uinv, U) == identity(len(fs))
+
+    @given(st.integers(1, 4), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), polys),
+                                        max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_on_unimodular_columns(self, k, ops):
+        # e_1 under random polynomial row additions is a unimodular column
+        fs = [P.one()] + [P.zero()] * (k - 1)
+        for i, j, p in ops:
+            i, j = i % k, j % k
+            if i != j:
+                fs[i] = fs[i] + p * fs[j]
+        g, U, Uinv = poly_ext_gcd(fs)
+        assert g == P.one()
+        assert self.apply(U, fs) == [P.one()] + [P.zero()] * (k - 1)
+        assert matmul(U, Uinv) == identity(k)
+        assert [row[0] for row in Uinv] == fs
 
     def test_monic_normalization(self):
-        g, U = poly_ext_gcd([lp((1, 2))])  # 2z alone
+        g, U, Uinv = poly_ext_gcd([lp((1, 2))])  # 2z alone
         assert g == lp((1, 1))
         assert self.apply(U, [lp((1, 2))]) == [g]
+        assert Uinv == [[P.constant(2)]]
+
+
+def identity(k):
+    return [[P.one() if i == j else P.zero() for j in range(k)] for i in range(k)]
+
+
+def matmul(X, Y):
+    n = len(Y)
+    return [
+        [sum((X[i][t] * Y[t][j] for t in range(n)), P.zero()) for j in range(len(Y[0]))]
+        for i in range(len(X))
+    ]
 
 
 def test_monic_zero():

@@ -1,6 +1,10 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equisplit.bundle import (
     EquivariantBundle,
@@ -14,10 +18,12 @@ from equisplit.bundle import (
 )
 from equisplit.cohomology import h0_character, h0_dim, h1_character
 from equisplit.equivariant import Character, weight_project_hom
+from equisplit.jsonio import certificate_to_json, dumps_canonical
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix, mat_det
 from equisplit.splitting import (
     InvariantViolation,
+    _completion_monomial,
     SplittingCertificate,
     eigen_section,
     equivariant_split,
@@ -60,28 +66,33 @@ def sample(seed, max_rank=4, ops=8, r=None):
     return E, hidden, torus
 
 
+coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2)])
+
+
 def canon(summands):
     return sorted(summands, key=LineSummand.sort_key)
 
 
 class TestMaxTwist:
     def test_line_bundle(self):
-        assert max_twist(line_bundle(3)) == 3
+        k, Et = max_twist(line_bundle(3))
+        assert k == 3
+        assert Et == twist_by(line_bundle(3), -3)
 
     def test_jump(self):
         # h^0(E(-1)) = 0 while det forces n1 + n2 = 0, so n1 = 0
-        assert max_twist(jump_bundle()) == 0
+        assert max_twist(jump_bundle())[0] == 0
 
     def test_split_diagonal(self):
         # diag(z^-2, z^3) = O(2) + O(-3), so the top twist is 2
         E = EquivariantBundle(lm([[{-2: 1}, {}], [{}, {3: 1}]]), ((), ()), ((), ()))
-        assert max_twist(E) == 2
+        assert max_twist(E)[0] == 2
 
     def test_post_conditions(self):
         for seed in range(20):
             E, _, torus = sample(seed)
-            n1 = max_twist(E)
-            zero = torus.zero_weight
+            n1, Et = max_twist(E)
+            assert Et == twist_by(E, -n1)
             assert h0_dim(twist_by(E, -n1)) > 0
             assert h0_dim(twist_by(E, -n1 - 1)) == 0
             assert n1 * E.rank >= degree(E)
@@ -150,9 +161,8 @@ class TestPeel:
             step = peel(E)
             m = E.rank
             left = step.V.invert_variable() @ E.A
-            from equisplit.splitting import _inverse_constant_det
-
-            got = left @ _inverse_constant_det(step.U)
+            assert step.U @ step.Uinv == LaurentMatrix.identity(m)
+            got = left @ step.Uinv
             expected = step.reframed(torus).A
             assert got == expected
             assert validate(step.reframed(torus)).ok
@@ -172,25 +182,26 @@ class TestPeel:
 class TestTriangularClear:
     def test_worked_example(self):
         R = lm([[{-1: 1}, {0: 1}], [{}, {-1: 1}]])
-        W0, WInf = triangular_clear(R, ((0,), (-1,)), ((-1,), (-2,)), T1)
+        W0, WInf, W0inv = triangular_clear(R, ((0,), (-1,)), ((-1,), (-2,)), T1)
         assert WInf == LaurentMatrix.identity(2)
         # gamma = -z moves into W0; W0^-1 = [[1, -z], [0, 1]]
         assert W0 == lm([[{0: 1}, {1: 1}], [{}, {0: 1}]])
-        diag = (WInf.invert_variable() @ R) @ lm([[{0: 1}, {1: -1}], [{}, {0: 1}]])
+        assert W0inv == lm([[{0: 1}, {1: -1}], [{}, {0: 1}]])
+        diag = (WInf.invert_variable() @ R) @ W0inv
         assert diag == lm([[{-1: 1}, {}], [{}, {-1: 1}]])
 
     def test_already_diagonal(self):
         R = lm([[{-2: 1}, {}], [{}, {1: 1}]])
-        W0, WInf = triangular_clear(R, ((), ()), ((), ()), TorusAction(0, ()))
-        assert W0 == LaurentMatrix.identity(2)
+        W0, WInf, W0inv = triangular_clear(R, ((), ()), ((), ()), TorusAction(0, ()))
+        assert W0 == W0inv == LaurentMatrix.identity(2)
         assert WInf == LaurentMatrix.identity(2)
 
     def test_low_monomial_goes_to_chart_inf(self):
         # entry z^-3 with degrees (0, -2): exponent -3 < -n_1 = 0, so the
         # whole entry is cleared from the chart-inf side
         R = lm([[{0: 1}, {-3: 1}], [{}, {2: 1}]])
-        W0, WInf = triangular_clear(R, ((), ()), ((), ()), TorusAction(0, ()))
-        assert W0 == LaurentMatrix.identity(2)
+        W0, WInf, W0inv = triangular_clear(R, ((), ()), ((), ()), TorusAction(0, ()))
+        assert W0 == W0inv == LaurentMatrix.identity(2)
         assert WInf == lm([[{0: 1}, {5: -1}], [{}, {0: 1}]])
 
     def test_unsorted_degrees_rejected(self):
@@ -202,6 +213,44 @@ class TestTriangularClear:
         R = lm([[{0: 1}, {}], [{0: 1}, {0: 1}]])
         with pytest.raises(ValueError):
             triangular_clear(R, ((), ()), ((), ()), TorusAction(0, ()))
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=5),
+        st.lists(st.dictionaries(st.integers(-6, 4), coeffs, max_size=3), min_size=10, max_size=10),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_on_random_upper_triangular(self, degrees, uppers):
+        m = len(degrees)
+        degrees = sorted(degrees, reverse=True)
+        R = LaurentMatrix.zeros(m, m)
+        cells = iter(uppers)
+        for i in range(m):
+            R.entries[i][i] = P.monomial(-degrees[i])
+            for j in range(i + 1, m):
+                R.entries[i][j] = P(next(cells))
+        W0, WInf, W0inv = triangular_clear(R, ((),) * m, ((),) * m, TorusAction(0, ()))
+        assert W0 @ W0inv == LaurentMatrix.identity(m)
+        diag = (WInf.invert_variable() @ R) @ W0inv
+        assert diag == LaurentMatrix.diagonal([P.monomial(-n) for n in degrees])
+
+
+class TestCompletionInverse:
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), coeffs | st.just(Fraction(0))), min_size=1, max_size=5),
+        st.integers(0, 4),
+        coeffs,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_monomial_completion_inverse(self, monos, pivot, c0):
+        # a monomial vector whose minimal exponent is 0 (zeros allowed)
+        entries = [P.monomial(e, c) for e, c in monos]
+        entries[pivot % len(entries)] = P.constant(c0)
+        M, Minv = _completion_monomial(entries)
+        k = len(entries)
+        assert M @ Minv == LaurentMatrix.identity(k)
+        assert M @ LaurentMatrix([[p] for p in entries]) == LaurentMatrix(
+            [[P.one()]] + [[P.zero()] for _ in range(k - 1)]
+        )
 
 
 class TestEquivariantSplit:
@@ -362,3 +411,54 @@ class TestProjectionSurjectivity:
     def test_rank_one_trivial(self):
         step = peel(line_bundle(1, (0,), T1))
         assert projection_surjective_on_invariants(step, T1)
+
+
+# sha256 of the canonical certificate JSON for dense rank-5, 10-op scrambles
+# with seeds 1000..1009, pinned from the adjugate-based producer: frames that
+# carry their inverses must reproduce M0 and MInf byte for byte
+CERT_SHA_NO_TORUS = [
+    "a26d5fdb7b0a2f96052186dde36f629bb66d36f89ce47e014ef52d235c387e91",
+    "e526f9754aa9eab1dce58117d2aee49bf9c82759458bdde3885c6f94f52dc6e8",
+    "08413b1b25477dc9618fe1737c87a5bc139a1371dc8078a60a1e90dbafde78e7",
+    "c29f332897dfda71ff04a33107facf36107870a3738d4dbaf46bcc0199a841ce",
+    "dbc158b72aa01830d40485321ed69c379066abaad724d588c6e90540994a9c49",
+    "6d4e47ec6064024bd164c147a5cc63e223bcb10128f8f29fc2ae78405142a7db",
+    "15f371a08e058da134829e61c9bef33cc538886c9cc2d7498a5f491e68af296e",
+    "5dea436ccedecb0ca87d49519759000e1db89a5f555018ccfcc3821e9af2e0c1",
+    "73e36cbd1493e28a4fa35f9d6d91b9ddaefd27bb1e63e25d2e91dae8b3cc368d",
+    "314b7d7f93abfa6d3079277ef02787b7565a69e0a7fbc85a8c56fd27b76f32bd",
+]
+CERT_SHA_FIXED_BASE = [
+    "37d86576b2da5a332495f872f6d2f9bf934dc8de5d40b870f6878545c22795e3",
+    "b1f125efbced41d8ef9eb95da3316640e3f022dcd052376663b8675dd7e00039",
+    "50d250fa378d49992701421cadb3af99a5e9cc51f578e3fc0acc7a216922b271",
+    "6e5d6a1f9e37fbf188e83d0bc0c297c3b7ea13be3ff20884c6112d3db94d2a49",
+    "5fc1ef1946314ca245e2e9aa7529b66021ba892330f3206a27eff72bd552750a",
+    "892c2c1a8cf298a542d05155e9d01e31c08d9d0511e0e78d116472f81d5a9fed",
+    "9997008736c89d7e0e0d4a8e20c75c675b4f80282b5a6b13183d7e21bd32547b",
+    "67682d12112452f0dbe958de42ab3905712bb8206507a41be08300278f666cfb",
+    "4df33a759bac30e5978393d5450888d13e44c9c30e54a457dc2c1f808d8770ca",
+    "f3a840bbc3ba4e2286bf24248b0a2baed200a4a02a8b4e5077db8a529a613220",
+]
+
+
+def dense_case(seed, torus):
+    rng = random.Random(seed)
+    summands = [
+        LineSummand(rng.randint(-3, 3), tuple(rng.randint(-2, 2) for _ in torus.a))
+        for _ in range(5)
+    ]
+    return random_instance(seed, summands, 10, torus)[0]
+
+
+@pytest.mark.parametrize(
+    "torus, hashes",
+    [(TorusAction(0, ()), CERT_SHA_NO_TORUS), (TorusAction(1, (0,)), CERT_SHA_FIXED_BASE)],
+)
+def test_certificates_are_byte_identical(torus, hashes):
+    got = []
+    for seed in range(1000, 1010):
+        _, cert = equivariant_split(dense_case(seed, torus))
+        text = dumps_canonical(certificate_to_json(cert))
+        got.append(hashlib.sha256(text.encode()).hexdigest())
+    assert got == hashes

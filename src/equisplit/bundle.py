@@ -165,8 +165,9 @@ def transition_law_violations(
 ) -> list[str]:
     """Check d*a = lambda_rows[i] - lambda_cols[j] for every monomial of A.
 
-    This is the transition-shaped law; chart-local frame maps use the same
-    helper with the appropriate weight vectors.
+    This is the transition-shaped law.  A chart-0 frame map (new coords =
+    M @ old coords) obeys it with rows = new and cols = old weights; a
+    chart-inf frame over k[w] obeys it as ``M.invert_variable()``.
     """
     if torus.rank == 0:
         return []

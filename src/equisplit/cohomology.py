@@ -244,9 +244,7 @@ def _initial_window(E: EquivariantBundle) -> int:
     return max(abs(lo), abs(hi)) + max(E.rank, 1)
 
 
-def _window_cap(initial: int, max_window: int | None) -> int:
-    if max_window is not None:
-        return max_window
+def _window_cap(initial: int) -> int:
     env = os.environ.get(MAX_WINDOW_ENV)
     if env is not None:
         return int(env)
@@ -305,9 +303,7 @@ def _cech_once(E: EquivariantBundle, W: int) -> tuple[int, Character]:
     return kernel_dim, Character.from_weights(weights)
 
 
-def cech_cohomology(
-    E: EquivariantBundle, max_window: int | None = None
-) -> tuple[int, Character]:
+def cech_cohomology(E: EquivariantBundle) -> tuple[int, Character]:
     """Stabilized (h0 dimension, h1 character) from the truncated complex.
 
     Stops when two consecutive windows agree and the Euler identity
@@ -319,7 +315,7 @@ def cech_cohomology(
         return 0, Character()
     deg = degree(E)
     W = _initial_window(E)
-    cap = _window_cap(W, max_window)
+    cap = _window_cap(W)
     prev: tuple[int, Character] | None = None
     while W <= cap:
         cur = _cech_once(E, W)
@@ -333,12 +329,12 @@ def cech_cohomology(
     )
 
 
-def h1_character(E: EquivariantBundle, max_window: int | None = None) -> Character:
-    return cech_cohomology(E, max_window)[1]
+def h1_character(E: EquivariantBundle) -> Character:
+    return cech_cohomology(E)[1]
 
 
-def h1_dim(E: EquivariantBundle, max_window: int | None = None) -> int:
-    return cech_cohomology(E, max_window)[1].total()
+def h1_dim(E: EquivariantBundle) -> int:
+    return cech_cohomology(E)[1].total()
 
 
 # -- cross-check harness -----------------------------------------------------
@@ -370,14 +366,14 @@ class EulerReport:
         }
 
 
-def euler_check(E: EquivariantBundle, max_window: int | None = None) -> EulerReport:
+def euler_check(E: EquivariantBundle) -> EulerReport:
     """Verify h0 - h1 = degree + rank and dimension-level duality.
 
     The duality check compares dim H^1(E) with dim H^0 of the dual twisted
     by the degree -2 line bundle.
     """
     h0 = h0_dim(E)
-    h1 = h1_dim(E, max_window)
+    h1 = h1_dim(E)
     deg = degree(E)
     zero = E.torus.zero_weight
     serre_h0 = h0_dim(twist(dual(E), -2, zero))

@@ -1,4 +1,4 @@
-"""Weight bookkeeping: characters, linearizations, graded bundle maps.
+"""Weight bookkeeping: characters, frame weights, graded bundle maps.
 
 Weight conventions follow the section action C3 in :mod:`equisplit.bundle`.
 The weight of a Hom-monomial is fixed as
@@ -19,8 +19,6 @@ from .bundle import (
     EquivariantBundle,
     TorusAction,
     Weight,
-    line_bundle,
-    transition_law_violations,
     weight_add,
     weight_scale,
     weight_sub,
@@ -88,16 +86,6 @@ class Character:
         return f"Character({{{inner}}})"
 
 
-def check_equivariance(E: EquivariantBundle) -> list[str]:
-    """Violations of the monomial weight law d*a = lambdaInf[i] - lambda0[j]."""
-    return transition_law_violations(E.A, E.lambdaInf, E.lambda0, E.torus)
-
-
-def standard_linearization(n: int, lam: Weight, torus: TorusAction) -> EquivariantBundle:
-    """The degree-n line bundle linearized with chart-0 weight lam."""
-    return line_bundle(n, lam, torus)
-
-
 def monomial_weight(E: EquivariantBundle, chart: Chart, i: int, exponent: int) -> Weight:
     """Weight of the exponent's monomial in frame component i (convention C3)."""
     if not 0 <= i < E.rank:
@@ -110,49 +98,19 @@ def monomial_weight(E: EquivariantBundle, chart: Chart, i: int, exponent: int) -
     raise ValueError(f"chart must be 0 or 'inf', got {chart!r}")
 
 
-def chart_map_violations(
-    M: LaurentMatrix,
-    target: tuple[Weight, ...],
-    source: tuple[Weight, ...],
-    torus: TorusAction,
-    chart: Chart,
-    label: str = "M",
-) -> list[str]:
-    """Equivariance of a chart-local frame map (new coords = M @ old coords).
-
-    chart 0 (z-matrix): every monomial z^d of M[i][j] needs
-    d*a = target[i] - source[j]; chart inf (w-matrix): every w^e needs
-    e*a = source[j] - target[i].
-    """
-    if torus.rank == 0:
-        return []
-    out = []
-    a = torus.a
-    for i in range(M.rows):
-        for j in range(M.cols):
-            if chart == 0:
-                need = weight_sub(target[i], source[j])
-            else:
-                need = weight_sub(source[j], target[i])
-            for e, _ in M.entries[i][j].monomials():
-                if weight_scale(e, a) != need:
-                    out.append(
-                        f"{label}[{i}][{j}]: exponent {e} has e*a={weight_scale(e, a)}, "
-                        f"law requires {need}"
-                    )
-    return out
-
-
 def derive_target_weights(
     M: LaurentMatrix,
     source: tuple[Weight, ...],
     torus: TorusAction,
-    chart: Chart,
 ) -> tuple[Weight, ...]:
-    """Row weights forced by the chart-map law (rows must be nonzero).
+    """Row weights forced by the chart-0 frame law (rows must be nonzero).
 
-    Only the first monomial of each row is used; full consistency is what
-    :func:`chart_map_violations` checks.
+    New coords = M @ old coords over k[z]: every z^d of M[i][j] needs
+    d*a = target[i] - source[j], the law that
+    :func:`equisplit.bundle.transition_law_violations` checks.  A chart-inf
+    frame over k[w] is passed as ``M.invert_variable()``, since its law
+    e*a = source[j] - target[i] is the chart-0 law of the inverted matrix.
+    Only the first monomial of each row is used.
     """
     if torus.rank == 0:
         return ((),) * M.rows
@@ -164,10 +122,7 @@ def derive_target_weights(
             if entry.is_zero():
                 continue
             e = min(entry.terms)
-            if chart == 0:
-                out.append(weight_add(source[j], weight_scale(e, a)))
-            else:
-                out.append(weight_sub(source[j], weight_scale(e, a)))
+            out.append(weight_add(source[j], weight_scale(e, a)))
             break
         else:
             raise ValueError(f"row {i} is zero; weights cannot be derived")

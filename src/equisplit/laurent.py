@@ -63,10 +63,6 @@ class LaurentPoly:
     def monomial(cls, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
         return cls({exp: coeff})
 
-    @classmethod
-    def variable(cls) -> "LaurentPoly":
-        return cls({1: 1})
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -222,10 +218,6 @@ class LaurentPoly:
                     parts.append(f"{c}*{var}")
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
-
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
 
 
 # -- polynomial (nonnegative exponent) helpers -----------------------------

@@ -62,10 +62,6 @@ class LaurentMatrix:
             out.entries[i][i] = d
         return out
 
-    def __getitem__(self, ij: tuple[int, int]) -> LaurentPoly:
-        i, j = ij
-        return self.entries[i][j]
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 

@@ -8,11 +8,12 @@ triangular-clearing pass makes diagonal.  The output is the summand list
 together with the two invertible frame matrices whose product identity is
 machine-checkable, plus an independent verifier for that certificate.
 
-Every chart-0 frame carries its inverse: the Bezout and monomial completions,
-the accumulated peel frames and the unipotent clearing factor are all built
-from elementary operations, and each operation's inverse is applied alongside
-it.  The producer therefore forms no determinant or adjugate of a frame; only
-``splitting_hom`` inverts a certificate frame through its adjugate.
+Every chart-0 frame carries its inverse: the Bezout completion (one
+completion for every torus), the accumulated peel frames and the unipotent
+clearing factor are all built from elementary operations, and each
+operation's inverse is applied alongside it.  The producer therefore forms
+no determinant or adjugate of a frame; only ``splitting_hom`` inverts a
+certificate frame through its adjugate.
 
 With no torus (rank-0 action) the same pipeline is a constructive splitting
 of an arbitrary bundle into line bundles.
@@ -33,6 +34,7 @@ from .bundle import (
     direct_sum,
     hom_bundle,
     line_bundle,
+    transition_law_violations,
     twist,
     validate,
     weight_scale,
@@ -41,7 +43,6 @@ from .bundle import (
 from .cohomology import Section, _h0_records, h0_dim, h0_sections
 from .equivariant import (
     HomElement,
-    chart_map_violations,
     derive_target_weights,
     hom_element_from_section,
 )
@@ -145,65 +146,22 @@ class PeelStep:
         )
 
 
-def _completion_monomial(entries: list[LaurentPoly]) -> tuple[LaurentMatrix, LaurentMatrix]:
-    """(M, M^-1) with M @ entries = e_1 for a monomial vector whose minimal exponent is 0.
+def _frame_completion(entries: list[LaurentPoly]) -> tuple[LaurentMatrix, LaurentMatrix]:
+    """(M, M^-1) with M @ entries = e_1 via the extended-gcd unimodular completion.
 
-    Pivot swap, constant scaling, then monomial eliminations; every factor is
-    equivariant monomial-by-monomial when the entries share one weight.  The
-    inverse needs no arithmetic: its column 0 is the input vector and its
-    column i is e_perm[i].
+    Euclid on monomials produces only monomials, so the completion of a
+    weight-homogeneous monomial vector (a moving-base eigen-section) is
+    equivariant as it stands; ``peel`` checks the weight law of the result.
     """
-    k = len(entries)
-    pivot = None
-    for i, p in enumerate(entries):
-        if p.is_zero():
-            continue
-        if not p.is_monomial():
-            raise InvariantViolation("expected a monomial vector")
-        ((e, _),) = p.terms.items()
-        if e == 0:
-            pivot = i
-            break
-    if pivot is None:
-        raise InvariantViolation("no constant entry: the vector is not unimodular")
-    perm = list(range(k))
-    perm[0], perm[pivot] = perm[pivot], perm[0]
-    permuted = [entries[perm[i]] for i in range(k)]
-    c0 = permuted[0].constant_value()
-    M = LaurentMatrix.zeros(k, k)
-    Minv = LaurentMatrix.zeros(k, k)
-    M.entries[0][perm[0]] = LaurentPoly.constant(1 / c0)
-    for i in range(k):
-        Minv.entries[i][0] = entries[i]
-    for i in range(1, k):
-        M.entries[i][perm[i]] = LaurentPoly.one()
-        Minv.entries[perm[i]][i] = LaurentPoly.one()
-        # eliminate entry i against the unit pivot
-        if not permuted[i].is_zero():
-            M.entries[i][perm[0]] = permuted[i].scale(-1 / c0)
-    return M, Minv
-
-
-def _completion_bezout(entries: list[LaurentPoly]) -> tuple[LaurentMatrix, LaurentMatrix]:
-    """(M, M^-1) with M @ entries = e_1 via the extended-gcd unimodular completion."""
-    g, U, Uinv = poly_ext_gcd(entries)
-    if not (g.is_constant() and not g.is_zero()):
-        raise InvariantViolation("vector entries have a nonconstant common divisor")
-    return LaurentMatrix(U), LaurentMatrix(Uinv)
-
-
-def _frame_completion(
-    entries: list[LaurentPoly], monomial_path: bool
-) -> tuple[LaurentMatrix, LaurentMatrix]:
-    M, Minv = _completion_monomial(entries) if monomial_path else _completion_bezout(entries)
+    _, U, Uinv = poly_ext_gcd(entries)
     achieved = [LaurentPoly.zero() for _ in entries]
     for i in range(len(entries)):
         for j, p in enumerate(entries):
-            achieved[i] = achieved[i] + M.entries[i][j] * p
+            achieved[i] = achieved[i] + U[i][j] * p
     want = [LaurentPoly.one()] + [LaurentPoly.zero()] * (len(entries) - 1)
     if achieved != want:
         raise InvariantViolation("frame completion failed to reduce the section to e_1")
-    return M, Minv
+    return LaurentMatrix(U), LaurentMatrix(Uinv)
 
 
 def peel(E: EquivariantBundle) -> PeelStep:
@@ -230,14 +188,15 @@ def peel(E: EquivariantBundle) -> PeelStep:
     if gcd_g.is_zero() or not gcd_g.is_constant():
         raise InvariantViolation(f"section vanishes on chart inf: gcd {gcd_g!r}")
 
-    monomial_path = not torus.base_is_fixed()
-    U, Uinv = _frame_completion(list(sigma.f), monomial_path)
-    V, _ = _frame_completion(list(sigma.g), monomial_path)
+    U, Uinv = _frame_completion(list(sigma.f))
+    V, _ = _frame_completion(list(sigma.g))
+    # the chart-inf law of V is the chart-0 law of V(1/z)
+    Vz = V.invert_variable()
 
-    nu0 = derive_target_weights(U, E.lambda0, torus, 0)
-    nuInf = derive_target_weights(V, E.lambdaInf, torus, "inf")
-    bad = chart_map_violations(U, nu0, E.lambda0, torus, 0, "U") + chart_map_violations(
-        V, nuInf, E.lambdaInf, torus, "inf", "V"
+    nu0 = derive_target_weights(U, E.lambda0, torus)
+    nuInf = derive_target_weights(Vz, E.lambdaInf, torus)
+    bad = transition_law_violations(U, nu0, E.lambda0, torus, "U") + transition_law_violations(
+        Vz, nuInf, E.lambdaInf, torus, "V(1/z)"
     )
     if bad:
         raise InvariantViolation("frame completion broke equivariance: " + "; ".join(bad))
@@ -248,7 +207,7 @@ def peel(E: EquivariantBundle) -> PeelStep:
             f"peeled frame weight {nu0[0]}/{nuInf[0]} does not match the section weight {chi}"
         )
 
-    A_new = (V.invert_variable() @ E.A) @ Uinv
+    A_new = (Vz @ E.A) @ Uinv
     mono = LaurentPoly.monomial(-n1)
     for i in range(m):
         want = mono if i == 0 else LaurentPoly.zero()
@@ -329,8 +288,8 @@ def triangular_clear(
             want = LaurentPoly.monomial(-degrees[i]) if i == j else LaurentPoly.zero()
             if Rc.entries[i][j] != want:
                 raise InvariantViolation("triangular clearing did not reach diagonal form")
-    bad = chart_map_violations(W0, lam0, lam0, torus, 0, "W0") + chart_map_violations(
-        WInf, lamInf, lamInf, torus, "inf", "WInf"
+    bad = transition_law_violations(W0, lam0, lam0, torus, "W0") + transition_law_violations(
+        WInf.invert_variable(), lamInf, lamInf, torus, "WInf(1/z)"
     )
     if bad:
         raise InvariantViolation("clearing factors broke equivariance: " + "; ".join(bad))
@@ -437,8 +396,8 @@ class CertReport:
 def verify_certificate(E: EquivariantBundle, cert: SplittingCertificate) -> CertReport:
     """Independent certificate checker (exact arithmetic only).
 
-    Checks: (i) MInf A M0 is the claimed diagonal; (ii) both frame
-    determinants are nonzero constants; (iii) both frames satisfy the weight
+    Checks: (i) MInf A M0 is the claimed diagonal; (ii) M0 is polynomial in
+    z, MInf in w, and both determinants are nonzero constants; (iii) both frames satisfy the weight
     law; (iv) degrees are sorted non-increasing and sum to degree(E);
     (v) the chart-inf weights implied by MInf match lam_i - n_i a.
     """
@@ -477,19 +436,27 @@ def verify_certificate(E: EquivariantBundle, cert: SplittingCertificate) -> Cert
             break
     checks.append(CertCheck("product_diagonal", diag_ok, detail))
 
-    # (ii) constant nonzero determinants
+    # (ii) frames invertible over their charts: M0 over k[z] and MInf over
+    # k[w] (no negative exponent), each with a constant nonzero determinant
     det0, detInf = mat_det(cert.M0), mat_det(cert.MInf)
+    not_polynomial = [
+        name
+        for name, M in (("M0", cert.M0), ("MInf", cert.MInf))
+        if not all(p.is_polynomial() for row in M.entries for p in row)
+    ]
     inv_ok = (
-        det0.is_constant()
+        not not_polynomial
+        and det0.is_constant()
         and not det0.is_zero()
         and detInf.is_constant()
         and not detInf.is_zero()
     )
+    detail = "".join(f"{name} has a negative exponent; " for name in not_polynomial)
     checks.append(
         CertCheck(
             "frames_invertible",
             inv_ok,
-            "" if inv_ok else f"det M0 = {det0!r}, det MInf = {detInf!r}",
+            "" if inv_ok else detail + f"det M0 = {det0!r}, det MInf = {detInf!r}",
         )
     )
 

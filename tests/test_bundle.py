@@ -17,7 +17,6 @@ from equisplit.bundle import (
     twist,
     validate,
 )
-from equisplit.equivariant import standard_linearization
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
 
@@ -174,7 +173,7 @@ class TestDual:
 class TestHomAndSum:
     def test_hom_of_line_bundles(self):
         H = hom_bundle(line_bundle(2, (1,), T1), line_bundle(-1, (0,), T1))
-        L = standard_linearization(-3, (-1,), T1)
+        L = line_bundle(-3, (-1,), T1)
         assert H.A == L.A
         assert H.lambda0 == L.lambda0 and H.lambdaInf == L.lambdaInf
 

@@ -3,11 +3,13 @@ import json
 import pytest
 
 from equisplit import cli
-from equisplit.bundle import LineSummand, TorusAction, random_instance, random_reframe
+from equisplit.bundle import EquivariantBundle, LineSummand, TorusAction, random_instance, random_reframe
 from equisplit.cli import main
-from equisplit.jsonio import dumps_canonical, instance_to_json, load_json_file
+from equisplit.jsonio import certificate_to_json, dumps_canonical, instance_to_json, load_json_file
+from equisplit.laurent import LaurentPoly
+from equisplit.linalg import LaurentMatrix
 from equisplit.selftest import CriterionResult, fixture_dir
-from equisplit.splitting import InvariantViolation
+from equisplit.splitting import InvariantViolation, SplittingCertificate
 
 
 def run(capsys, *argv):
@@ -135,6 +137,22 @@ class TestVerify:
         assert report["ok"] is False
         failed = {c["name"] for c in report["checks"] if not c["ok"]}
         assert failed & {"product_diagonal", "frames_equivariant"}
+
+    def test_laurent_frame_certificate(self, capsys, tmp_path):
+        # M0 = diag(z^-1, z) would certify O + O as O(1) + O(-1)
+        E = EquivariantBundle(LaurentMatrix.identity(2), ((), ()), ((), ()))
+        M0 = LaurentMatrix.diagonal([LaurentPoly.monomial(-1), LaurentPoly.monomial(1)])
+        cert = SplittingCertificate(
+            [LineSummand(1, ()), LineSummand(-1, ())], M0, LaurentMatrix.identity(2)
+        )
+        inst, cert_file = tmp_path / "inst.json", tmp_path / "cert.json"
+        inst.write_text(dumps_canonical(instance_to_json(E)))
+        cert_file.write_text(dumps_canonical(certificate_to_json(cert)))
+        code, out, _ = run(capsys, "verify", str(inst), str(cert_file))
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert [c["name"] for c in report["checks"] if not c["ok"]] == ["frames_invertible"]
 
 
 class TestRandom:

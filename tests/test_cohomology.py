@@ -178,15 +178,21 @@ class TestEuler:
 
 
 class TestStabilization:
-    def test_cap_raises(self):
-        E = jump_bundle()
-        with pytest.raises(StabilizationError):
-            cech_cohomology(E, max_window=1)
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setenv("EQUISPLIT_MAX_WINDOW", "1")
+        with pytest.raises(StabilizationError, match="EQUISPLIT_MAX_WINDOW"):
+            cech_cohomology(jump_bundle())
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("EQUISPLIT_MAX_WINDOW", "1")
+        # the complex agrees with itself first at windows W and 2W, so the
+        # override caps exactly there
+        E = jump_bundle()
+        W = _initial_window(E)
+        monkeypatch.setenv("EQUISPLIT_MAX_WINDOW", str(2 * W - 1))
         with pytest.raises(StabilizationError):
-            cech_cohomology(jump_bundle())
+            cech_cohomology(E)
+        monkeypatch.setenv("EQUISPLIT_MAX_WINDOW", str(2 * W))
+        assert cech_cohomology(E) == (2, Character())
 
     def test_rank_zero(self):
         E = EquivariantBundle(LaurentMatrix.zeros(0, 0), (), (), T1)

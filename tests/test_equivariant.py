@@ -7,20 +7,20 @@ from equisplit.bundle import (
     LineSummand,
     TorusAction,
     hom_bundle,
+    line_bundle,
     random_instance,
+    transition_law_violations,
 )
 from equisplit.cohomology import h0_sections
 from equisplit.equivariant import (
     Character,
     HomElement,
-    check_equivariance,
     hom_compose,
     hom_element_from_section,
     hom_identity,
     hom_monomial_weights,
     monomial_weight,
     section_from_hom_element,
-    standard_linearization,
     weight_project_hom,
 )
 from equisplit.laurent import LaurentPoly
@@ -59,56 +59,57 @@ class TestCharacter:
 class TestCheckEquivariance:
     def test_standard_linearization_clean(self):
         for n in (-2, 0, 3):
-            assert check_equivariance(standard_linearization(n, (1,), T1)) == []
+            L = line_bundle(n, (1,), T1)
+            assert transition_law_violations(L.A, L.lambdaInf, L.lambda0, T1) == []
 
     def test_fixed_base_block_law(self):
         # a = 0 forces lamInf[i] == lam0[j] on nonzero entries; only the
         # lower-right unit breaks it here (lamInf=(1,) vs lam0=(0,))
         T0 = TorusAction(1, (0,))
         E = EquivariantBundle(lm([[{0: 1}, {2: 1}], [{}, {0: 1}]]), ((0,), (0,)), ((0,), (1,)), T0)
-        violations = check_equivariance(E)
+        violations = transition_law_violations(E.A, E.lambdaInf, E.lambda0, T0)
         assert len(violations) == 1
         assert "A[1][1]" in violations[0]
 
     def test_no_torus_always_clean(self):
         E = EquivariantBundle(lm([[{5: 1}]]), ((),), ((),))
-        assert check_equivariance(E) == []
+        assert transition_law_violations(E.A, E.lambdaInf, E.lambda0, E.torus) == []
 
 
 class TestStandardLinearization:
     def test_degree_one(self):
-        L = standard_linearization(1, (0,), T1)
+        L = line_bundle(1, (0,), T1)
         assert L.lambdaInf == ((-1,),)
         weights = sorted(w for _, w in h0_sections(L))
         assert weights == [(-1,), (0,)]
 
     def test_degree_zero_constant_weight(self):
-        L = standard_linearization(0, (4,), T1)
+        L = line_bundle(0, (4,), T1)
         assert L.lambda0 == L.lambdaInf == ((4,),)
 
     def test_negative_degree_no_sections(self):
-        L = standard_linearization(-1, (0,), T1)
+        L = line_bundle(-1, (0,), T1)
         assert L.lambdaInf == ((1,),)
         assert h0_sections(L) == []
 
 
 class TestMonomialWeight:
     def test_chart0(self):
-        L = standard_linearization(1, (0,), T1)
+        L = line_bundle(1, (0,), T1)
         assert monomial_weight(L, 0, 0, 1) == (-1,)
 
     def test_chartinf_zero_exponent(self):
-        L = standard_linearization(1, (5,), T1)
+        L = line_bundle(1, (5,), T1)
         assert monomial_weight(L, "inf", 0, 0) == L.lambdaInf[0]
 
     def test_fixed_base_independent_of_exponent(self):
         T0 = TorusAction(1, (0,))
-        L = standard_linearization(2, (3,), T0)
+        L = line_bundle(2, (3,), T0)
         assert monomial_weight(L, 0, 0, 0) == monomial_weight(L, 0, 0, 5) == (3,)
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            monomial_weight(standard_linearization(0, (0,), T1), 0, 1, 0)
+            monomial_weight(line_bundle(0, (0,), T1), 0, 1, 0)
 
 
 def _random_bundle(seed, r=1, max_rank=3):
@@ -131,8 +132,8 @@ class TestWeightProjectHom:
         assert weight_project_hom(h, (5,)).is_zero()
 
     def test_single_monomial_grading(self):
-        L1 = standard_linearization(0, (0,), T1)
-        L2 = standard_linearization(0, (2,), T1)
+        L1 = line_bundle(0, (0,), T1)
+        L2 = line_bundle(0, (2,), T1)
         h = HomElement(L1, L2, lm([[{1: 1}]]), lm([[{-1: 1}]]))
         assert h.intertwining_violation() is None
         # hom weight on chart 0: 2 - 0 - 1*1 = 1
@@ -140,7 +141,7 @@ class TestWeightProjectHom:
         assert weight_project_hom(h, (0,)).is_zero()
 
     def test_rejects_non_map(self):
-        L1 = standard_linearization(0, (0,), T1)
+        L1 = line_bundle(0, (0,), T1)
         h = HomElement(L1, L1, lm([[{1: 1}]]), lm([[{0: 1}]]))
         with pytest.raises(ValueError):
             weight_project_hom(h, (0,))

@@ -14,17 +14,18 @@ from equisplit.bundle import (
     line_bundle,
     random_instance,
     random_reframe,
+    transition_law_violations,
     validate,
 )
 from equisplit.cohomology import h0_character, h0_dim, h1_character
-from equisplit.equivariant import Character, weight_project_hom
+from equisplit.equivariant import Character, derive_target_weights, weight_project_hom
 from equisplit.jsonio import certificate_to_json, dumps_canonical
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix, mat_det
 from equisplit.splitting import (
     InvariantViolation,
-    _completion_monomial,
     SplittingCertificate,
+    _frame_completion,
     eigen_section,
     equivariant_split,
     max_twist,
@@ -234,23 +235,39 @@ class TestTriangularClear:
         assert diag == LaurentMatrix.diagonal([P.monomial(-n) for n in degrees])
 
 
-class TestCompletionInverse:
+class TestFrameCompletion:
     @given(
-        st.lists(st.tuples(st.integers(0, 4), coeffs | st.just(Fraction(0))), min_size=1, max_size=5),
+        st.sampled_from([1, -1, 2, -2, 3]),
+        st.integers(-3, 3),
+        st.lists(
+            st.tuples(st.integers(0, 4), coeffs | st.just(Fraction(0)), st.integers(-4, 4)),
+            min_size=1,
+            max_size=5,
+        ),
         st.integers(0, 4),
         coeffs,
     )
     @settings(max_examples=80, deadline=None)
-    def test_monomial_completion_inverse(self, monos, pivot, c0):
-        # a monomial vector whose minimal exponent is 0 (zeros allowed)
-        entries = [P.monomial(e, c) for e, c in monos]
-        entries[pivot % len(entries)] = P.constant(c0)
-        M, Minv = _completion_monomial(entries)
+    def test_frame_completion_equivariant(self, a, chi, monos, pivot, c0):
+        # a weight-homogeneous monomial vector under a moving base: entry
+        # c*z^d of frame weight src sits in weight src - d*a = chi; a zero
+        # entry has no weight, so its frame weight is free; one entry is a
+        # nonzero constant
+        torus = TorusAction(1, (a,))
+        entries = [P.monomial(d, c) for d, c, _ in monos]
+        src = [(chi + d * a,) if c else (w,) for d, c, w in monos]
         k = len(entries)
+        entries[pivot % k] = P.constant(c0)
+        src[pivot % k] = (chi,)
+        src = tuple(src)
+        M, Minv = _frame_completion(entries)
         assert M @ Minv == LaurentMatrix.identity(k)
         assert M @ LaurentMatrix([[p] for p in entries]) == LaurentMatrix(
             [[P.one()]] + [[P.zero()] for _ in range(k - 1)]
         )
+        target = derive_target_weights(M, src, torus)
+        assert transition_law_violations(M, target, src, torus) == []
+        assert target[0] == (chi,)
 
 
 class TestEquivariantSplit:
@@ -288,6 +305,20 @@ class TestEquivariantSplit:
             assert [s.n for s in summands] == sorted((s.n for s in summands), reverse=True)
             report = verify_certificate(E, cert)
             assert report.ok, (seed, report.summary())
+
+    @pytest.mark.parametrize("a", [(1,), (-2,)])
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_moving_base_dense_round_trip(self, a, seed):
+        # rank 5-7 scrambles with 10 ops per summand, all peeled through the
+        # Bezout completion of monomial eigen-sections
+        torus = TorusAction(1, a)
+        rng = random.Random(seed)
+        m = rng.randint(5, 7)
+        summands = [LineSummand(rng.randint(-3, 3), (rng.randint(-2, 2),)) for _ in range(m)]
+        E, hidden = random_instance(seed, summands, 10 * m, torus)
+        got, cert = equivariant_split(E)
+        assert got == hidden
+        assert verify_certificate(E, cert).ok
 
     def test_uniqueness_under_reframing(self):
         for seed in range(15):
@@ -352,6 +383,22 @@ class TestVerifyCertificate:
         )
         report = verify_certificate(E, bad)
         assert not report.ok
+
+    @pytest.mark.parametrize(
+        "M0, MInf",
+        [
+            (lm([[{-1: 1}, {}], [{}, {1: 1}]]), LaurentMatrix.identity(2)),
+            (LaurentMatrix.identity(2), lm([[{1: 1}, {}], [{}, {-1: 1}]])),
+        ],
+    )
+    def test_laurent_frame_rejected(self, M0, MInf):
+        # either frame turns I into diag(z^-1, z) with determinant 1, but it
+        # is not polynomial on its chart: O + O is not O(1) + O(-1)
+        E = EquivariantBundle(LaurentMatrix.identity(2), ((), ()), ((), ()))
+        cert = SplittingCertificate([LineSummand(1, ()), LineSummand(-1, ())], M0, MInf)
+        report = verify_certificate(E, cert)
+        assert not report.ok
+        assert [c.name for c in report.checks if not c.ok] == ["frames_invertible"]
 
     def test_shape_mismatch(self):
         E = e3_bundle()

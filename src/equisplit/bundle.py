@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import LaurentPoly
-from .linalg import LaurentMatrix, kron_adjugate, mat_adjugate, mat_det
+from .linalg import LaurentMatrix, mat_det, mat_inverse
 
 Weight = tuple[int, ...]
 
@@ -97,7 +97,7 @@ class EquivariantBundle:
     """Transition matrix plus per-chart frame weights under a torus action."""
 
     # _h0 caches the H^0 basis that cohomology solves for
-    __slots__ = ("A", "lambda0", "lambdaInf", "torus", "_det", "_adj", "_h0")
+    __slots__ = ("A", "lambda0", "lambdaInf", "torus", "_det", "_inv", "_h0")
 
     def __init__(
         self,
@@ -111,7 +111,7 @@ class EquivariantBundle:
         self.lambdaInf = tuple(tuple(w) for w in lambdaInf)
         self.torus = torus
         self._det: LaurentPoly | None = None
-        self._adj: LaurentMatrix | None = None
+        self._inv: LaurentMatrix | None = None
         self._h0: list | None = None
 
     @property
@@ -123,10 +123,11 @@ class EquivariantBundle:
             self._det = mat_det(self.A)
         return self._det
 
-    def adj_transition(self) -> LaurentMatrix:
-        if self._adj is None:
-            self._adj = mat_adjugate(self.A)
-        return self._adj
+    def inverse_transition(self) -> LaurentMatrix:
+        """A^-1, from the adjugate once per bundle unless a producer set it."""
+        if self._inv is None:
+            self._inv = mat_inverse(self.A, self.det_transition())
+        return self._inv
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EquivariantBundle):
@@ -245,28 +246,22 @@ def twist(E: EquivariantBundle, n: int, lam: Weight) -> EquivariantBundle:
     )
     if E._det is not None:
         out._det = E._det.shift(-n * E.rank)
-    if E._adj is not None:
-        out._adj = E._adj.shift(-n * (E.rank - 1))
+    if E._inv is not None:
+        out._inv = E._inv.shift(n)
     return out
 
 
 def dual(E: EquivariantBundle) -> EquivariantBundle:
     """Dual bundle: transition transpose(A^-1), weights negated."""
-    det = E.det_transition()
-    if not det.is_monomial():
-        raise ValueError("transition determinant is not a monomial")
-    ((e, c),) = det.terms.items()
-    inv_det = LaurentPoly.monomial(-e, 1 / c)
-    adj = E.adj_transition()
-    B = adj.transpose().scale(inv_det)
     out = EquivariantBundle(
-        B,
+        E.inverse_transition().transpose(),
         tuple(weight_neg(w) for w in E.lambda0),
         tuple(weight_neg(w) for w in E.lambdaInf),
         E.torus,
     )
-    out._det = inv_det
-    out._adj = E.A.transpose().scale(inv_det)
+    ((e, c),) = E.det_transition().terms.items()
+    out._det = LaurentPoly.monomial(-e, 1 / c)
+    out._inv = E.A.transpose()
     return out
 
 
@@ -309,8 +304,7 @@ def hom_bundle(E: EquivariantBundle, F: EquivariantBundle) -> EquivariantBundle:
     ((eE, cE),) = detE.terms.items()
     ((eF, cF),) = detF.terms.items()
     out._det = LaurentPoly.monomial(eE * F.rank + eF * E.rank, cE**F.rank * cF**E.rank)
-    if E.rank and F.rank:
-        out._adj = kron_adjugate(dE.A, F.A, detE, detF)
+    out._inv = dE.inverse_transition().kron(F.inverse_transition())
     return out
 
 

@@ -1,13 +1,13 @@
 """Exact sheaf cohomology on the projective line, with weight grading.
 
-H^0 is computed by a finite adjugate-kernel parametrization.  Writing
+H^0 is computed by a finite inverse-kernel parametrization.  Writing
 h(z) = g(1/z), the section equation g(1/z) = A f forces every exponent of h
 into [o, 0] where o is the minimum exponent over the monomials of A, and
-f = c^-1 z^-Dt adj(A) h (det A = c z^Dt) is polynomial iff every coefficient
-of z^e with e < Dt in adj(A) h vanishes.  That is a finite rational linear
-system in the coefficients of h; its kernel is graded by the weight
-lambdaInf[i] - e*a of the unknown h[i][e], and each weight class is solved
-separately (classes never mix because the system is graded).
+f = A^-1 h is polynomial iff every coefficient of z^e with e < 0 in A^-1 h
+vanishes (A^-1 is the bundle's cached inverse transition).  That is a finite
+rational linear system in the coefficients of h; its kernel is graded by the
+weight lambdaInf[i] - e*a of the unknown h[i][e], and each weight class is
+solved separately (classes never mix because the system is graded).
 
 H^1 is computed from a truncated two-chart cover complex: chains (f, g) with
 deg f <= W + E and deg g <= W map to overlap vectors by (f, g) -> A f - g(1/z),
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .bundle import EquivariantBundle, Weight, degree, dual, twist, weight_scale, weight_sub
@@ -110,17 +109,13 @@ def _h0_basis(E: EquivariantBundle) -> list[_BasisRecord]:
     m = E.rank
     if m == 0:
         return []
-    det = E.det_transition()
-    if not det.is_monomial():
-        raise ValueError("invalid bundle: det(A) is not a nonzero monomial")
     rng = E.A.exponent_range()
     if rng is None:
         raise ValueError("invalid bundle: zero transition matrix")
     lo, _ = rng
     if lo > 0:
         return []
-    ((dt_exp, dt_c),) = det.terms.items()
-    adj = E.adj_transition()
+    inv = E.inverse_transition()
 
     width = 1 - lo  # exponents lo..0
     ncols = m * width
@@ -133,16 +128,16 @@ def _h0_basis(E: EquivariantBundle) -> list[_BasisRecord]:
         weight_sub(E.lambdaInf[i], weight_scale(e, a)) for i in range(m) for e in range(lo, 1)
     ]
 
-    # constraint rows: coefficient of z^x in (L adj(A) h)_i must vanish for
-    # x < dt_exp; column (j, e) meets row (i, x) through the one monomial
-    # of exponent x - e
+    # constraint rows: coefficient of z^x in (L A^-1 h)_i must vanish for
+    # x < 0; column (j, e) meets row (i, x) through the one monomial of
+    # exponent x - e
     rows: dict[tuple[int, int], dict[int, int]] = {}
-    _, adj_int = _integer_monomials(adj)
+    _, inv_int = _integer_monomials(inv)
     for i in range(m):
         for j in range(m):
-            for d, c in adj_int[i][j]:
+            for d, c in inv_int[i][j]:
                 for e in range(lo, 1):
-                    if d + e < dt_exp:
+                    if d + e < 0:
                         rows.setdefault((i, d + e), {})[col(j, e)] = c
 
     # group columns by weight and solve each class independently; a graded
@@ -175,30 +170,23 @@ def _h0_basis(E: EquivariantBundle) -> list[_BasisRecord]:
                 gcol = cols[lc]
                 i, e = divmod(gcol, width)
                 h[i] = h[i] + LaurentPoly.monomial(e + lo, v)
-            section = _section_from_h(E, h, adj, dt_exp, dt_c, chi)
+            section = _section_from_h(E, h, inv, chi)
             records.append(_BasisRecord(section, chi, cols[fcol]))
     records.sort(key=lambda r: r.echelon_col)
     return records
 
 
 def _section_from_h(
-    E: EquivariantBundle,
-    h: list[LaurentPoly],
-    adj,
-    dt_exp: int,
-    dt_c: Fraction,
-    chi: Weight,
+    E: EquivariantBundle, h: list[LaurentPoly], inv: LaurentMatrix, chi: Weight
 ) -> Section:
     m = E.rank
-    inv = 1 / dt_c
     f = []
     for i in range(m):
-        acc = LaurentPoly.zero()
+        fi = LaurentPoly.zero()
         for j in range(m):
-            acc = acc + adj.entries[i][j] * h[j]
-        fi = acc.shift(-dt_exp).scale(inv)
+            fi = fi + inv.entries[i][j] * h[j]
         if not fi.is_polynomial():
-            raise AssertionError("adjugate parametrization produced a non-polynomial f")
+            raise AssertionError("inverse parametrization produced a non-polynomial f")
         f.append(fi)
     g = [hi.invert_variable() for hi in h]
     weight = chi if E.torus.rank > 0 else ()
@@ -246,9 +234,17 @@ def _initial_window(E: EquivariantBundle) -> int:
 
 def _window_cap(initial: int) -> int:
     env = os.environ.get(MAX_WINDOW_ENV)
-    if env is not None:
-        return int(env)
-    return _WINDOW_CAP_FACTOR * initial
+    if env is None:
+        return _WINDOW_CAP_FACTOR * initial
+    from .jsonio import ParseError  # jsonio imports splitting, which imports this module
+
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ParseError(MAX_WINDOW_ENV, f"must be a positive integer, got {env!r}")
+    return cap
 
 
 def _cech_once(E: EquivariantBundle, W: int) -> tuple[int, Character]:

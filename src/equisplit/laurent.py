@@ -5,14 +5,14 @@ nonzero ``fractions.Fraction`` coefficient.  The variable is written ``z``
 throughout; a polynomial "in w" is simply a Laurent polynomial with
 nonnegative exponents whose variable is read as w.  All arithmetic is exact.
 
-The polynomial-only helpers (division, gcd, extended gcd, unimodular
+The polynomial-only helpers (division, extended gcd, unimodular
 completion) require nonnegative exponents and raise ``ValueError`` otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 #: Exact scalar type: always reduced, positive denominator, zero is 0/1.
 Rational = Fraction
@@ -251,31 +251,6 @@ def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if not r.is_zero():
         raise ValueError(f"{a!r} is not divisible by {b!r}")
     return q
-
-
-def poly_monic(p: LaurentPoly) -> LaurentPoly:
-    if p.is_zero():
-        return p
-    return p.scale(1 / p.leading_coeff())
-
-
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of polynomials (zero if both are zero)."""
-    _require_polynomial(a)
-    _require_polynomial(b)
-    while not b.is_zero():
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_monic(a)
-
-
-def poly_gcd_list(polys: Iterable[LaurentPoly]) -> LaurentPoly:
-    g = LaurentPoly()
-    for p in polys:
-        g = poly_gcd(g, p)
-        if g.is_constant() and not g.is_zero():
-            return g
-    return g
 
 
 def poly_ext_gcd2(

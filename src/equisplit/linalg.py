@@ -4,7 +4,8 @@ Two small engines live here:
 
 * ``LaurentMatrix`` — rectangular matrices over the Laurent ring, with exact
   determinant and adjugate (division-free Laplace expansion, memoized over
-  column subsets) and Kronecker products.
+  column subsets), the inverse ``mat_inverse`` of a matrix with monomial
+  determinant, and Kronecker products.
 * rational row reduction — one sparse, fraction-free elimination routine
   over Python integers, used by every cohomology computation.  Rows enter
   with their denominators cleared, are combined by integer
@@ -224,22 +225,17 @@ def mat_adjugate(M: LaurentMatrix) -> LaurentMatrix:
     return adj
 
 
-def kron_adjugate(B: LaurentMatrix, C: LaurentMatrix, detB: LaurentPoly, detC: LaurentPoly) -> LaurentMatrix:
-    """adj(B kron C) for unit-monomial determinants.
+def mat_inverse(M: LaurentMatrix, det: LaurentPoly) -> LaurentMatrix:
+    """Exact inverse over the Laurent ring, given det(M) = c*z^e.
 
-    Uses adj(B x C) = (det B)^(q-1) (det C)^(p-1) (adj B x adj C) with the
-    scalar powers exact because both determinants are invertible monomials.
+    The adjugate shifted by -e and scaled by 1/c; every bundle transition
+    and certificate frame is inverted here.
     """
-    p, q = B.rows, C.rows
-    scalar = _monomial_power(detB, q - 1) * _monomial_power(detC, p - 1)
-    return mat_adjugate(B).kron(mat_adjugate(C)).scale(scalar)
-
-
-def _monomial_power(mono: LaurentPoly, k: int) -> LaurentPoly:
-    if not mono.is_monomial():
-        raise ValueError("expected a monomial")
-    ((e, c),) = mono.terms.items()
-    return LaurentPoly.monomial(e * k, c**k)
+    if not det.is_monomial():
+        raise ValueError(f"determinant {det!r} is not a nonzero monomial")
+    ((e, c),) = det.terms.items()
+    inv = 1 / c
+    return mat_adjugate(M).map(lambda p: p.shift(-e).scale(inv))
 
 
 # -- fraction-free row reduction ------------------------------------------

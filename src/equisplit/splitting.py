@@ -12,8 +12,12 @@ Every chart-0 frame carries its inverse: the Bezout completion (one
 completion for every torus), the accumulated peel frames and the unipotent
 clearing factor are all built from elementary operations, and each
 operation's inverse is applied alongside it.  The producer therefore forms
-no determinant or adjugate of a frame; only ``splitting_hom`` inverts a
-certificate frame through its adjugate.
+no determinant or adjugate of a frame.  The H^0 route needs the inverse
+transition of every bundle it peels: the input bundle's comes from one
+adjugate, and each peel hands its quotient a block of U A^-1 V(1/z)^-1,
+with V^-1 from the same Bezout completion as V, so a split forms exactly one
+adjugate.  Only ``splitting_hom`` inverts a certificate frame, through
+``mat_inverse``.
 
 With no torus (rank-0 action) the same pipeline is a constructive splitting
 of an arbitrary bundle into line bundles.
@@ -46,20 +50,12 @@ from .equivariant import (
     derive_target_weights,
     hom_element_from_section,
 )
-from .laurent import LaurentPoly, poly_ext_gcd, poly_gcd_list
-from .linalg import LaurentMatrix, mat_adjugate, mat_det, rank_sparse
+from .laurent import LaurentPoly, poly_ext_gcd
+from .linalg import LaurentMatrix, mat_det, mat_inverse, rank_sparse
 
 
 class InvariantViolation(RuntimeError):
     """A theory-guaranteed invariant failed: corrupted input or internal bug."""
-
-
-def _inverse_constant_det(M: LaurentMatrix) -> LaurentMatrix:
-    """Exact inverse of a square matrix whose determinant is a nonzero constant."""
-    det = mat_det(M)
-    if not det.is_constant() or det.is_zero():
-        raise ValueError(f"matrix determinant {det!r} is not a nonzero constant")
-    return mat_adjugate(M).scale(1 / det.constant_value())
 
 
 def max_twist(E: EquivariantBundle) -> tuple[int, EquivariantBundle]:
@@ -79,7 +75,7 @@ def max_twist(E: EquivariantBundle) -> tuple[int, EquivariantBundle]:
     hi = -rng[0]
     floor = -(-degree(E) // E.rank)  # ceil
     zero = E.torus.zero_weight
-    E.adj_transition()  # seed the cache once; twists reuse it
+    E.inverse_transition()  # seed the cache once; twists reuse it
     for k in range(hi, floor - 1, -1):
         Et = twist(E, -k, zero)
         if h0_dim(Et) > 0:
@@ -169,9 +165,11 @@ def peel(E: EquivariantBundle) -> PeelStep:
 
     Twists so the subbundle has degree 0, takes the deterministic
     eigen-section, completes it to chart-local frames via unimodular
-    completion, and reads off the block-triangular transition.  The
-    nowhere-vanishing check (constant gcd on both charts) is guaranteed by
-    theory for valid input; its failure raises InvariantViolation.
+    completion, and reads off the block-triangular transition.  A section
+    that vanishes somewhere (a nonconstant gcd on either chart) cannot be
+    completed to e_1, which raises InvariantViolation; theory rules it out
+    for valid input.  The quotient inherits its inverse transition as the
+    lower-right block of U A^-1 V(1/z)^-1.
     """
     if E.rank == 0:
         raise ValueError("peel of a rank-0 bundle")
@@ -181,15 +179,8 @@ def peel(E: EquivariantBundle) -> PeelStep:
     sigma = eigen_section(Et)
     chi = sigma.weight
 
-    gcd_f = poly_gcd_list(list(sigma.f))
-    gcd_g = poly_gcd_list(list(sigma.g))
-    if gcd_f.is_zero() or not gcd_f.is_constant():
-        raise InvariantViolation(f"section vanishes on chart 0: gcd {gcd_f!r}")
-    if gcd_g.is_zero() or not gcd_g.is_constant():
-        raise InvariantViolation(f"section vanishes on chart inf: gcd {gcd_g!r}")
-
     U, Uinv = _frame_completion(list(sigma.f))
-    V, _ = _frame_completion(list(sigma.g))
+    V, Vinv = _frame_completion(list(sigma.g))
     # the chart-inf law of V is the chart-0 law of V(1/z)
     Vz = V.invert_variable()
 
@@ -214,10 +205,9 @@ def peel(E: EquivariantBundle) -> PeelStep:
         if A_new.entries[i][0] != want:
             raise InvariantViolation("reframed transition lacks the expected first column")
 
-    quotient = EquivariantBundle(
-        A_new.submatrix(range(1, m), range(1, m)), nu0[1:], nuInf[1:], torus
-    )
-    beta = [A_new.entries[0][j] for j in range(1, m)]
+    rest = range(1, m)
+    quotient = EquivariantBundle(A_new.submatrix(rest, rest), nu0[1:], nuInf[1:], torus)
+    beta = [A_new.entries[0][j] for j in rest]
     summand = LineSummand(n1, chi if torus.rank else ())
     if quotient.rank:
         qreport = validate(quotient)
@@ -225,6 +215,11 @@ def peel(E: EquivariantBundle) -> PeelStep:
             raise InvariantViolation("peel produced an invalid quotient: " + "; ".join(qreport.violations))
         if degree(quotient) != degree(E) - n1:
             raise InvariantViolation("quotient degree mismatch")
+        # A_new is block upper triangular, so the lower-right block of its
+        # inverse U A^-1 Vz^-1 is the quotient's inverse
+        quotient._inv = (U.submatrix(rest, range(m)) @ E.inverse_transition()) @ (
+            Vinv.submatrix(range(m), rest).invert_variable()
+        )
     return PeelStep(summand, U, Uinv, V, beta, quotient)
 
 
@@ -580,8 +575,8 @@ def splitting_hom(
         S = L if S is None else direct_sum(S, L)
     if S is None:
         S = EquivariantBundle(LaurentMatrix.zeros(0, 0), (), (), torus)
-    s = HomElement(S, E, cert.M0, _inverse_constant_det(cert.MInf))
-    p = HomElement(E, S, _inverse_constant_det(cert.M0), cert.MInf)
+    s = HomElement(S, E, cert.M0, mat_inverse(cert.MInf, mat_det(cert.MInf)))
+    p = HomElement(E, S, mat_inverse(cert.M0, mat_det(cert.M0)), cert.MInf)
     for h, name in ((s, "section-side"), (p, "projection-side")):
         bad = h.intertwining_violation()
         if bad:

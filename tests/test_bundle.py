@@ -18,7 +18,7 @@ from equisplit.bundle import (
     validate,
 )
 from equisplit.laurent import LaurentPoly
-from equisplit.linalg import LaurentMatrix
+from equisplit.linalg import LaurentMatrix, mat_det, mat_inverse
 
 P = LaurentPoly
 T1 = TorusAction(1, (1,))
@@ -185,6 +185,15 @@ class TestHomAndSum:
             assert H.rank == E.rank * F.rank
             assert degree(H) == E.rank * degree(F) - F.rank * degree(E)
             assert validate(H).ok
+
+    def test_inverse_transition_is_mat_inverse(self):
+        # hom_bundle, dual and twist derive their cached inverses instead of
+        # forming an adjugate; each must be the inverse of its transition
+        for seed in range(8):
+            E, _, torus = sample(seed, max_rank=2)
+            F, _, _ = sample(seed + 50, max_rank=2, torus=torus)
+            for B in (hom_bundle(E, F), dual(E), twist(F, 2, torus.zero_weight)):
+                assert B.inverse_transition() == mat_inverse(B.A, mat_det(B.A)), seed
 
     def test_endomorphisms_have_degree_zero(self):
         E, _, _ = sample(3, max_rank=3)

@@ -241,6 +241,16 @@ class TestErrors:
         assert phrase in doc["error"]["message"]
         assert "usage:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_max_window_is_one_json_document(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("EQUISPLIT_MAX_WINDOW", value)
+        code, out, err = run(capsys, "cohomology", fixture_path("o_3"))
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"]["pointer"] == "EQUISPLIT_MAX_WINDOW"
+        assert repr(value) in doc["error"]["message"]
+        assert "Traceback" not in err
+
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

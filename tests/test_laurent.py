@@ -10,9 +10,6 @@ from equisplit.laurent import (
     poly_exact_div,
     poly_ext_gcd,
     poly_ext_gcd2,
-    poly_gcd,
-    poly_gcd_list,
-    poly_monic,
 )
 
 P = LaurentPoly
@@ -83,15 +80,6 @@ class TestPolynomialHelpers:
     def test_exact_div_raises_on_remainder(self):
         with pytest.raises(ValueError):
             poly_exact_div(lp((1, 1), (0, 1)), lp((1, 1)))
-
-    def test_gcd(self):
-        # gcd(z^2 - 1, z^2 - 2z + 1) = z - 1
-        a = lp((2, 1), (0, -1))
-        b = lp((2, 1), (1, -2), (0, 1))
-        assert poly_gcd(a, b) == lp((1, 1), (0, -1))
-
-    def test_gcd_list_constant(self):
-        assert poly_gcd_list([lp((1, 1)), lp((1, 1), (0, 1))]) == P.one()
 
     @given(polys, polys)
     @settings(max_examples=50, deadline=None)
@@ -189,10 +177,6 @@ def matmul(X, Y):
         [sum((X[i][t] * Y[t][j] for t in range(n)), P.zero()) for j in range(len(Y[0]))]
         for i in range(len(X))
     ]
-
-
-def test_monic_zero():
-    assert poly_monic(P.zero()).is_zero()
 
 
 class TestRationalScalars:

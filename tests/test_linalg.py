@@ -10,9 +10,9 @@ from equisplit.laurent import LaurentPoly
 from equisplit.linalg import (
     LaurentMatrix,
     kernel_sparse,
-    kron_adjugate,
     mat_adjugate,
     mat_det,
+    mat_inverse,
     rank_sparse,
     rref_sparse,
 )
@@ -98,21 +98,17 @@ class TestAdjugate:
             assert M @ adj == want
             done += 1
 
-    def test_kron_adjugate_formula(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            while True:
-                B = random_matrix(rng, 2)
-                detB = mat_det(B)
-                if detB.is_monomial():
-                    break
-            while True:
-                C = random_matrix(rng, 2)
-                detC = mat_det(C)
-                if detC.is_monomial():
-                    break
-            K = B.kron(C)
-            assert kron_adjugate(B, C, detB, detC) == mat_adjugate(K)
+    def test_inverse_of_monomial_determinant(self):
+        # [[z, 1], [0, 2z^-2]] has det 2z^-1 and inverse [[z^-1, -z/2], [0, z^2/2]]
+        M = lm([[{1: 1}, {0: 1}], [{}, {-2: 2}]])
+        inv = mat_inverse(M, mat_det(M))
+        assert inv == lm([[{-1: 1}, {1: Fraction(-1, 2)}], [{}, {2: Fraction(1, 2)}]])
+        assert M @ inv == inv @ M == LaurentMatrix.identity(2)
+
+    def test_inverse_rejects_non_monomial_determinant(self):
+        M = lm([[{0: 1, 1: 1}]])
+        with pytest.raises(ValueError, match="not a nonzero monomial"):
+            mat_inverse(M, mat_det(M))
 
 
 def dense_kernel(M, ncols):

@@ -19,6 +19,7 @@ from equisplit.bundle import (
 )
 from equisplit.cohomology import h0_character, h0_dim, h1_character
 from equisplit.equivariant import Character, derive_target_weights, weight_project_hom
+from equisplit import linalg
 from equisplit.jsonio import certificate_to_json, dumps_canonical
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix, mat_det
@@ -170,6 +171,9 @@ class TestPeel:
             if step.quotient.rank:
                 assert validate(step.quotient).ok
                 assert degree(step.quotient) == degree(E) - step.summand.n
+                # the inverse the peel hands over, not one recomputed
+                Q = step.quotient
+                assert Q.A @ Q.inverse_transition() == LaurentMatrix.identity(m - 1)
 
     def test_frames_have_constant_det(self):
         for seed in range(10):
@@ -509,3 +513,20 @@ def test_certificates_are_byte_identical(torus, hashes):
         text = dumps_canonical(certificate_to_json(cert))
         got.append(hashlib.sha256(text.encode()).hexdigest())
     assert got == hashes
+
+
+@pytest.mark.parametrize("torus", [TorusAction(0, ()), TorusAction(1, (0,)), TorusAction(1, (1,))])
+def test_one_adjugate_per_split(monkeypatch, torus):
+    # the input bundle's inverse transition is the only adjugate a split
+    # forms: every peel hands its quotient an inverse
+    sizes = []
+    adjugate = linalg.mat_adjugate
+
+    def counted(M):
+        sizes.append(M.rows)
+        return adjugate(M)
+
+    monkeypatch.setattr(linalg, "mat_adjugate", counted)
+    for seed in range(1000, 1005):
+        equivariant_split(dense_case(seed, torus))
+    assert sizes == [5] * 5

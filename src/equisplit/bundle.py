@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, Scalar, scalar_div
 from .linalg import LaurentMatrix, mat_det, mat_inverse
 
 Weight = tuple[int, ...]
@@ -260,7 +260,7 @@ def dual(E: EquivariantBundle) -> EquivariantBundle:
         E.torus,
     )
     ((e, c),) = E.det_transition().terms.items()
-    out._det = LaurentPoly.monomial(-e, 1 / c)
+    out._det = LaurentPoly.monomial(-e, scalar_div(1, c))
     out._inv = E.A.transpose()
     return out
 
@@ -310,15 +310,7 @@ def hom_bundle(E: EquivariantBundle, F: EquivariantBundle) -> EquivariantBundle:
 
 # -- seeded random instances with hidden ground truth -----------------------
 
-_COEFF_POOL = (
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(-2),
-    Fraction(3),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-)
+_COEFF_POOL = (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2))
 
 _MAX_OP_EXP = 3
 
@@ -393,13 +385,13 @@ def _apply_random_ops(
         e = _solve_exponent(diff, a)
         return [e] if e is not None and lo <= e <= hi else []
 
-    def apply_col_add(i: int, j: int, e: int, c: Fraction) -> None:
+    def apply_col_add(i: int, j: int, e: int, c: Scalar) -> None:
         # column j += c*z^e * column i  (chart-0 frame change)
         mono = LaurentPoly.monomial(e, c)
         for r in range(m):
             A.entries[r][j] = A.entries[r][j] + A.entries[r][i] * mono
 
-    def apply_row_add(i: int, j: int, e: int, c: Fraction) -> None:
+    def apply_row_add(i: int, j: int, e: int, c: Scalar) -> None:
         # row i += c*z^e * row j  (chart-inf frame change, e <= 0)
         mono = LaurentPoly.monomial(e, c)
         for s_ in range(m):

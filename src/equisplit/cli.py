@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .bundle import LineSummand, TorusAction, degree, random_instance, validate
 from .cohomology import StabilizationError, cech_cohomology, h0_character
@@ -157,7 +158,13 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(self.prog, message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing keeps no state between calls, so in-process callers that run
+    ``main`` many times pay for the subparsers once.
+    """
     parser = _Parser(
         prog="equisplit",
         description="Exact equivariant splitting of vector bundles on the projective line.",

@@ -1,9 +1,13 @@
 """Exact sparse Laurent polynomials in one variable over the rationals.
 
 A Laurent polynomial is stored as a sparse map from integer exponent to a
-nonzero ``fractions.Fraction`` coefficient.  The variable is written ``z``
-throughout; a polynomial "in w" is simply a Laurent polynomial with
-nonnegative exponents whose variable is read as w.  All arithmetic is exact.
+nonzero coefficient in normal form: a Python ``int`` when the value is
+integral, a ``fractions.Fraction`` with denominator > 1 otherwise.  Sums and
+products of integers stay integers, so arithmetic runs over Z and reaches Q
+only where a division forces it; every such division goes through
+``scalar_div``.  The variable is written ``z`` throughout; a polynomial "in w"
+is simply a Laurent polynomial with nonnegative exponents whose variable is
+read as w.  All arithmetic is exact.
 
 The polynomial-only helpers (division, extended gcd, unimodular
 completion) require nonnegative exponents and raise ``ValueError`` otherwise.
@@ -14,33 +18,49 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
-#: Exact scalar type: always reduced, positive denominator, zero is 0/1.
+#: The non-integral coefficient type: always reduced, positive denominator.
 Rational = Fraction
 
+#: A coefficient in normal form: ``int`` if integral, else a ``Fraction``
+#: whose denominator is > 1.  Both carry ``numerator`` and ``denominator``,
+#: and an ``int`` equals the ``Fraction`` of the same value.
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
+def _canonical(c: Scalar) -> Scalar:
+    """The normal form of an ``int`` or ``Fraction`` value."""
+    if c.__class__ is int:
         return c
-    if isinstance(c, int):
-        return Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # bool and other int subclasses
+        return int(c)
     raise TypeError(f"expected an int or Fraction, got {type(c).__name__}")
+
+
+def scalar_div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b in normal form (never a ``float``)."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _canonical(Fraction(a, b))
 
 
 class LaurentPoly:
     """A sparse Laurent polynomial sum(c_e * z**e) with rational c_e.
 
-    Invariant: ``terms`` holds no zero coefficients.
+    Invariant: ``terms`` holds no zero coefficients, and every coefficient is
+    in normal form (an ``int`` if integral, else a ``Fraction``).
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Scalar] = {}
         if terms:
             for e, c in terms.items():
-                c = _as_fraction(c)
+                c = _canonical(c)
                 if c:
                     clean[int(e)] = c
         self.terms = clean
@@ -62,6 +82,20 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
         return cls({exp: coeff})
+
+    @classmethod
+    def from_sums(cls, sums: dict[int, Scalar]) -> "LaurentPoly":
+        """Adopt a dict of accumulated sums of normal-form products.
+
+        Zero sums are dropped and integral ``Fraction`` sums become ``int``.
+        """
+        out = cls.__new__(cls)
+        out.terms = {
+            e: c if c.__class__ is int or c.denominator != 1 else c.numerator
+            for e, c in sums.items()
+            if c
+        }
+        return out
 
     # -- queries -----------------------------------------------------------
 
@@ -92,32 +126,35 @@ class LaurentPoly:
             raise ValueError("the zero polynomial has no degree")
         return max(self.terms)
 
-    def coeff(self, exp: int) -> Fraction:
-        return self.terms.get(exp, Fraction(0))
+    def coeff(self, exp: int) -> Scalar:
+        return self.terms.get(exp, 0)
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> Scalar:
         return self.terms[self.deg]
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get(0, Fraction(0))
+        return self.terms.get(0, 0)
 
-    def monomials(self) -> Iterator[tuple[int, Fraction]]:
+    def monomials(self) -> Iterator[tuple[int, Scalar]]:
         """Yield (exponent, coefficient) pairs in ascending exponent order."""
         for e in sorted(self.terms):
             yield e, self.terms[e]
 
     # -- arithmetic --------------------------------------------------------
+    # int op int stays int; a Fraction result is put back in normal form
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s:
+            s = terms.get(e, 0) + c
+            if not s:
+                del terms[e]
+            elif s.__class__ is int or s.denominator != 1:
                 terms[e] = s
             else:
-                terms.pop(e, None)
+                terms[e] = s.numerator
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = terms
         return out
@@ -125,11 +162,13 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) - c
-            if s:
+            s = terms.get(e, 0) - c
+            if not s:
+                del terms[e]
+            elif s.__class__ is int or s.denominator != 1:
                 terms[e] = s
             else:
-                terms.pop(e, None)
+                terms[e] = s.numerator
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = terms
         return out
@@ -140,32 +179,26 @@ class LaurentPoly:
         return out
 
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPoly):
             return self.scale(other)
         if len(self.terms) > len(other.terms):
             self, other = other, self
-        terms: dict[int, Fraction] = {}
+        sums: dict[int, Scalar] = {}
+        get = sums.get
+        items = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            for e2, c2 in items:
                 e = e1 + e2
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = terms
-        return out
+                sums[e] = get(e, 0) + c1 * c2
+        return LaurentPoly.from_sums(sums)
 
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "LaurentPoly":
-        c = _as_fraction(c)
+        c = _canonical(c)
         if not c:
             return LaurentPoly()
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e: c * v for e, v in self.terms.items()}
-        return out
+        return LaurentPoly.from_sums({e: c * v for e, v in self.terms.items()})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z**k."""
@@ -239,7 +272,7 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     db = b.deg
     lb = b.leading_coeff()
     while not r.is_zero() and r.deg >= db:
-        t = LaurentPoly.monomial(r.deg - db, r.leading_coeff() / lb)
+        t = LaurentPoly.monomial(r.deg - db, scalar_div(r.leading_coeff(), lb))
         q = q + t
         r = r - t * b
     return q, r
@@ -269,8 +302,8 @@ def poly_ext_gcd2(
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
         return LaurentPoly(), s0, t0
-    lc = r0.leading_coeff()
-    return r0.scale(1 / lc), s0.scale(1 / lc), t0.scale(1 / lc)
+    inv = scalar_div(1, r0.leading_coeff())
+    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
 
 def poly_ext_gcd(
@@ -313,8 +346,9 @@ def poly_ext_gcd(
         g = g2
     if not g.is_zero() and g.leading_coeff() != 1:
         lc = g.leading_coeff()
-        U[0] = [u.scale(1 / lc) for u in U[0]]
+        inv = scalar_div(1, lc)
+        U[0] = [u.scale(inv) for u in U[0]]
         for r in Uinv:
             r[0] = r[0].scale(lc)
-        g = g.scale(1 / lc)
+        g = g.scale(inv)
     return g, U, Uinv

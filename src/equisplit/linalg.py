@@ -5,7 +5,10 @@ Two small engines live here:
 * ``LaurentMatrix`` — rectangular matrices over the Laurent ring, with exact
   determinant and adjugate (division-free Laplace expansion, memoized over
   column subsets), the inverse ``mat_inverse`` of a matrix with monomial
-  determinant, and Kronecker products.
+  determinant, and Kronecker products.  The matrix product is fused: each
+  output entry is one coefficient dict accumulated over the inner index
+  straight from the operands' terms, with no intermediate polynomial per
+  product.
 * rational row reduction — one sparse, fraction-free elimination routine
   over Python integers, used by every cohomology computation.  Rows enter
   with their denominators cleared, are combined by integer
@@ -23,7 +26,7 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .laurent import LaurentPoly, Scalar
+from .laurent import LaurentPoly, Scalar, scalar_div
 
 
 class LaurentMatrix:
@@ -94,20 +97,29 @@ class LaurentMatrix:
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = LaurentMatrix.zeros(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.entries[i]
-            for k in range(self.cols):
-                a = row[k]
-                if a.is_zero():
-                    continue
-                brow = other.entries[k]
-                orow = out.entries[i]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if not b.is_zero():
-                        orow[j] = orow[j] + a * b
-        return out
+        # column j of other as (k, terms of other[k][j]), zero entries dropped
+        bcols = [
+            [(k, row[j].terms) for k, row in enumerate(other.entries) if row[j].terms]
+            for j in range(other.cols)
+        ]
+        entries = []
+        for row in self.entries:
+            orow = []
+            for bcol in bcols:
+                sums: dict[int, Scalar] = {}
+                get = sums.get
+                for k, bt in bcol:
+                    at = row[k].terms
+                    if not at:
+                        continue
+                    bitems = bt.items()
+                    for e1, c1 in at.items():
+                        for e2, c2 in bitems:
+                            e = e1 + e2
+                            sums[e] = get(e, 0) + c1 * c2
+                orow.append(LaurentPoly.from_sums(sums))
+            entries.append(orow)
+        return LaurentMatrix(entries, self.rows, other.cols)
 
     def scale(self, p: LaurentPoly | Scalar) -> "LaurentMatrix":
         if not isinstance(p, LaurentPoly):
@@ -129,7 +141,9 @@ class LaurentMatrix:
         return self.map(lambda e: e.invert_variable())
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "LaurentMatrix":
-        return LaurentMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
+        return LaurentMatrix(
+            [[self.entries[i][j] for j in col_idx] for i in row_idx], len(row_idx), len(col_idx)
+        )
 
     def kron(self, other: "LaurentMatrix") -> "LaurentMatrix":
         """Kronecker product; block (i, j) is self[i][j] * other."""
@@ -193,7 +207,7 @@ def mat_det(M: LaurentMatrix) -> LaurentPoly:
             if not entry.is_zero():
                 sub = minor(r + 1, colmask & ~low)
                 term = entry * sub
-                total = total + (term if sign > 0 else -term)
+                total = (total + term) if sign > 0 else (total - term)
             sign = -sign
             j += 1
             mask &= mask - 1
@@ -234,7 +248,7 @@ def mat_inverse(M: LaurentMatrix, det: LaurentPoly) -> LaurentMatrix:
     if not det.is_monomial():
         raise ValueError(f"determinant {det!r} is not a nonzero monomial")
     ((e, c),) = det.terms.items()
-    inv = 1 / c
+    inv = scalar_div(1, c)
     return mat_adjugate(M).map(lambda p: p.shift(-e).scale(inv))
 
 

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately written from scratch against the definitions
-(dense elimination, naive recursion), sharing no algorithmic path with the
-package's sparse eliminator, memoized determinant, or windowed cohomology.
+(dense elimination, naive recursion, products over ``Fraction`` only),
+sharing no algorithmic path with the package's sparse eliminator, memoized
+determinant, integer-first Laurent arithmetic, or windowed cohomology.
 """
 
 from __future__ import annotations
@@ -43,6 +44,37 @@ def dense_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], list[
 
 def dense_rank(rows: list[list[Fraction]]) -> int:
     return len(dense_rref(rows, len(rows[0]) if rows else 0)[0])
+
+
+def is_normal(c) -> bool:
+    """Is c a nonzero coefficient in normal form: an int, or a Fraction that is not integral?"""
+    if type(c) is int:
+        return c != 0
+    return type(c) is Fraction and c.denominator > 1
+
+
+def naive_mul(p: LaurentPoly, q: LaurentPoly) -> dict[int, Fraction]:
+    """The terms of p*q, every coefficient converted to Fraction first."""
+    out: dict[int, Fraction] = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {e: c for e, c in out.items() if c}
+
+
+def naive_matmul(A: LaurentMatrix, B: LaurentMatrix) -> list[list[dict[int, Fraction]]]:
+    """The terms of each entry of A @ B, summed over Fraction by naive_mul."""
+    out = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            acc: dict[int, Fraction] = {}
+            for k in range(A.cols):
+                for e, c in naive_mul(A.entries[i][k], B.entries[k][j]).items():
+                    acc[e] = acc.get(e, Fraction(0)) + c
+            row.append({e: c for e, c in acc.items() if c})
+        out.append(row)
+    return out
 
 
 def naive_det(M: LaurentMatrix) -> LaurentPoly:

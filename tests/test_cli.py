@@ -257,6 +257,16 @@ class TestErrors:
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
 
+    def test_shared_parser_answers_every_call_the_same(self, capsys):
+        # the parser is built once per process; an error or a successful
+        # parse must leave nothing behind for the next call
+        assert cli.build_parser() is cli.build_parser()
+        usage = run(capsys, "random", "--summands", "1")
+        valid = run(capsys, "validate", fixture_path("o_3"))
+        assert run(capsys, "random", "--summands", "1") == usage
+        assert run(capsys, "validate", fixture_path("o_3")) == valid
+        assert json.loads(usage[1])["error"]["pointer"] == "equisplit random"
+
     def test_invariant_violation_exit_1(self, capsys, monkeypatch):
         def broken(E):
             raise InvariantViolation("peel degrees out of order: 2 after 1")

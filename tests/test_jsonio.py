@@ -1,8 +1,11 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equisplit.bundle import LineSummand, TorusAction, random_instance
+from equisplit.bundle import NO_TORUS, LineSummand, TorusAction, random_instance
 from equisplit.jsonio import (
     ParseError,
     certificate_from_json,
@@ -110,3 +113,56 @@ class TestCanonicalDump:
         assert a == b
         assert a.endswith("\n")
         assert json.loads(a)["rank"] == E.rank
+
+
+# arbitrary JSON values, as json.load can return them
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=16,
+)
+
+VALID_DOCS = [
+    instance_to_json(make_instance()[0]),
+    instance_to_json(*make_instance(seed=5)),
+    instance_to_json(*random_instance(2, [LineSummand(2, ()), LineSummand(-1, ())], 6, NO_TORUS)),
+]
+
+
+@st.composite
+def mutated_instances(draw):
+    """A valid instance document with one to three values replaced or deleted.
+
+    Each edit walks down from the root for a drawn number of levels, so any
+    key, row, entry, monomial or field can be hit.
+    """
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        for _ in range(draw(st.integers(0, 6))):
+            if not isinstance(node, (dict, list)) or not node:
+                break
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            key = draw(st.sampled_from(keys))
+            parent, node = node, node[key]
+        value = draw(json_values | st.integers(-3, 3))
+        if parent is None:
+            doc = value
+        elif isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = value
+    return doc
+
+
+class TestParseFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values | mutated_instances())
+    def test_instance_parses_or_raises_parse_error(self, doc):
+        # any other exception escaping the parser is a crash
+        try:
+            E, _ = instance_from_json(doc)
+        except ParseError:
+            return
+        assert E.rank == E.A.rows == E.A.cols

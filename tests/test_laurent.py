@@ -10,7 +10,9 @@ from equisplit.laurent import (
     poly_exact_div,
     poly_ext_gcd,
     poly_ext_gcd2,
+    scalar_div,
 )
+from oracles import is_normal, naive_mul
 
 P = LaurentPoly
 
@@ -196,3 +198,121 @@ class TestRationalScalars:
         p = P({0: Fraction(2, 4)}) * P({1: Fraction(3, -9)})
         ((e, c),) = p.terms.items()
         assert (e, c.numerator, c.denominator) == (1, -1, 6)
+
+
+# int/Fraction mixes: small and huge (above 2^64) integers, integral Fractions
+# such as Fraction(3), and halves and thirds whose sums cancel to integers
+mixed = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-(2**80), 2**80),
+    st.integers(-6, 6).map(Fraction),
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3)]),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**66)),
+)
+mixed_laurents = st.dictionaries(st.integers(-4, 4), mixed, max_size=5).map(P)
+mixed_polys = st.dictionaries(st.integers(0, 5), mixed, max_size=4).map(P)
+
+
+def assert_normal(*polys):
+    for p in polys:
+        bad = [c for c in p.terms.values() if not is_normal(c)]
+        assert not bad, f"{p!r} holds coefficients outside the normal form: {bad!r}"
+
+
+def fterms(p):
+    """p's terms with every coefficient as a Fraction (the reference form)."""
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def fsum(*pairs):
+    """sum(sign * terms) over Fraction, zeros dropped."""
+    out = {}
+    for sign, terms in pairs:
+        for e, c in terms.items():
+            out[e] = out.get(e, Fraction(0)) + sign * Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+class TestNormalForm:
+    def test_constructor_canonicalizes(self):
+        p = P({0: Fraction(4, 2), 1: Fraction(0), 2: True, 3: Fraction(1, 2)})
+        assert p.terms == {0: 2, 2: 1, 3: Fraction(1, 2)}
+        assert type(p.terms[0]) is int and type(p.terms[2]) is int
+        assert_normal(p)
+
+    def test_halves_cancel_to_an_int(self):
+        h = P({0: Fraction(1, 2), 1: Fraction(1, 3)})
+        for p in (h + h, h.scale(2), h * P.constant(6), h - h.scale(-1)):
+            assert_normal(p)
+            assert type(p.terms[0]) is int
+        assert (h + h).terms == {0: 1, 1: Fraction(2, 3)}
+
+    def test_huge_integers_stay_integers(self):
+        big = 2**70 + 1
+        p = P({0: big, 1: -big}) * P({2: big})
+        assert p.terms == {2: big * big, 3: -big * big}
+        assert all(type(c) is int for c in p.terms.values())
+
+    def test_queries_on_missing_terms_are_int_zero(self):
+        assert P.zero().coeff(3) == 0 and type(P.zero().coeff(3)) is int
+        assert type(P.zero().constant_value()) is int
+
+    def test_scalar_division(self):
+        assert scalar_div(6, 3) == 2 and type(scalar_div(6, 3)) is int
+        assert scalar_div(1, 2) == Fraction(1, 2) and type(scalar_div(1, 2)) is Fraction
+        assert scalar_div(-3, 6) == Fraction(-1, 2)
+        assert type(scalar_div(Fraction(1, 2), Fraction(1, 4))) is int
+        with pytest.raises(ZeroDivisionError):
+            scalar_div(1, 0)
+
+    @given(mixed, mixed)
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_division_is_exact(self, a, b):
+        if b == 0:
+            return
+        q = scalar_div(a, b)
+        assert q == Fraction(a) / Fraction(b)
+        assert q == 0 or is_normal(q)
+
+    @given(mixed_laurents, mixed_laurents)
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations_match_fraction_reference(self, a, b):
+        assert_normal(a, b)
+        total, diff, prod = a + b, a - b, a * b
+        assert_normal(total, diff, prod, -a)
+        assert fterms(total) == fsum((1, a.terms), (1, b.terms))
+        assert fterms(diff) == fsum((1, a.terms), (-1, b.terms))
+        assert fterms(prod) == naive_mul(a, b)
+        assert fterms(-a) == fsum((-1, a.terms))
+
+    @given(mixed_laurents, mixed, st.integers(-5, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_scale_shift_invert_match_fraction_reference(self, p, c, k):
+        scaled = p.scale(c)
+        assert_normal(scaled, p * c, p.shift(k), p.invert_variable())
+        assert fterms(scaled) == fterms(p * c) == {
+            e: Fraction(c) * v for e, v in fterms(p).items() if c
+        }
+        assert fterms(p.shift(k)) == {e + k: v for e, v in fterms(p).items()}
+        assert fterms(p.invert_variable()) == {-e: v for e, v in fterms(p).items()}
+
+    @given(mixed_polys, mixed_polys)
+    @settings(max_examples=100, deadline=None)
+    def test_divmod_matches_fraction_reference(self, a, b):
+        if b.is_zero():
+            return
+        q, r = poly_divmod(a, b)
+        assert_normal(q, r)
+        assert fsum((1, naive_mul(q, b)), (1, r.terms)) == fterms(a)
+        assert r.is_zero() or r.deg < b.deg
+
+    @given(st.lists(mixed_polys, min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_ext_gcd_matches_fraction_reference(self, fs):
+        if all(f.is_zero() for f in fs):
+            return
+        g, U, Uinv = poly_ext_gcd(fs)
+        assert_normal(g, *(p for row in U + Uinv for p in row))
+        for i, row in enumerate(U):
+            got = fsum(*((1, naive_mul(u, f)) for u, f in zip(row, fs)))
+            assert got == (fterms(g) if i == 0 else {})

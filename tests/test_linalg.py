@@ -16,7 +16,7 @@ from equisplit.linalg import (
     rank_sparse,
     rref_sparse,
 )
-from oracles import dense_rank, dense_rref, naive_det
+from oracles import dense_rank, dense_rref, is_normal, naive_det, naive_matmul
 
 P = LaurentPoly
 
@@ -105,6 +105,16 @@ class TestAdjugate:
         assert inv == lm([[{-1: 1}, {1: Fraction(-1, 2)}], [{}, {2: Fraction(1, 2)}]])
         assert M @ inv == inv @ M == LaurentMatrix.identity(2)
 
+    def test_inverse_with_non_unit_constant_determinant(self):
+        # [[2, z], [0, 1]] has det 2 and inverse [[1/2, -z/2], [0, 1]]
+        M = lm([[{0: 2}, {1: 1}], [{}, {0: 1}]])
+        inv = mat_inverse(M, mat_det(M))
+        assert inv == lm([[{0: Fraction(1, 2)}, {1: Fraction(-1, 2)}], [{}, {0: 1}]])
+        _assert_normal(inv)
+        assert type(inv.entries[1][1].terms[0]) is int
+        identity = [[{0: 1} if i == j else {} for j in range(2)] for i in range(2)]
+        assert naive_matmul(M, inv) == naive_matmul(inv, M) == identity
+
     def test_inverse_rejects_non_monomial_determinant(self):
         M = lm([[{0: 1, 1: 1}]])
         with pytest.raises(ValueError, match="not a nonzero monomial"):
@@ -190,6 +200,15 @@ class TestMatrixOps:
         assert K.entries[2][2] == P.monomial(1)
         assert K.entries[0][1].is_zero()
 
+    def test_submatrix_keeps_empty_shapes(self):
+        I3 = LaurentMatrix.identity(3)
+        empty_rows = I3.submatrix(range(1, 1), range(1))
+        assert (empty_rows.rows, empty_rows.cols) == (0, 1)
+        empty_cols = I3.submatrix(range(1), range(2, 2))
+        assert (empty_cols.rows, empty_cols.cols) == (1, 0)
+        assert empty_cols @ empty_rows == LaurentMatrix.zeros(1, 1)
+        assert (empty_rows @ empty_cols).rows == (empty_rows @ empty_cols).cols == 0
+
     def test_exponent_range(self):
         assert lm([[{-2: 1}, {5: 1}]]).exponent_range() == (-2, 5)
         assert LaurentMatrix.zeros(2, 2).exponent_range() is None
@@ -249,3 +268,58 @@ class TestEliminationProperties:
             assert vec[f] == 1
             for r in dense:
                 assert sum(r[j] * vec.get(j, 0) for j in range(ncols)) == 0
+
+
+# Laurent coefficients: the values above plus halves and thirds, so that
+# sums cancel to integers
+_COEFFS = _VALUES | st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)])
+_LAURENTS = st.dictionaries(st.integers(-3, 3), _COEFFS, max_size=3).map(LaurentPoly)
+
+
+def _laurent_matrices(rows, cols):
+    cells = st.lists(_LAURENTS, min_size=cols, max_size=cols)
+    return st.lists(cells, min_size=rows, max_size=rows).map(lambda e: LaurentMatrix(e, rows, cols))
+
+
+def _assert_normal(M):
+    bad = [c for row in M.entries for p in row for c in p.terms.values() if not is_normal(c)]
+    assert not bad, f"coefficients outside the normal form: {bad!r}"
+
+
+@st.composite
+def _invertible_matrices(draw):
+    """L D U: unit triangular factors with Laurent entries, D constant diagonal.
+
+    det = prod(D) is a nonzero constant, often not a unit of Z (2, 1/3, ...).
+    """
+    m = draw(st.integers(1, 3))
+    diag = draw(st.lists(_COEFFS.filter(bool), min_size=m, max_size=m))
+    L, U = LaurentMatrix.identity(m), LaurentMatrix.identity(m)
+    for i in range(m):
+        for j in range(i):
+            L.entries[i][j] = draw(_LAURENTS)
+            U.entries[j][i] = draw(_LAURENTS)
+    D = LaurentMatrix.diagonal([LaurentPoly.constant(c) for c in diag])
+    return L @ D @ U
+
+
+class TestExactNormalForm:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+    def test_matmul_matches_fraction_reference(self, n, k, p, data):
+        A = data.draw(_laurent_matrices(n, k))
+        B = data.draw(_laurent_matrices(k, p))
+        C = A @ B
+        assert (C.rows, C.cols) == (n, p)
+        _assert_normal(C)
+        assert [[q.terms for q in row] for row in C.entries] == naive_matmul(A, B)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_invertible_matrices())
+    def test_inverse_with_constant_determinant(self, M):
+        det = mat_det(M)
+        assert det.is_constant() and not det.is_zero()
+        inv = mat_inverse(M, det)
+        _assert_normal(inv)
+        identity = [[{0: 1} if i == j else {} for j in range(M.rows)] for i in range(M.rows)]
+        assert naive_matmul(M, inv) == naive_matmul(inv, M) == identity

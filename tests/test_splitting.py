@@ -20,9 +20,10 @@ from equisplit.bundle import (
 from equisplit.cohomology import h0_character, h0_dim, h1_character
 from equisplit.equivariant import Character, derive_target_weights, weight_project_hom
 from equisplit import linalg
-from equisplit.jsonio import certificate_to_json, dumps_canonical
+from equisplit.jsonio import certificate_from_json, certificate_to_json, dumps_canonical
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix, mat_det
+from oracles import is_normal
 from equisplit.splitting import (
     InvariantViolation,
     SplittingCertificate,
@@ -530,3 +531,24 @@ def test_one_adjugate_per_split(monkeypatch, torus):
     for seed in range(1000, 1005):
         equivariant_split(dense_case(seed, torus))
     assert sizes == [5] * 5
+
+
+@pytest.mark.parametrize("torus", [TorusAction(0, ()), TorusAction(1, (0,)), TorusAction(1, (1,))])
+def test_split_matrices_keep_the_coefficient_normal_form(torus):
+    # every coefficient a split produces or caches is an int, or a Fraction
+    # that is not integral: no float and no Fraction(n, 1)
+    kinds = set()
+    for seed in range(1000, 1005):
+        E = dense_case(seed, torus)
+        _, cert = equivariant_split(E)
+        assert verify_certificate(E, cert).ok
+        assert E._inv is not None  # cached by the split, not rebuilt below
+        parsed = certificate_from_json(certificate_to_json(cert), torus.rank)
+        for name, M in (("M0", cert.M0), ("MInf", cert.MInf), ("A^-1", E.inverse_transition()),
+                        ("parsed M0", parsed.M0), ("parsed MInf", parsed.MInf)):
+            for row in M.entries:
+                for p in row:
+                    for c in p.terms.values():
+                        assert is_normal(c), f"seed {seed}: {name} holds {c!r}"
+                        kinds.add(type(c))
+    assert kinds == {int, Fraction}  # both forms occur, so the walk is not vacuous

@@ -29,7 +29,6 @@ from .bundle import (
 from .cohomology import (
     EulerReport,
     Section,
-    StabilizationError,
     cech_cohomology,
     euler_check,
     h0_character,
@@ -65,7 +64,6 @@ __all__ = [
     "NO_TORUS",
     "Section",
     "SplittingCertificate",
-    "StabilizationError",
     "TorusAction",
     "ValidationReport",
     "Weight",

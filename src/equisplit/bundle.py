@@ -32,6 +32,10 @@ from .linalg import LaurentMatrix, mat_det, mat_inverse
 Weight = tuple[int, ...]
 
 
+class InvariantViolation(RuntimeError):
+    """A theory-guaranteed invariant failed: corrupted input or internal bug."""
+
+
 def weight_add(u: Weight, v: Weight) -> Weight:
     return tuple(x + y for x, y in zip(u, v, strict=True))
 

@@ -12,7 +12,7 @@ import sys
 from functools import cache
 
 from .bundle import LineSummand, TorusAction, degree, random_instance, validate
-from .cohomology import StabilizationError, cech_cohomology, h0_character
+from .cohomology import cech_cohomology, h0_character
 from .jsonio import (
     ParseError,
     certificate_from_json,
@@ -59,8 +59,9 @@ def cmd_cohomology(args) -> int:
     h0 = h0_character(E)
     cech_h0, h1 = cech_cohomology(E)
     if cech_h0 != h0.total():
-        _emit({"error": {"message": "internal oracle disagreement"}})
-        return EXIT_CHECK_FAILED
+        raise InvariantViolation(
+            f"H^0 dimension {h0.total()} from the inverse route != {cech_h0} from the Cech complex"
+        )
     _emit(
         {
             "rank": E.rank,
@@ -217,9 +218,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # missing, unreadable or directory paths
         _emit({"error": {"message": str(exc)}})
         return EXIT_USAGE
-    except StabilizationError as exc:
-        _emit({"error": {"message": str(exc)}})
-        return EXIT_CHECK_FAILED
     except InvariantViolation as exc:
         _emit({"error": {"message": "internal invariant failed", "invariant": str(exc)}})
         return EXIT_CHECK_FAILED

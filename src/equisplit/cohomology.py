@@ -9,36 +9,45 @@ rational linear system in the coefficients of h; its kernel is graded by the
 weight lambdaInf[i] - e*a of the unknown h[i][e], and each weight class is
 solved separately (classes never mix because the system is graded).
 
-H^1 is computed from a truncated two-chart cover complex: chains (f, g) with
-deg f <= W + E and deg g <= W map to overlap vectors by (f, g) -> A f - g(1/z),
-and the cokernel is taken inside the exponent window [-W, W].  Every overlap
-monomial with exponent <= 0 is hit by a g-chain alone, so the elimination
-runs on exponents in [1, W] only.  Dually, each kernel equation with exponent
-in [-W, 0] holds a g-chain unknown of its own, so the kernel rank eliminates
-only the remaining equations, over the f unknowns.  The window doubles until two consecutive
-windows agree and the Euler identity h0 - h1 = degree + rank holds; a hard
-cap turns a failure to stabilize into an error.
+H^1 is computed from the two-chart cover complex truncated at one window W
+that is exact.  Chains (f, g) with deg f <= W + margin and deg g <= W map to
+overlap vectors by (f, g) -> A f - g(1/z).  With [lo, hi] the exponent range
+of A, [lo', hi'] that of A^-1 and margin = max(0, -lo),
+
+    W = max(1, -lo, hi' - margin, -lo' - 1).
+
+* Kernel: a section has g(1/z) = A f with exponents in [lo, 0], so
+  deg g <= -lo <= W, and f = A^-1 g(1/z), so deg f <= hi' <= W + margin.
+* Cokernel: for x >= -lo', z^x e_i = A (A^-1 z^x e_i) with a polynomial
+  preimage, and every exponent <= 0 is some g(1/z), so H^1 lives on the
+  exponents [1, W]; A z^e e_j has exponents >= lo + e, so chart-0 chains of
+  degree <= W + margin reach all of them.
+
+The cokernel elimination therefore runs on exponents in [1, W] only.  Dually,
+each kernel equation with exponent in [-W, 0] holds a g-chain unknown of its
+own, so the kernel rank eliminates only the remaining equations, over the f
+unknowns.  The Euler identity h0 - h1 = degree + rank stays armed: a failure
+raises InvariantViolation.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import lcm
 
-from .bundle import EquivariantBundle, Weight, degree, dual, twist, weight_scale, weight_sub
+from .bundle import (
+    EquivariantBundle,
+    InvariantViolation,
+    Weight,
+    degree,
+    dual,
+    twist,
+    weight_scale,
+    weight_sub,
+)
 from .equivariant import Character, monomial_weight
 from .laurent import LaurentPoly
 from .linalg import LaurentMatrix, kernel_sparse, rank_sparse, rref_sparse
-
-#: Environment override for the absolute window cap of the truncated complex.
-MAX_WINDOW_ENV = "EQUISPLIT_MAX_WINDOW"
-
-_WINDOW_CAP_FACTOR = 64
-
-
-class StabilizationError(RuntimeError):
-    """The truncated overlap complex failed to stabilize below the cap."""
 
 
 @dataclass
@@ -224,27 +233,12 @@ def h0_character(E: EquivariantBundle) -> Character:
 # -- truncated overlap (Cech) complex ---------------------------------------
 
 
-def _initial_window(E: EquivariantBundle) -> int:
-    rng = E.A.exponent_range()
-    if rng is None:
-        raise ValueError("invalid bundle: zero transition matrix")
-    lo, hi = rng
-    return max(abs(lo), abs(hi)) + max(E.rank, 1)
-
-
-def _window_cap(initial: int) -> int:
-    env = os.environ.get(MAX_WINDOW_ENV)
-    if env is None:
-        return _WINDOW_CAP_FACTOR * initial
-    from .jsonio import ParseError  # jsonio imports splitting, which imports this module
-
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ParseError(MAX_WINDOW_ENV, f"must be a positive integer, got {env!r}")
-    return cap
+def _exact_window(E: EquivariantBundle) -> int:
+    """The one window W at which the truncated complex is exact (module docstring)."""
+    lo, _ = E.A.exponent_range()
+    lo_inv, hi_inv = E.inverse_transition().exponent_range()
+    margin = max(0, -lo)
+    return max(1, -lo, hi_inv - margin, -lo_inv - 1)
 
 
 def _cech_once(E: EquivariantBundle, W: int) -> tuple[int, Character]:
@@ -300,29 +294,27 @@ def _cech_once(E: EquivariantBundle, W: int) -> tuple[int, Character]:
 
 
 def cech_cohomology(E: EquivariantBundle) -> tuple[int, Character]:
-    """Stabilized (h0 dimension, h1 character) from the truncated complex.
+    """(h0 dimension, h1 character) from the complex truncated at one exact window.
 
-    Stops when two consecutive windows agree and the Euler identity
-    h0 - h1 = degree + rank holds; raises StabilizationError at the cap,
-    which signals a bug or an invalid instance, never a routine outcome.
+    W = max(1, -lo, hi' - margin, -lo' - 1), with [lo, hi] and [lo', hi'] the
+    exponent ranges of A and A^-1 and margin = max(0, -lo).  Every section
+    has deg g <= -lo and deg f <= hi', so the kernel is all of H^0; every
+    overlap monomial of exponent <= 0 or >= -lo' is a coboundary, so H^1 lives
+    on [1, W], which chart-0 chains of degree <= W + margin reach.  Raises
+    InvariantViolation if h0 - h1 = degree + rank fails at that window.
     """
     m = E.rank
     if m == 0:
         return 0, Character()
+    W = _exact_window(E)
+    h0, h1 = _cech_once(E, W)
     deg = degree(E)
-    W = _initial_window(E)
-    cap = _window_cap(W)
-    prev: tuple[int, Character] | None = None
-    while W <= cap:
-        cur = _cech_once(E, W)
-        if prev is not None and cur == prev and cur[0] - cur[1].total() == deg + m:
-            return cur
-        prev = cur
-        W *= 2
-    raise StabilizationError(
-        f"overlap complex did not stabilize below window {cap} "
-        f"(set {MAX_WINDOW_ENV} to raise the cap)"
-    )
+    if h0 - h1.total() != deg + m:
+        raise InvariantViolation(
+            f"Euler identity fails at Cech window {W}: "
+            f"h0 - h1 = {h0} - {h1.total()} != degree + rank = {deg} + {m}"
+        )
+    return h0, h1
 
 
 def h1_character(E: EquivariantBundle) -> Character:

@@ -258,6 +258,8 @@ def mat_inverse(M: LaurentMatrix, det: LaurentPoly) -> LaurentMatrix:
 def _integer_row(row: dict[int, Scalar]) -> dict[int, int]:
     """The row scaled by the lcm of its denominators, zeros dropped."""
     den = reduce(lcm, (v.denominator for v in row.values()), 1)
+    if den == 1:  # already integral: .numerator keeps a Fraction(k, 1) an int
+        return {c: v.numerator for c, v in row.items() if v}
     return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
 

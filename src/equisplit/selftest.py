@@ -197,7 +197,7 @@ def criterion_4_character_identity(count: int = 200) -> CriterionResult:
 
 
 def criterion_5_oracle_equivalence(count: int = 100) -> CriterionResult:
-    """Adjugate-kernel H^0 dimension equals the stabilized overlap kernel."""
+    """Adjugate-kernel H^0 dimension equals the overlap kernel at the exact window."""
 
     def body() -> str:
         for k in range(count):

@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .bundle import (
     EquivariantBundle,
+    InvariantViolation,
     LineSummand,
     TorusAction,
     Weight,
@@ -52,10 +53,6 @@ from .equivariant import (
 )
 from .laurent import LaurentPoly, poly_ext_gcd
 from .linalg import LaurentMatrix, mat_det, mat_inverse, rank_sparse
-
-
-class InvariantViolation(RuntimeError):
-    """A theory-guaranteed invariant failed: corrupted input or internal bug."""
 
 
 def max_twist(E: EquivariantBundle) -> tuple[int, EquivariantBundle]:

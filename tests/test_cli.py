@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from equisplit import cli
+from equisplit import cli, cohomology
 from equisplit.bundle import EquivariantBundle, LineSummand, TorusAction, random_instance, random_reframe
 from equisplit.cli import main
+from equisplit.equivariant import Character
 from equisplit.jsonio import certificate_to_json, dumps_canonical, instance_to_json, load_json_file
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
@@ -241,15 +242,15 @@ class TestErrors:
         assert phrase in doc["error"]["message"]
         assert "usage:" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
-    def test_bad_max_window_is_one_json_document(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("EQUISPLIT_MAX_WINDOW", value)
-        code, out, err = run(capsys, "cohomology", fixture_path("o_3"))
-        assert code == 2
-        doc = json.loads(out)
-        assert doc["error"]["pointer"] == "EQUISPLIT_MAX_WINDOW"
-        assert repr(value) in doc["error"]["message"]
-        assert "Traceback" not in err
+    def test_window_variable_is_ignored(self, capsys, monkeypatch):
+        # the H^1 window is exact, so there is no cap left to override
+        for name in ("o_3", "jump_type_0_0"):
+            monkeypatch.delenv("EQUISPLIT_MAX_WINDOW", raising=False)
+            unset = run(capsys, "cohomology", fixture_path(name))
+            assert unset[0] == 0
+            for value in ("abc", "1"):
+                monkeypatch.setenv("EQUISPLIT_MAX_WINDOW", value)
+                assert run(capsys, "cohomology", fixture_path(name)) == unset, (name, value)
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -275,6 +276,22 @@ class TestErrors:
         code, out, _ = run(capsys, "split", fixture_path("o_3"))
         assert code == 1
         assert json.loads(out)["error"]["invariant"] == "peel degrees out of order: 2 after 1"
+
+    def _assert_invariant_document(self, capsys, phrase):
+        code, out, err = run(capsys, "cohomology", fixture_path("jump_type_0_0"))
+        assert code == 1
+        doc = json.loads(out)  # exactly one document: trailing text would not parse
+        assert doc["error"]["message"] == "internal invariant failed"
+        assert phrase in doc["error"]["invariant"]
+        assert "Traceback" not in err
+
+    def test_oracle_disagreement_is_an_invariant_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cech_cohomology", lambda E: (5, Character()))
+        self._assert_invariant_document(capsys, "H^0 dimension 2 from the inverse route != 5")
+
+    def test_euler_failure_is_an_invariant_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(cohomology, "_cech_once", lambda E, W: (0, Character()))
+        self._assert_invariant_document(capsys, "Euler identity fails at Cech window")
 
 
 class TestSelftest:

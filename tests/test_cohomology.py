@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from equisplit import cohomology
 from equisplit.bundle import (
     EquivariantBundle,
     LineSummand,
@@ -14,9 +15,8 @@ from equisplit.bundle import (
     twist,
 )
 from equisplit.cohomology import (
-    StabilizationError,
     _cech_once,
-    _initial_window,
+    _exact_window,
     cech_cohomology,
     euler_check,
     h0_character,
@@ -27,7 +27,7 @@ from equisplit.cohomology import (
 from equisplit.equivariant import Character
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
-from equisplit.selftest import sample_case
+from equisplit.selftest import _closed_form_characters, sample_case
 from oracles import brute_force_h0_dim, dense_rank
 
 P = LaurentPoly
@@ -178,21 +178,50 @@ class TestEuler:
 
 
 class TestStabilization:
-    def test_cap_raises(self, monkeypatch):
-        monkeypatch.setenv("EQUISPLIT_MAX_WINDOW", "1")
-        with pytest.raises(StabilizationError, match="EQUISPLIT_MAX_WINDOW"):
-            cech_cohomology(jump_bundle())
+    """One window, exact by the exponent bound: larger windows change nothing."""
 
-    def test_env_override(self, monkeypatch):
-        # the complex agrees with itself first at windows W and 2W, so the
-        # override caps exactly there
-        E = jump_bundle()
-        W = _initial_window(E)
-        monkeypatch.setenv("EQUISPLIT_MAX_WINDOW", str(2 * W - 1))
-        with pytest.raises(StabilizationError):
+    def test_larger_windows_agree(self):
+        # sample_case seeds draw torus rank 0-2, so they cover no torus, a = 0
+        # and a moving base; pin that each kind is reached
+        kinds = set()
+        for seed in range(150):
+            E, _, torus = sample_case(seed, max_rank=4, max_ops=8)
+            kinds.add(torus.rank and ("fixed" if torus.base_is_fixed() else "moving"))
+            W = _exact_window(E)
+            want = _cech_once(E, W)
+            assert _cech_once(E, W + 1) == want, seed
+            assert _cech_once(E, 2 * W) == want, seed
+        assert kinds == {0, "fixed", "moving"}
+
+    def test_one_window_per_bundle(self, monkeypatch):
+        windows = []
+        original = cohomology._cech_once
+
+        def counted(E, W):
+            windows.append(W)
+            return original(E, W)
+
+        monkeypatch.setattr(cohomology, "_cech_once", counted)
+        bundles = [sample(seed) for seed in range(20)]
+        bundles.append(EquivariantBundle(LaurentMatrix.zeros(0, 0), (), (), T1))
+        for E in bundles:
+            before = len(windows)
             cech_cohomology(E)
-        monkeypatch.setenv("EQUISPLIT_MAX_WINDOW", str(2 * W))
-        assert cech_cohomology(E) == (2, Character())
+            assert len(windows) - before == min(E.rank, 1)
+
+    @pytest.mark.parametrize(
+        "torus", [TorusAction(0, ()), TorusAction(1, (0,)), T1], ids=["none", "a=0", "a=1"]
+    )
+    def test_dense_rank_6_matches_closed_forms(self, torus):
+        rng = random.Random(6)
+        summands = [
+            LineSummand(rng.randint(-3, 3), tuple(rng.randint(-2, 2) for _ in torus.a))
+            for _ in range(6)
+        ]
+        E, hidden = random_instance(6, summands, 60, torus)
+        want_h0, want_h1 = _closed_form_characters(hidden, torus)
+        assert h0_character(E) == want_h0
+        assert cech_cohomology(E) == (want_h0.total(), want_h1)
 
     def test_rank_zero(self):
         E = EquivariantBundle(LaurentMatrix.zeros(0, 0), (), (), T1)
@@ -219,6 +248,6 @@ def full_cech_kernel_dim(E, W):
 def test_cech_kernel_dim_matches_full_system_rank():
     for seed in range(12):
         E, _, _ = sample_case(seed, max_rank=3, max_ops=6)
-        W = _initial_window(E)
+        W = _exact_window(E)
         for w in (1, W):
             assert _cech_once(E, w)[0] == full_cech_kernel_dim(E, w), (seed, w)

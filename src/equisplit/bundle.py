@@ -100,7 +100,8 @@ class LineSummand:
 class EquivariantBundle:
     """Transition matrix plus per-chart frame weights under a torus action."""
 
-    # _h0 caches the H^0 basis that cohomology solves for
+    # _h0 caches the canonical H^0 kernel, as (weight, h) pairs in echelon
+    # order; cohomology builds sections from it on request
     __slots__ = ("A", "lambda0", "lambdaInf", "torus", "_det", "_inv", "_h0")
 
     def __init__(
@@ -377,6 +378,8 @@ def _apply_random_ops(
     rng: random.Random,
     complexity: int,
 ) -> None:
+    if complexity < 0:
+        raise ValueError(f"op count must be non-negative, got {complexity}")
     m = A.rows
     a = torus.a
     trivial_a = torus.base_is_fixed()

@@ -132,6 +132,8 @@ def cmd_random(args) -> int:
     a = _parse_torus(args.torus)
     torus = TorusAction(len(a), a)
     summands = _parse_summands(args.summands, torus.rank)
+    if args.ops < 0:
+        raise ParseError("--ops", f"op count must be non-negative, got {args.ops}")
     E, hidden = random_instance(args.seed, summands, args.ops, torus)
     _emit(instance_to_json(E, expected=hidden))
     return EXIT_OK

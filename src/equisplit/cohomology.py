@@ -5,9 +5,11 @@ h(z) = g(1/z), the section equation g(1/z) = A f forces every exponent of h
 into [o, 0] where o is the minimum exponent over the monomials of A, and
 f = A^-1 h is polynomial iff every coefficient of z^e with e < 0 in A^-1 h
 vanishes (A^-1 is the bundle's cached inverse transition).  That is a finite
-rational linear system in the coefficients of h; its kernel is graded by the
-weight lambdaInf[i] - e*a of the unknown h[i][e], and each weight class is
-solved separately (classes never mix because the system is graded).
+rational linear system in the coefficients of h, graded by the weight
+lambdaInf[i] - e*a of the unknown h[i][e].  One elimination solves it: no row
+meets two weight classes, so every canonical kernel vector is homogeneous.
+The kernel is solved once per bundle and cached; sections (f, g) are built
+from it only on request.
 
 H^1 is computed from the two-chart cover complex truncated at one window W
 that is exact.  Chains (f, g) with deg f <= W + margin and deg g <= W map to
@@ -87,33 +89,26 @@ class Section:
         return None
 
 
-def _integer_monomials(M: LaurentMatrix) -> tuple[int, list[list[list[tuple[int, int]]]]]:
-    """M scaled to integer coefficients, as (L, entries).
+def _integer_monomials(M: LaurentMatrix) -> list[list[list[tuple[int, int]]]]:
+    """M scaled to integer coefficients.
 
-    L is the lcm of M's coefficient denominators, and entries[i][j] lists the
+    With L the lcm of M's coefficient denominators, entry [i][j] lists the
     monomials (exponent, integer coefficient) of L * M[i][j].
     """
     L = lcm(*(c.denominator for row in M.entries for p in row for _, c in p.monomials()))
-    entries = [
+    return [
         [[(d, c.numerator * (L // c.denominator)) for d, c in p.monomials()] for p in row]
         for row in M.entries
     ]
-    return L, entries
 
 
-@dataclass
-class _BasisRecord:
-    section: Section
-    weight: Weight
-    echelon_col: int  # global free-column index; canonical ordering key
+def _h0_basis(E: EquivariantBundle) -> list[tuple[Weight, tuple[LaurentPoly, ...]]]:
+    """Canonical kernel basis of the section system, as (weight, h) in echelon order.
 
-
-def _h0_basis(E: EquivariantBundle) -> list[_BasisRecord]:
-    """Canonical kernel basis of the section system, in echelon order.
-
-    Unknowns h[i][e] are ordered by (component i, exponent e ascending); the
-    reduced-echelon kernel basis of a graded system is automatically
-    weight-homogeneous, so every record carries a single weight.
+    Unknowns h[i][e] are ordered by (component i, exponent e ascending), and
+    the whole graded system is solved by one elimination.  No row meets two
+    weight classes, so the elimination never mixes them: every kernel vector
+    is weight-homogeneous, of the weight of its free column.
     """
     m = E.rank
     if m == 0:
@@ -124,14 +119,8 @@ def _h0_basis(E: EquivariantBundle) -> list[_BasisRecord]:
     lo, _ = rng
     if lo > 0:
         return []
-    inv = E.inverse_transition()
 
     width = 1 - lo  # exponents lo..0
-    ncols = m * width
-
-    def col(i: int, e: int) -> int:
-        return i * width + (e - lo)
-
     a = E.torus.a
     col_weight: list[Weight] = [
         weight_sub(E.lambdaInf[i], weight_scale(e, a)) for i in range(m) for e in range(lo, 1)
@@ -141,53 +130,37 @@ def _h0_basis(E: EquivariantBundle) -> list[_BasisRecord]:
     # x < 0; column (j, e) meets row (i, x) through the one monomial of
     # exponent x - e
     rows: dict[tuple[int, int], dict[int, int]] = {}
-    _, inv_int = _integer_monomials(inv)
+    inv_int = _integer_monomials(E.inverse_transition())
     for i in range(m):
         for j in range(m):
             for d, c in inv_int[i][j]:
                 for e in range(lo, 1):
                     if d + e < 0:
-                        rows.setdefault((i, d + e), {})[col(j, e)] = c
+                        rows.setdefault((i, d + e), {})[j * width + e - lo] = c
 
-    # group columns by weight and solve each class independently; a graded
-    # system never mixes classes within a row, so straddling rows mean the
-    # input was not actually equivariant
-    classes: dict[Weight, list[int]] = {}
-    for cidx in range(ncols):
-        classes.setdefault(col_weight[cidx], []).append(cidx)
+    # a graded system never mixes classes within a row, so straddling rows
+    # mean the input was not actually equivariant
     if E.torus.rank:
         for row in rows.values():
-            seen = {col_weight[c] for c in row}
-            if len(seen) > 1:
+            if len({col_weight[c] for c in row}) > 1:
                 raise ValueError(
                     "section system mixes weight classes; the bundle is not equivariant"
                 )
 
-    records: list[_BasisRecord] = []
-    for chi in sorted(classes):
-        cols = classes[chi]
-        local_index = {c: k for k, c in enumerate(cols)}
-        local_rows = []
-        for row in rows.values():
-            local = {local_index[c]: v for c, v in row.items() if c in local_index}
-            if local:
-                local_rows.append(local)
-        free, basis = kernel_sparse(local_rows, len(cols))
-        for fcol, vec in zip(free, basis):
-            h = [LaurentPoly.zero() for _ in range(m)]
-            for lc, v in vec.items():
-                gcol = cols[lc]
-                i, e = divmod(gcol, width)
-                h[i] = h[i] + LaurentPoly.monomial(e + lo, v)
-            section = _section_from_h(E, h, inv, chi)
-            records.append(_BasisRecord(section, chi, cols[fcol]))
-    records.sort(key=lambda r: r.echelon_col)
-    return records
+    free, basis = kernel_sparse(rows.values(), m * width)
+    out = []
+    for fcol, vec in zip(free, basis):
+        h = [{} for _ in range(m)]
+        for c, v in vec.items():
+            i, e = divmod(c, width)
+            h[i][e + lo] = v
+        out.append((col_weight[fcol], tuple(LaurentPoly(t) for t in h)))
+    return out
 
 
-def _section_from_h(
-    E: EquivariantBundle, h: list[LaurentPoly], inv: LaurentMatrix, chi: Weight
-) -> Section:
+def _section_from_h(E: EquivariantBundle, h: tuple[LaurentPoly, ...], chi: Weight) -> Section:
+    """The section (f, g) = (A^-1 h, h(1/z)) of weight chi."""
+    inv = E.inverse_transition()
     m = E.rank
     f = []
     for i in range(m):
@@ -198,12 +171,11 @@ def _section_from_h(
             raise AssertionError("inverse parametrization produced a non-polynomial f")
         f.append(fi)
     g = [hi.invert_variable() for hi in h]
-    weight = chi if E.torus.rank > 0 else ()
-    return Section(tuple(f), tuple(g), weight)
+    return Section(tuple(f), tuple(g), chi)
 
 
-def _h0_records(E: EquivariantBundle) -> list[_BasisRecord]:
-    """The canonical H^0 basis of E, solved once per bundle object and cached.
+def _h0_records(E: EquivariantBundle) -> list[tuple[Weight, tuple[LaurentPoly, ...]]]:
+    """The canonical H^0 kernel of E, solved once per bundle object and cached.
 
     Callers must not mutate the returned list.
     """
@@ -215,11 +187,12 @@ def _h0_records(E: EquivariantBundle) -> list[_BasisRecord]:
 def h0_sections(E: EquivariantBundle) -> list[tuple[Section, Weight]]:
     """A basis of the global sections, graded by weight.
 
-    Sections are returned sorted by weight (then by echelon position); the
-    number of entries is dim H^0.
+    Sections are built from the cached kernel on each call and returned
+    sorted by weight (then by echelon position); the number of entries is
+    dim H^0.
     """
-    records = sorted(_h0_records(E), key=lambda r: (r.weight, r.echelon_col))
-    return [(r.section, r.weight) for r in records]
+    records = sorted(_h0_records(E), key=lambda r: r[0])
+    return [(_section_from_h(E, h, chi), chi) for chi, h in records]
 
 
 def h0_dim(E: EquivariantBundle) -> int:
@@ -227,7 +200,7 @@ def h0_dim(E: EquivariantBundle) -> int:
 
 
 def h0_character(E: EquivariantBundle) -> Character:
-    return Character.from_weights(r.weight for r in _h0_records(E))
+    return Character.from_weights(chi for chi, _ in _h0_records(E))
 
 
 # -- truncated overlap (Cech) complex ---------------------------------------
@@ -260,7 +233,7 @@ def _cech_once(E: EquivariantBundle, W: int) -> tuple[int, Character]:
     # with x in [-Wg, 0] holds its own g-chain column, which no other row
     # meets, so those rows are independent of everything else: the rank is
     # m * gw plus the rank of the remaining rows, which hold f columns only.
-    _, A = _integer_monomials(E.A)
+    A = _integer_monomials(E.A)
     frows: dict[tuple[int, int], dict[int, int]] = {}
     for i in range(m):
         for j in range(m):

@@ -45,7 +45,7 @@ from .bundle import (
     weight_scale,
     weight_sub,
 )
-from .cohomology import Section, _h0_records, h0_dim, h0_sections
+from .cohomology import Section, _h0_records, _section_from_h, h0_character, h0_dim, h0_sections
 from .equivariant import (
     HomElement,
     derive_target_weights,
@@ -60,9 +60,10 @@ def max_twist(E: EquivariantBundle) -> tuple[int, EquivariantBundle]:
 
     Searches downward from -o (o the minimum exponent in A), where the
     section window is empty; theory guarantees a hit at or before
-    ceil(degree/rank), so running past it is an internal error.  Returns k
-    together with the twist E(-k), whose H^0 basis is already solved and
-    cached for ``eigen_section``.
+    ceil(degree/rank), so running past it is an internal error.  Each step
+    counts sections through the cached H^0 kernel and builds none.  Returns
+    k together with the twist E(-k), whose kernel is already solved for
+    ``eigen_section``.
     """
     if E.rank == 0:
         raise ValueError("max_twist of a rank-0 bundle")
@@ -94,8 +95,8 @@ def eigen_section(E: EquivariantBundle) -> Section:
     records = _h0_records(E)
     if not records:
         raise ValueError("the bundle has no nonzero global sections")
-    rec = min(records, key=lambda r: r.echelon_col)
-    section = rec.section
+    chi, h = records[0]
+    section = _section_from_h(E, h, chi)
     if not E.torus.base_is_fixed():
         for p in (*section.f, *section.g):
             if not (p.is_zero() or p.is_monomial()):
@@ -225,16 +226,16 @@ def triangular_clear(
     lam0: tuple[Weight, ...],
     lamInf: tuple[Weight, ...],
     torus: TorusAction,
-) -> tuple[LaurentMatrix, LaurentMatrix, LaurentMatrix]:
+) -> tuple[LaurentMatrix, LaurentMatrix]:
     """Clear the strictly-upper part of an equivariant triangular transition.
 
     R must be upper triangular with diagonal z^(-n_i), n_1 >= ... >= n_m.
     Each entry beta at (i, j) is split as beta = delta z^(-n_j) - gamma
     z^(-n_i) with gamma in k[z] and delta in k[w]; monomials with exponent
     >= -n_i go to gamma, the rest to delta (the two ranges cover all
-    exponents because n_i >= n_j).  Returns unipotent (W0 over k[z], WInf
-    over k[w], W0inv = W0^-1) with WInf @ R @ W0inv diagonal; W0inv is built
-    by the opposite column operations, not by inverting W0.
+    exponents because n_i >= n_j).  Returns unipotent (WInf over k[w], W0inv
+    over k[z]) with WInf @ R @ W0inv diagonal; W0inv is accumulated from the
+    column operations directly, and its chart-0 frame W0 is never formed.
     """
     m = R.rows
     degrees = []
@@ -250,7 +251,6 @@ def triangular_clear(
         raise ValueError(f"diagonal degrees {degrees} are not non-increasing")
 
     Rc = LaurentMatrix([row[:] for row in R.entries])
-    W0 = LaurentMatrix.identity(m)
     W0inv = LaurentMatrix.identity(m)
     WInf = LaurentMatrix.identity(m)
     for s in range(1, m):
@@ -268,11 +268,10 @@ def triangular_clear(
                 Rc.entries[i][t] = Rc.entries[i][t] - delta_z * Rc.entries[j][t]
             for t in range(m):
                 Rc.entries[t][j] = Rc.entries[t][j] + gamma * Rc.entries[t][i]
-            # accumulate the unipotent factors; W0 gains row i -= gamma *
-            # row j, so its inverse gains col j += gamma * col i
+            # accumulate the unipotent factors: the chart-0 frame would gain
+            # row i -= gamma * row j, so its inverse gains col j += gamma * col i
             for t in range(m):
                 WInf.entries[i][t] = WInf.entries[i][t] - delta_w * WInf.entries[j][t]
-                W0.entries[i][t] = W0.entries[i][t] - gamma * W0.entries[j][t]
                 W0inv.entries[t][j] = W0inv.entries[t][j] + gamma * W0inv.entries[t][i]
 
     for i in range(m):
@@ -280,12 +279,13 @@ def triangular_clear(
             want = LaurentPoly.monomial(-degrees[i]) if i == j else LaurentPoly.zero()
             if Rc.entries[i][j] != want:
                 raise InvariantViolation("triangular clearing did not reach diagonal form")
-    bad = transition_law_violations(W0, lam0, lam0, torus, "W0") + transition_law_violations(
+    # a unipotent frame and its inverse obey the same lam0 -> lam0 law
+    bad = transition_law_violations(W0inv, lam0, lam0, torus, "W0inv") + transition_law_violations(
         WInf.invert_variable(), lamInf, lamInf, torus, "WInf(1/z)"
     )
     if bad:
         raise InvariantViolation("clearing factors broke equivariance: " + "; ".join(bad))
-    return W0, WInf, W0inv
+    return WInf, W0inv
 
 
 @dataclass
@@ -341,7 +341,7 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
     R = (Vtot.invert_variable() @ E.A) @ Uinv_tot
     lam0 = tuple(s.lam for s in summands)
     lamInf = tuple(s.chart_inf_weight(torus) for s in summands)
-    _, WInf, W0inv = triangular_clear(R, lam0, lamInf, torus)
+    WInf, W0inv = triangular_clear(R, lam0, lamInf, torus)
     M0 = Uinv_tot @ W0inv
     MInf = WInf @ Vtot
     # peel order breaks degree ties by frame; emit the canonical order instead,
@@ -535,7 +535,7 @@ def projection_surjective_on_invariants(step: PeelStep, torus: TorusAction) -> b
         for s, w in h0_sections(hom_bundle(Q, Eprime))
         if w == zero
     ]
-    target_dim = sum(1 for _, w in h0_sections(hom_bundle(Q, Q)) if w == zero)
+    target_dim = h0_character(hom_bundle(Q, Q)).mult.get(zero, 0)
     composed = []
     for h in sources:
         img = HomElement(

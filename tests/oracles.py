@@ -140,3 +140,46 @@ def brute_force_h0_dim(A: LaurentMatrix, window: int | None = None) -> int:
             if touched:
                 rows.append(row)
     return ncols - dense_rank(rows)
+
+
+def per_class_h0_kernel(E) -> list[tuple[tuple, tuple[LaurentPoly, ...]]]:
+    """The canonical H^0 kernel of E as (weight, h) pairs, each weight class solved alone.
+
+    h[i] ranges over exponents lo..0 (lo the least exponent of A), and a
+    section needs A^-1 h free of negative exponents.  The unknowns of each
+    weight class lambdaInf[i] - e*a are eliminated densely, apart from every
+    other class; the vectors of all classes are then listed by their free
+    column (component, then exponent), as one echelon kernel would list them.
+    """
+    m = E.rank
+    rng = E.A.exponent_range() if m else None
+    if rng is None or rng[0] > 0:
+        return []
+    lo = rng[0]
+    inv = E.inverse_transition()
+    cols = [(i, e) for i in range(m) for e in range(lo, 1)]
+    weight = {
+        (i, e): tuple(w - e * x for w, x in zip(E.lambdaInf[i], E.torus.a)) for i, e in cols
+    }
+    found = []
+    for chi in sorted(set(weight.values())):
+        mine = [c for c in cols if weight[c] == chi]
+        # row (i, x): the coefficient of z^x, x < 0, in (A^-1 h)_i
+        rows: dict[tuple[int, int], list[Fraction]] = {}
+        for k, (j, e) in enumerate(mine):
+            for i in range(m):
+                for d, c in inv.entries[i][j].monomials():
+                    if d + e < 0:
+                        rows.setdefault((i, d + e), [Fraction(0)] * len(mine))[k] += c
+        pivots, reduced = dense_rref(list(rows.values()), len(mine))
+        for f in range(len(mine)):
+            if f in pivots:
+                continue
+            h: list[dict[int, Fraction]] = [{} for _ in range(m)]
+            h[mine[f][0]][mine[f][1]] = Fraction(1)
+            for p, row in zip(pivots, reduced):
+                if row[f]:
+                    h[mine[p][0]][mine[p][1]] = -row[f]
+            found.append((cols.index(mine[f]), chi, tuple(LaurentPoly(t) for t in h)))
+    found.sort(key=lambda r: r[0])
+    return [(chi, h) for _, chi, h in found]

@@ -223,6 +223,14 @@ class TestRandomInstance:
         with pytest.raises(ValueError):
             random_instance(0, [LineSummand(1, ())], 3, T1)
 
+    def test_negative_op_count_rejected(self):
+        summands = [LineSummand(1, (0,)), LineSummand(0, (1,))]
+        with pytest.raises(ValueError, match="non-negative"):
+            random_instance(0, summands, -3, T1)
+        E, _ = random_instance(0, summands, 2, T1)
+        with pytest.raises(ValueError, match="non-negative"):
+            random_reframe(E, 1, -1)
+
     def test_reframe_keeps_validity(self):
         for seed in range(10):
             E, _, _ = sample(seed)

@@ -211,6 +211,13 @@ class TestErrors:
         assert code == 2
         assert "UTF-8" in json.loads(out)["error"]["message"]
 
+    def test_negative_op_count(self, capsys):
+        code, out, err = run(capsys, "random", "--seed", "1", "--summands", "1,0", "--ops", "-3")
+        assert code == 2
+        doc = json.loads(out)
+        assert list(doc) == ["error"] and doc["error"]["pointer"] == "--ops"
+        assert "Traceback" not in err
+
     def test_bad_torus(self, capsys):
         code, out, _ = run(capsys, "random", "--seed", "1", "--summands", "1:0", "--torus", "x")
         assert code == 2

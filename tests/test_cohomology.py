@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from equisplit import cohomology
+from equisplit import cohomology, splitting
 from equisplit.bundle import (
     EquivariantBundle,
     LineSummand,
@@ -17,6 +17,7 @@ from equisplit.bundle import (
 from equisplit.cohomology import (
     _cech_once,
     _exact_window,
+    _h0_basis,
     cech_cohomology,
     euler_check,
     h0_character,
@@ -28,7 +29,8 @@ from equisplit.equivariant import Character
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
 from equisplit.selftest import _closed_form_characters, sample_case
-from oracles import brute_force_h0_dim, dense_rank
+from equisplit.splitting import eigen_section, max_twist
+from oracles import brute_force_h0_dim, dense_rank, per_class_h0_kernel
 
 P = LaurentPoly
 T1 = TorusAction(1, (1,))
@@ -126,6 +128,89 @@ class TestH0Random:
             if E.torus != F.torus:
                 continue
             assert h0_character(direct_sum(E, F)) == h0_character(E) + h0_character(F)
+
+
+def torus_kind(torus):
+    return torus.rank and ("fixed" if torus.base_is_fixed() else "moving")
+
+
+class TestOneElimination:
+    """One kernel solve per bundle; sections are built only where a caller reads them."""
+
+    def test_matches_per_class_oracle(self):
+        # sample_case seeds draw torus rank 0-2; twisting up by 0-2 reaches
+        # bundles with sections, several weight classes among them
+        with_sections, multi_class = set(), set()
+        for seed in range(60):
+            E, _, torus = sample_case(seed, max_rank=4, max_ops=8)
+            for k in (0, 1, 2):
+                Et = twist(E, k, torus.zero_weight)
+                got = _h0_basis(Et)
+                assert got == per_class_h0_kernel(Et), (seed, k)
+                if got:
+                    with_sections.add(torus_kind(torus))
+                if len({chi for chi, _ in got}) > 1:
+                    multi_class.add(torus_kind(torus))
+        assert with_sections == {0, "fixed", "moving"}
+        assert multi_class == {"fixed", "moving"}
+
+    def test_straddling_row_rejected(self):
+        # weights that break the law of the entry z^-1: the row of z^-1 in
+        # (A^-1 h)_0 meets h[0] at z^-1 (weight 1) and h[1] at z^0 (weight 0)
+        A = lm([[{0: 1}, {-1: 1}], [{}, {0: 1}]])
+        E = EquivariantBundle(A, ((0,), (0,)), ((0,), (0,)), T1)
+        with pytest.raises(ValueError, match="mixes weight classes"):
+            h0_dim(E)
+
+    @pytest.fixture
+    def section_builds(self, monkeypatch):
+        built = []
+        original = cohomology._section_from_h
+
+        def counted(E, h, chi):
+            built.append(chi)
+            return original(E, h, chi)
+
+        for module in (cohomology, splitting):
+            monkeypatch.setattr(module, "_section_from_h", counted)
+        return built
+
+    def test_sections_only_where_read(self, section_builds):
+        read = 0
+        for seed in range(20):
+            E = sample(seed)
+            E = twist(E, seed % 3, E.torus.zero_weight)
+            h0_dim(E)
+            h0_character(E)
+            _, Et = max_twist(E)
+            assert section_builds == [], seed
+            read += len(h0_sections(E))
+            assert len(section_builds) == h0_dim(E), seed
+            section_builds.clear()
+            eigen_section(Et)
+            assert len(section_builds) == 1, seed
+            section_builds.clear()
+        assert read > 0
+
+    def test_one_kernel_solve_per_bundle(self, monkeypatch):
+        solves = []
+        original = cohomology.kernel_sparse
+
+        def counted(rows, ncols):
+            solves.append(ncols)
+            return original(rows, ncols)
+
+        monkeypatch.setattr(cohomology, "kernel_sparse", counted)
+        bundles = [sample(seed) for seed in range(20)]
+        bundles += [line_bundle(2, (0,), T1), line_bundle(-1)]
+        bundles.append(EquivariantBundle(LaurentMatrix.zeros(0, 0), (), (), T1))
+        for E in bundles:
+            before = len(solves)
+            h0_dim(E)
+            h0_character(E)
+            h0_sections(E)
+            want = int(E.rank > 0 and E.A.exponent_range()[0] <= 0)
+            assert len(solves) - before == want
 
 
 class TestH1:

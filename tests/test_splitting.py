@@ -188,26 +188,25 @@ class TestPeel:
 class TestTriangularClear:
     def test_worked_example(self):
         R = lm([[{-1: 1}, {0: 1}], [{}, {-1: 1}]])
-        W0, WInf, W0inv = triangular_clear(R, ((0,), (-1,)), ((-1,), (-2,)), T1)
+        WInf, W0inv = triangular_clear(R, ((0,), (-1,)), ((-1,), (-2,)), T1)
         assert WInf == LaurentMatrix.identity(2)
-        # gamma = -z moves into W0; W0^-1 = [[1, -z], [0, 1]]
-        assert W0 == lm([[{0: 1}, {1: 1}], [{}, {0: 1}]])
+        # gamma = -z moves into the chart-0 frame W0 = [[1, z], [0, 1]]
         assert W0inv == lm([[{0: 1}, {1: -1}], [{}, {0: 1}]])
         diag = (WInf.invert_variable() @ R) @ W0inv
         assert diag == lm([[{-1: 1}, {}], [{}, {-1: 1}]])
 
     def test_already_diagonal(self):
         R = lm([[{-2: 1}, {}], [{}, {1: 1}]])
-        W0, WInf, W0inv = triangular_clear(R, ((), ()), ((), ()), TorusAction(0, ()))
-        assert W0 == W0inv == LaurentMatrix.identity(2)
+        WInf, W0inv = triangular_clear(R, ((), ()), ((), ()), TorusAction(0, ()))
+        assert W0inv == LaurentMatrix.identity(2)
         assert WInf == LaurentMatrix.identity(2)
 
     def test_low_monomial_goes_to_chart_inf(self):
         # entry z^-3 with degrees (0, -2): exponent -3 < -n_1 = 0, so the
         # whole entry is cleared from the chart-inf side
         R = lm([[{0: 1}, {-3: 1}], [{}, {2: 1}]])
-        W0, WInf, W0inv = triangular_clear(R, ((), ()), ((), ()), TorusAction(0, ()))
-        assert W0 == W0inv == LaurentMatrix.identity(2)
+        WInf, W0inv = triangular_clear(R, ((), ()), ((), ()), TorusAction(0, ()))
+        assert W0inv == LaurentMatrix.identity(2)
         assert WInf == lm([[{0: 1}, {5: -1}], [{}, {0: 1}]])
 
     def test_unsorted_degrees_rejected(self):
@@ -234,8 +233,13 @@ class TestTriangularClear:
             R.entries[i][i] = P.monomial(-degrees[i])
             for j in range(i + 1, m):
                 R.entries[i][j] = P(next(cells))
-        W0, WInf, W0inv = triangular_clear(R, ((),) * m, ((),) * m, TorusAction(0, ()))
-        assert W0 @ W0inv == LaurentMatrix.identity(m)
+        WInf, W0inv = triangular_clear(R, ((),) * m, ((),) * m, TorusAction(0, ()))
+        # W0inv is a chart-0 frame: polynomial, upper triangular and unipotent
+        for i in range(m):
+            assert all(p.is_polynomial() for p in W0inv.entries[i])
+            assert W0inv.entries[i][i] == P.one()
+            assert all(W0inv.entries[i][j].is_zero() for j in range(i))
+        assert mat_det(W0inv) == P.one()
         diag = (WInf.invert_variable() @ R) @ W0inv
         assert diag == LaurentMatrix.diagonal([P.monomial(-n) for n in degrees])
 

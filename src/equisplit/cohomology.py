@@ -208,7 +208,10 @@ def h0_character(E: EquivariantBundle) -> Character:
 
 def _exact_window(E: EquivariantBundle) -> int:
     """The one window W at which the truncated complex is exact (module docstring)."""
-    lo, _ = E.A.exponent_range()
+    rng = E.A.exponent_range()
+    if rng is None:
+        raise ValueError("invalid bundle: zero transition matrix")
+    lo, _ = rng
     lo_inv, hi_inv = E.inverse_transition().exponent_range()
     margin = max(0, -lo)
     return max(1, -lo, hi_inv - margin, -lo_inv - 1)

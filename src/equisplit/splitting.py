@@ -16,8 +16,10 @@ no determinant or adjugate of a frame.  The H^0 route needs the inverse
 transition of every bundle it peels: the input bundle's comes from one
 adjugate, and each peel hands its quotient a block of U A^-1 V(1/z)^-1,
 with V^-1 from the same Bezout completion as V, so a split forms exactly one
-adjugate.  Only ``splitting_hom`` inverts a certificate frame, through
-``mat_inverse``.
+adjugate.  The certificate identity MInf(1/z) A M0 = D hands out both frame
+inverses as products (M0^-1 = D^-1 MInf(1/z) A, MInf(1/z)^-1 = A M0 D^-1), so
+neither the verifier nor ``splitting_hom`` takes a determinant or an
+adjugate.
 
 With no torus (rank-0 action) the same pipeline is a constructive splitting
 of an arbitrary bundle into line bundles.
@@ -45,14 +47,14 @@ from .bundle import (
     weight_scale,
     weight_sub,
 )
-from .cohomology import Section, _h0_records, _section_from_h, h0_character, h0_dim, h0_sections
+from .cohomology import Section, _h0_records, _section_from_h, h0_character, h0_dim
 from .equivariant import (
     HomElement,
     derive_target_weights,
     hom_element_from_section,
 )
 from .laurent import LaurentPoly, poly_ext_gcd
-from .linalg import LaurentMatrix, mat_det, mat_inverse, rank_sparse
+from .linalg import LaurentMatrix, rank_sparse
 
 
 def max_twist(E: EquivariantBundle) -> tuple[int, EquivariantBundle]:
@@ -385,13 +387,46 @@ class CertReport:
         }
 
 
-def verify_certificate(E: EquivariantBundle, cert: SplittingCertificate) -> CertReport:
-    """Independent certificate checker (exact arithmetic only).
+def _frame_inverses(
+    L: LaurentMatrix, R: LaurentMatrix, n: list[int]
+) -> tuple[LaurentMatrix, LaurentMatrix]:
+    """(M0^-1, MInf^-1) read off L = MInf(1/z) A and R = A M0, given L M0 = D.
 
-    Checks: (i) MInf A M0 is the claimed diagonal; (ii) M0 is polynomial in
-    z, MInf in w, and both determinants are nonzero constants; (iii) both frames satisfy the weight
+    With D = diag(z^-n_i), D^-1 L M0 = I and MInf(1/z) R D^-1 = I, so M0^-1
+    is L with row i shifted by n_i and MInf(1/z)^-1 is R with column j shifted
+    by n_j.  MInf^-1 comes back in w, like MInf.
+    """
+    M0inv = LaurentMatrix([[p.shift(k) for p in row] for row, k in zip(L.entries, n)], L.rows, L.cols)
+    MInfinv = LaurentMatrix(
+        [[p.shift(k).invert_variable() for p, k in zip(row, n)] for row in R.entries], R.rows, R.cols
+    )
+    return M0inv, MInfinv
+
+
+def _det_exponent(M: LaurentMatrix, Minv: LaurentMatrix) -> int:
+    """e with det M = c z^e, by Jacobi's formula z tr(M^-1 M') = e.
+
+    M must be invertible over the Laurent ring with inverse Minv, so that its
+    determinant is a monomial.
+    """
+    trace = LaurentPoly.zero()
+    for i, row in enumerate(Minv.entries):
+        for k, p in enumerate(row):
+            q = M.entries[k][i]
+            trace = trace + p * LaurentPoly({e - 1: e * c for e, c in q.terms.items()})
+    return trace.shift(1).constant_value()
+
+
+def verify_certificate(E: EquivariantBundle, cert: SplittingCertificate) -> CertReport:
+    """Independent certificate checker (exact arithmetic only, no determinant).
+
+    Checks: (i) MInf A M0 is the claimed diagonal D = diag(z^-n_i);
+    (ii) M0 and M0^-1 are polynomial in z, MInf and MInf^-1 in w, so both
+    determinants are nonzero constants; (iii) both frames satisfy the weight
     law; (iv) degrees are sorted non-increasing and sum to degree(E);
     (v) the chart-inf weights implied by MInf match lam_i - n_i a.
+    (ii) and (iv) read the frame inverses off the identity in (i), so when
+    (i) fails they fail too, with detail "needs product_diagonal".
     """
     checks: list[CertCheck] = []
     m = E.rank
@@ -414,7 +449,8 @@ def verify_certificate(E: EquivariantBundle, cert: SplittingCertificate) -> Cert
         checks.append(CertCheck("summand_inf_weights", False, "skipped"))
         return CertReport(checks)
 
-    product = (cert.MInf.invert_variable() @ E.A) @ cert.M0
+    L = cert.MInf.invert_variable() @ E.A
+    product = L @ cert.M0
     diag_ok = True
     detail = ""
     for i in range(m):
@@ -428,29 +464,21 @@ def verify_certificate(E: EquivariantBundle, cert: SplittingCertificate) -> Cert
             break
     checks.append(CertCheck("product_diagonal", diag_ok, detail))
 
-    # (ii) frames invertible over their charts: M0 over k[z] and MInf over
-    # k[w] (no negative exponent), each with a constant nonzero determinant
-    det0, detInf = mat_det(cert.M0), mat_det(cert.MInf)
-    not_polynomial = [
-        name
-        for name, M in (("M0", cert.M0), ("MInf", cert.MInf))
-        if not all(p.is_polynomial() for row in M.entries for p in row)
-    ]
-    inv_ok = (
-        not not_polynomial
-        and det0.is_constant()
-        and not det0.is_zero()
-        and detInf.is_constant()
-        and not detInf.is_zero()
-    )
-    detail = "".join(f"{name} has a negative exponent; " for name in not_polynomial)
-    checks.append(
-        CertCheck(
-            "frames_invertible",
-            inv_ok,
-            "" if inv_ok else detail + f"det M0 = {det0!r}, det MInf = {detInf!r}",
-        )
-    )
+    # (ii) frames invertible over their charts: a frame and its inverse both
+    # free of negative exponents means det * det^-1 = 1 in k[z] (or k[w]),
+    # so the determinant is a nonzero constant
+    inv_ok = False
+    detail = "needs product_diagonal"
+    if diag_ok:
+        M0inv, MInfinv = _frame_inverses(L, E.A @ cert.M0, n_list)
+        not_polynomial = [
+            name
+            for name, M in (("M0", cert.M0), ("M0^-1", M0inv), ("MInf", cert.MInf), ("MInf^-1", MInfinv))
+            if not all(p.is_polynomial() for row in M.entries for p in row)
+        ]
+        inv_ok = not not_polynomial
+        detail = "; ".join(f"{name} has a negative exponent" for name in not_polynomial)
+    checks.append(CertCheck("frames_invertible", inv_ok, detail))
 
     # (iii) weight law, written out directly: M0 maps summand coordinates to
     # bundle coordinates on chart 0, MInf maps bundle to summand on chart inf.
@@ -471,17 +499,18 @@ def verify_certificate(E: EquivariantBundle, cert: SplittingCertificate) -> Cert
                         law_bad.append(f"MInf[{i}][{j}] exponent {e}")
     checks.append(CertCheck("frames_equivariant", not law_bad, "; ".join(law_bad[:4])))
 
-    # (iv) degree bookkeeping
-    det = mat_det(E.A)
-    deg_ok = det.is_monomial() and sum(n_list) == -det.deg
+    # (iv) degree bookkeeping: det MInf(1/z) det A det M0 = z^-sum(n), so
+    # degree(E) = sum(n) + e0 - eInf with det M0 = c z^e0 and det MInf =
+    # c' w^eInf.  Both exponents are 0 when (ii) holds; otherwise Jacobi's
+    # formula reads them off the inverses from (ii).
     sorted_ok = all(n_list[i] >= n_list[i + 1] for i in range(len(n_list) - 1))
-    checks.append(
-        CertCheck(
-            "degrees_sum",
-            deg_ok and sorted_ok,
-            "" if deg_ok and sorted_ok else f"degrees {n_list} vs det {det!r}",
-        )
-    )
+    deg_ok = False
+    detail = "needs product_diagonal"
+    if diag_ok:
+        excess = 0 if inv_ok else _det_exponent(cert.M0, M0inv) - _det_exponent(cert.MInf, MInfinv)
+        deg_ok = sorted_ok and excess == 0
+        detail = "" if deg_ok else f"degrees {n_list} vs degree(E) = {sum(n_list) + excess}"
+    checks.append(CertCheck("degrees_sum", deg_ok, detail))
 
     # (v) chart-inf weights implied by the rows of MInf
     implied_ok = True
@@ -530,11 +559,9 @@ def projection_surjective_on_invariants(step: PeelStep, torus: TorusAction) -> b
         return True
     Eprime = step.reframed(torus)
     zero = torus.zero_weight
-    sources = [
-        hom_element_from_section(Q, Eprime, list(s.f), list(s.g))
-        for s, w in h0_sections(hom_bundle(Q, Eprime))
-        if w == zero
-    ]
+    H = hom_bundle(Q, Eprime)
+    sections = [_section_from_h(H, h, w) for w, h in _h0_records(H) if w == zero]
+    sources = [hom_element_from_section(Q, Eprime, list(s.f), list(s.g)) for s in sections]
     target_dim = h0_character(hom_bundle(Q, Q)).mult.get(zero, 0)
     composed = []
     for h in sources:
@@ -561,6 +588,8 @@ def splitting_hom(
 
     Returns (s, p) with s from the direct sum into E and p back; p o s is the
     identity exactly on chart-0 matrices, and both maps are weight-invariant.
+    The frame inverses s.FInf = MInf^-1 and p.F0 = M0^-1 are read off the
+    certificate identity, not formed by an adjugate.
     """
     report = verify_certificate(E, cert)
     if not report.ok:
@@ -572,8 +601,11 @@ def splitting_hom(
         S = L if S is None else direct_sum(S, L)
     if S is None:
         S = EquivariantBundle(LaurentMatrix.zeros(0, 0), (), (), torus)
-    s = HomElement(S, E, cert.M0, mat_inverse(cert.MInf, mat_det(cert.MInf)))
-    p = HomElement(E, S, mat_inverse(cert.M0, mat_det(cert.M0)), cert.MInf)
+    M0inv, MInfinv = _frame_inverses(
+        cert.MInf.invert_variable() @ E.A, E.A @ cert.M0, [t.n for t in cert.summands]
+    )
+    s = HomElement(S, E, cert.M0, MInfinv)
+    p = HomElement(E, S, M0inv, cert.MInf)
     for h, name in ((s, "section-side"), (p, "projection-side")):
         bad = h.intertwining_violation()
         if bad:

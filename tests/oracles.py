@@ -99,6 +99,28 @@ def naive_det(M: LaurentMatrix) -> LaurentPoly:
     return total
 
 
+def det_certificate_checks(E, cert) -> dict[str, bool]:
+    """The certificate checks frames_invertible and degrees_sum, by determinants.
+
+    frames_invertible: M0 is polynomial in z and MInf in w, and both
+    determinants are nonzero constants.  degrees_sum: det A is a monomial and
+    the degrees are non-increasing and sum to -deg det A.  Expects matching
+    shapes; naive_det is O(m!), so keep the rank small.
+    """
+    polynomial = all(
+        p.is_polynomial() for M in (cert.M0, cert.MInf) for row in M.entries for p in row
+    )
+    dets = (naive_det(cert.M0), naive_det(cert.MInf))
+    det = naive_det(E.A)
+    n = [s.n for s in cert.summands]
+    return {
+        "frames_invertible": polynomial and all(d.is_constant() and not d.is_zero() for d in dets),
+        "degrees_sum": det.is_monomial()
+        and sum(n) == -det.deg
+        and all(n[i] >= n[i + 1] for i in range(len(n) - 1)),
+    }
+
+
 def brute_force_h0_dim(A: LaurentMatrix, window: int | None = None) -> int:
     """dim of {(f, g) : g(1/z) = A f} by direct coefficient enumeration.
 

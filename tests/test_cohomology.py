@@ -24,6 +24,7 @@ from equisplit.cohomology import (
     h0_dim,
     h0_sections,
     h1_character,
+    h1_dim,
 )
 from equisplit.equivariant import Character
 from equisplit.laurent import LaurentPoly
@@ -311,6 +312,13 @@ class TestStabilization:
     def test_rank_zero(self):
         E = EquivariantBundle(LaurentMatrix.zeros(0, 0), (), (), T1)
         assert cech_cohomology(E) == (0, Character())
+
+
+@pytest.mark.parametrize("fn", [cech_cohomology, h0_dim, h1_dim, h1_character])
+def test_zero_transition_matrix_is_one_error(fn):
+    E = EquivariantBundle(LaurentMatrix.zeros(2, 2), ((), ()), ((), ()))
+    with pytest.raises(ValueError, match="invalid bundle: zero transition matrix"):
+        fn(E)
 
 
 def full_cech_kernel_dim(E, W):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,19 +12,21 @@ from equisplit.bundle import (
     LineSummand,
     TorusAction,
     degree,
+    hom_bundle,
     line_bundle,
     random_instance,
     random_reframe,
     transition_law_violations,
     validate,
 )
-from equisplit.cohomology import h0_character, h0_dim, h1_character
+from equisplit.cohomology import _h0_records, h0_character, h0_dim, h1_character
 from equisplit.equivariant import Character, derive_target_weights, weight_project_hom
-from equisplit import linalg
+from equisplit import cohomology, linalg, splitting
 from equisplit.jsonio import certificate_from_json, certificate_to_json, dumps_canonical
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix, mat_det
-from oracles import is_normal
+from equisplit.selftest import _mutate_monomial, sample_case
+from oracles import det_certificate_checks, is_normal
 from equisplit.splitting import (
     InvariantViolation,
     SplittingCertificate,
@@ -468,6 +471,32 @@ class TestProjectionSurjectivity:
         step = peel(line_bundle(1, (0,), T1))
         assert projection_surjective_on_invariants(step, T1)
 
+    def test_sections_only_for_invariant_maps(self, monkeypatch):
+        # criterion 6 lifts only weight-0 maps, so only those become sections
+        built = []
+        original = cohomology._section_from_h
+
+        def counted(E, h, chi):
+            built.append(chi)
+            return original(E, h, chi)
+
+        for module in (cohomology, splitting):
+            monkeypatch.setattr(module, "_section_from_h", counted)
+        records = invariant = 0
+        for seed in range(40):
+            E, _, torus = sample(seed)
+            if E.rank < 2:
+                continue
+            step = peel(E)
+            H = hom_bundle(step.quotient, step.reframed(torus))
+            want = sum(1 for w, _ in _h0_records(H) if w == torus.zero_weight)
+            records += len(_h0_records(H))
+            invariant += want
+            built.clear()
+            assert projection_surjective_on_invariants(step, torus), seed
+            assert len(built) == want, seed
+        assert 0 < invariant < records  # some sections are skipped, some built
+
 
 # sha256 of the canonical certificate JSON for dense rank-5, 10-op scrambles
 # with seeds 1000..1009, pinned from the adjugate-based producer: frames that
@@ -556,3 +585,178 @@ def test_split_matrices_keep_the_coefficient_normal_form(torus):
                         assert is_normal(c), f"seed {seed}: {name} holds {c!r}"
                         kinds.add(type(c))
     assert kinds == {int, Fraction}  # both forms occur, so the walk is not vacuous
+
+
+def shift_column(M, j, k):
+    return LaurentMatrix([[p.shift(k) if c == j else p for c, p in enumerate(row)] for row in M.entries])
+
+
+def shift_row(M, i, k):
+    return LaurentMatrix([[p.shift(k) for p in row] if r == i else row for r, row in enumerate(M.entries)])
+
+
+def with_degrees(summands, moves):
+    """The summands with n_i moved by moves[i]."""
+    return [LineSummand(t.n + moves.get(i, 0), t.lam) for i, t in enumerate(summands)]
+
+
+def altered_certificates(cert, torus, rng):
+    """Copies of a certificate with one monomial, degree, weight or frame scaling altered."""
+    m = len(cert.summands)
+    M0, MInf, summands = cert.M0, cert.MInf, cert.summands
+    i, j = rng.randrange(m), rng.randrange(m)
+    out = [
+        SplittingCertificate(summands, _mutate_monomial(M0, rng), MInf),
+        SplittingCertificate(summands, M0, _mutate_monomial(MInf, rng)),
+        SplittingCertificate(with_degrees(summands, {i: 1}), M0, MInf),
+        SplittingCertificate(with_degrees(summands, {i: -1}), M0, MInf),
+    ]
+    if torus.rank:
+        lam = (summands[i].lam[0] + 1,) + summands[i].lam[1:]
+        out.append(SplittingCertificate(
+            summands[:i] + [LineSummand(summands[i].n, lam)] + summands[i + 1:], M0, MInf
+        ))
+    for k in (1, -1):
+        # M0 diag(z^k at j) with n_j - k; diag(w^k at i) MInf with n_i + k;
+        # both at once keep sum(n), so only the determinant exponents decide (iv)
+        out.append(SplittingCertificate(with_degrees(summands, {j: -k}), shift_column(M0, j, k), MInf))
+        out.append(SplittingCertificate(with_degrees(summands, {i: k}), M0, shift_row(MInf, i, k)))
+        both = {j: -k}
+        both[i] = both.get(i, 0) + k
+        out.append(SplittingCertificate(
+            with_degrees(summands, both), shift_column(M0, j, k), shift_row(MInf, i, k)
+        ))
+    return out
+
+
+class TestDeterminantFreeVerifier:
+    O_PLUS_O = EquivariantBundle(LaurentMatrix.identity(2), ((), ()), ((), ()))
+
+    def explicit_cases(self):
+        I2 = LaurentMatrix.identity(2)
+        laurent = [
+            (lm([[{-1: 1}, {}], [{}, {1: 1}]]), I2),
+            (I2, lm([[{1: 1}, {}], [{}, {-1: 1}]])),
+        ]
+        yield from (
+            (self.O_PLUS_O, SplittingCertificate([LineSummand(1, ()), LineSummand(-1, ())], M0, MInf))
+            for M0, MInf in laurent
+        )
+        # M0 = diag(1, z) turns I into diag(1, z), but O + O is not O + O(-1)
+        M0 = lm([[{0: 1}, {}], [{}, {1: 1}]])
+        yield self.O_PLUS_O, SplittingCertificate([LineSummand(0, ()), LineSummand(-1, ())], M0, I2)
+
+    def test_matches_the_determinant_checks(self):
+        rng = random.Random(7)
+        cases = list(self.explicit_cases())
+        for seed in range(40):
+            E, _, torus = sample_case(seed, max_rank=4, max_ops=8)
+            _, cert = equivariant_split(E)
+            cases += [(E, cert)] + [(E, bad) for bad in altered_certificates(cert, torus, rng)]
+        holds = trace_decided = 0
+        for E, cert in cases:
+            report = verify_certificate(E, cert)
+            got = [(c.name, c.ok) for c in report.checks]
+            # the same list with (ii) and (iv) decided by determinants
+            by_det = det_certificate_checks(E, cert)
+            want = [(name, by_det.get(name, ok)) for name, ok in got]
+            assert report.ok == all(ok for _, ok in want)
+            if report.checks[0].ok:
+                assert got == want, (E, cert)
+                holds += 1
+                trace_decided += not got[1][1] and got[3][1]
+        assert holds > 100 and trace_decided > 0
+
+    def test_checks_after_a_failed_product(self):
+        E = e3_bundle()
+        _, cert = equivariant_split(E)
+        bad = SplittingCertificate(cert.summands, shift_row(cert.M0, 0, 1), cert.MInf)
+        checks = {c.name: c for c in verify_certificate(E, bad).checks}
+        assert not checks["product_diagonal"].ok
+        for name in ("frames_invertible", "degrees_sum"):
+            assert (checks[name].ok, checks[name].detail) == (False, "needs product_diagonal")
+
+
+def unipotent_certificate(m, seed, torus, ops):
+    """(E, cert, M0^-1, MInf^-1) from unipotent elementary operations.
+
+    M0 gains column adds c z^e and MInf row adds c w^e (e >= 0), and each
+    tracked inverse gains the inverse operation; then A = MInf(1/z)^-1 D M0^-1
+    with D = diag(z^-n_i).  Every weight is 0, so torus must fix the base.
+    """
+    rng = random.Random(seed)
+    weight = torus.zero_weight
+    degrees = sorted((rng.randint(-3, 3) for _ in range(m)), reverse=True)
+    summands = [LineSummand(n, weight) for n in degrees]
+    M0, M0inv, MInf, MInfinv = (LaurentMatrix.identity(m) for _ in range(4))
+    for _ in range(ops):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice((1, -1, 2, Fraction(1, 2)))
+        p0, pinf = (P.monomial(rng.randint(0, 2), c) for _ in range(2))
+        for t in range(m):
+            # M0 (I + p0 E_ij), (I - p0 E_ij) M0^-1, (I + pinf E_ij) MInf, MInf^-1 (I - pinf E_ij)
+            M0.entries[t][j] = M0.entries[t][j] + p0 * M0.entries[t][i]
+            M0inv.entries[i][t] = M0inv.entries[i][t] - p0 * M0inv.entries[j][t]
+            MInf.entries[i][t] = MInf.entries[i][t] + pinf * MInf.entries[j][t]
+            MInfinv.entries[t][j] = MInfinv.entries[t][j] - pinf * MInfinv.entries[t][i]
+    D = LaurentMatrix.diagonal([P.monomial(-n) for n in degrees])
+    A = (MInfinv.invert_variable() @ D) @ M0inv
+    E = EquivariantBundle(A, (weight,) * m, (weight,) * m, torus)
+    return E, SplittingCertificate(summands, M0, MInf), M0inv, MInfinv
+
+
+@pytest.mark.parametrize("torus", [TorusAction(0, ()), TorusAction(1, (0,))])
+def test_rank_12_certificate_verifies(torus):
+    # Laplace determinants made this minutes of work; the products take a fraction of a second
+    E, cert, _, _ = unipotent_certificate(12, 1, torus, 48)
+    assert verify_certificate(E, cert).ok
+    tampered = SplittingCertificate(cert.summands, _mutate_monomial(cert.M0, random.Random(3)), cert.MInf)
+    assert not verify_certificate(E, tampered).ok
+
+
+@pytest.mark.parametrize("torus", [TorusAction(0, ()), TorusAction(1, (0,))])
+def test_rank_8_splitting_hom(torus):
+    E, cert, M0inv, MInfinv = unipotent_certificate(8, 2, torus, 16)
+    s, p = splitting_hom(E, cert)
+    assert (p.F0, s.FInf) == (M0inv, MInfinv)
+    I8 = LaurentMatrix.identity(8)
+    assert p.F0 @ s.F0 == s.F0 @ p.F0 == I8
+    assert p.FInf @ s.FInf == s.FInf @ p.FInf == I8
+
+
+def count_inverse_helpers(monkeypatch):
+    """Count calls of mat_det, mat_adjugate and mat_inverse at every equisplit binding."""
+    calls = []
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "equisplit"]
+    for attr in ("mat_det", "mat_adjugate", "mat_inverse"):
+        original = getattr(linalg, attr)
+
+        def counted(*args, _attr=attr, _original=original):
+            calls.append(_attr)
+            return _original(*args)
+
+        for mod in modules:
+            if mod.__dict__.get(attr) is original:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_verifier_and_splitting_hom_take_no_determinant(monkeypatch):
+    rng = random.Random(11)
+    cases = []
+    for seed in range(15):
+        E, _, torus = sample(seed)
+        _, cert = equivariant_split(E)
+        inverses = tuple(linalg.mat_inverse(M, linalg.mat_det(M)) for M in (cert.M0, cert.MInf))
+        cases.append((E, cert, altered_certificates(cert, torus, rng), inverses))
+    calls = count_inverse_helpers(monkeypatch)
+    for E, cert, altered, (M0inv, MInfinv) in cases:
+        assert verify_certificate(E, cert).ok
+        for bad in altered:
+            verify_certificate(E, bad)
+        s, p = splitting_hom(E, cert)
+        assert (p.F0, s.FInf) == (M0inv, MInfinv)
+    assert calls == []
+    # the counter is live: validating a fresh bundle still takes its determinant
+    validate(EquivariantBundle(E.A, E.lambda0, E.lambdaInf, E.torus))
+    assert calls == ["mat_det"]

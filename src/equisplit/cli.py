@@ -21,6 +21,7 @@ from .jsonio import (
     instance_from_json,
     instance_to_json,
     load_json_file,
+    summands_to_json,
 )
 from .selftest import run_all
 from .splitting import InvariantViolation, equivariant_split, verify_certificate
@@ -86,7 +87,7 @@ def cmd_split(args) -> int:
         with open(args.certificate, "w", encoding="utf-8") as fh:
             fh.write(dumps_canonical(certificate_to_json(cert)))
         _log(f"certificate written to {args.certificate}")
-    _emit({"summands": [{"n": s.n, "lam": list(s.lam)} for s in summands]})
+    _emit({"summands": summands_to_json(summands)})
     if expected is not None:
         if summands != sorted(expected, key=LineSummand.sort_key):
             _log("warning: split disagrees with the file's expected block")

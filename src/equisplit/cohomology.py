@@ -35,7 +35,6 @@ raises InvariantViolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .bundle import (
     EquivariantBundle,
@@ -48,8 +47,8 @@ from .bundle import (
     weight_sub,
 )
 from .equivariant import Character, monomial_weight
-from .laurent import LaurentPoly
-from .linalg import LaurentMatrix, kernel_sparse, rank_sparse, rref_sparse
+from .laurent import LaurentPoly, Scalar
+from .linalg import kernel_sparse, rank_sparse, rref_sparse
 
 
 @dataclass
@@ -89,19 +88,6 @@ class Section:
         return None
 
 
-def _integer_monomials(M: LaurentMatrix) -> list[list[list[tuple[int, int]]]]:
-    """M scaled to integer coefficients.
-
-    With L the lcm of M's coefficient denominators, entry [i][j] lists the
-    monomials (exponent, integer coefficient) of L * M[i][j].
-    """
-    L = lcm(*(c.denominator for row in M.entries for p in row for _, c in p.monomials()))
-    return [
-        [[(d, c.numerator * (L // c.denominator)) for d, c in p.monomials()] for p in row]
-        for row in M.entries
-    ]
-
-
 def _h0_basis(E: EquivariantBundle) -> list[tuple[Weight, tuple[LaurentPoly, ...]]]:
     """Canonical kernel basis of the section system, as (weight, h) in echelon order.
 
@@ -126,14 +112,15 @@ def _h0_basis(E: EquivariantBundle) -> list[tuple[Weight, tuple[LaurentPoly, ...
         weight_sub(E.lambdaInf[i], weight_scale(e, a)) for i in range(m) for e in range(lo, 1)
     ]
 
-    # constraint rows: coefficient of z^x in (L A^-1 h)_i must vanish for
+    # constraint rows: coefficient of z^x in (A^-1 h)_i must vanish for
     # x < 0; column (j, e) meets row (i, x) through the one monomial of
-    # exponent x - e
-    rows: dict[tuple[int, int], dict[int, int]] = {}
-    inv_int = _integer_monomials(E.inverse_transition())
+    # exponent x - e.  Rows keep A^-1's coefficients; the elimination clears
+    # their denominators.
+    rows: dict[tuple[int, int], dict[int, Scalar]] = {}
+    inv = E.inverse_transition().entries
     for i in range(m):
         for j in range(m):
-            for d, c in inv_int[i][j]:
+            for d, c in inv[i][j].monomials():
                 for e in range(lo, 1):
                     if d + e < 0:
                         rows.setdefault((i, d + e), {})[j * width + e - lo] = c
@@ -231,16 +218,16 @@ def _cech_once(E: EquivariantBundle, W: int) -> tuple[int, Character]:
     def fcol(j: int, e: int) -> int:
         return j * fw + e
 
-    # integer rows of L A f - L g(1/z); column (j, e) meets row (i, x)
-    # through the one monomial of exponent x - e.  Each of the m * gw rows
-    # with x in [-Wg, 0] holds its own g-chain column, which no other row
-    # meets, so those rows are independent of everything else: the rank is
-    # m * gw plus the rank of the remaining rows, which hold f columns only.
-    A = _integer_monomials(E.A)
-    frows: dict[tuple[int, int], dict[int, int]] = {}
+    # rows of A f - g(1/z), with A's coefficients; column (j, e) meets row
+    # (i, x) through the one monomial of exponent x - e.  Each of the m * gw
+    # rows with x in [-Wg, 0] holds its own g-chain column, which no other
+    # row meets, so those rows are independent of everything else: the rank
+    # is m * gw plus the rank of the remaining rows, which hold f columns only.
+    A = E.A.entries
+    frows: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i in range(m):
         for j in range(m):
-            for d, c in A[i][j]:
+            for d, c in A[i][j].monomials():
                 for e in range(fw):
                     if not -Wg <= d + e <= 0:
                         frows.setdefault((i, d + e), {})[fcol(j, e)] = c
@@ -254,7 +241,7 @@ def _cech_once(E: EquivariantBundle, W: int) -> tuple[int, Character]:
 
     gen_rows = []
     for j in range(m):
-        base = [(i, d, c) for i in range(m) for d, c in A[i][j]]
+        base = [(i, d, c) for i in range(m) for d, c in A[i][j].monomials()]
         for e in range(fw):
             row = {ocol(i, d + e): c for i, d, c in base if 1 <= d + e <= W}
             if row:

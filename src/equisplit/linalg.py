@@ -198,7 +198,6 @@ def mat_det(M: LaurentMatrix) -> LaurentPoly:
             return got
         total = LaurentPoly.zero()
         sign = 1
-        j = 0
         mask = colmask
         while mask:
             low = mask & -mask
@@ -209,7 +208,6 @@ def mat_det(M: LaurentMatrix) -> LaurentPoly:
                 term = entry * sub
                 total = (total + term) if sign > 0 else (total - term)
             sign = -sign
-            j += 1
             mask &= mask - 1
         cache[key] = total
         return total
@@ -256,7 +254,7 @@ def mat_inverse(M: LaurentMatrix, det: LaurentPoly) -> LaurentMatrix:
 
 
 def _integer_row(row: dict[int, Scalar]) -> dict[int, int]:
-    """The row scaled by the lcm of its denominators, zeros dropped."""
+    """The row scaled by the lcm of its denominators, zeros dropped; callers pass raw coefficients."""
     den = reduce(lcm, (v.denominator for v in row.values()), 1)
     if den == 1:  # already integral: .numerator keeps a Fraction(k, 1) an int
         return {c: v.numerator for c, v in row.items() if v}

@@ -30,6 +30,7 @@ from .jsonio import (
     certificate_to_json,
     instance_from_json,
     load_json_file,
+    summands_to_json,
 )
 from .laurent import LaurentPoly
 from .linalg import LaurentMatrix
@@ -197,7 +198,7 @@ def criterion_4_character_identity(count: int = 200) -> CriterionResult:
 
 
 def criterion_5_oracle_equivalence(count: int = 100) -> CriterionResult:
-    """Adjugate-kernel H^0 dimension equals the overlap kernel at the exact window."""
+    """Inverse-route H^0 dimension equals the overlap kernel at the exact window."""
 
     def body() -> str:
         for k in range(count):
@@ -206,7 +207,7 @@ def criterion_5_oracle_equivalence(count: int = 100) -> CriterionResult:
             primary = h0_dim(E)
             cech, _ = cech_cohomology(E)
             if primary != cech:
-                return f"seed {seed}: adjugate {primary} != overlap kernel {cech}"
+                return f"seed {seed}: inverse route {primary} != overlap kernel {cech}"
         return ""
 
     return _run(5, f"H^0 oracle equivalence on {count} instances", body)
@@ -260,7 +261,7 @@ def check_fixture(name: str) -> str:
         return f"{name}: instance invalid: {report.violations}"
 
     summands, cert = equivariant_split(E)
-    got_summands = [{"n": s.n, "lam": list(s.lam)} for s in _sorted(summands)]
+    got_summands = summands_to_json(_sorted(summands))
     if got_summands != expected["summands"]:
         return f"{name}: summands {got_summands} != {expected['summands']}"
     if not verify_certificate(E, cert).ok:
@@ -275,7 +276,7 @@ def check_fixture(name: str) -> str:
         return f"{name}: h1 character {got_h1.to_json()} != {expected['h1_character']}"
     # independent route must agree before the golden values are trusted
     if cech_h0 != got_h0.total() or cech_h1 != got_h1:
-        return f"{name}: overlap-complex recomputation disagrees with the adjugate route"
+        return f"{name}: overlap-complex recomputation disagrees with the inverse route"
     if got_h0.total() != expected["h0_dim"] or got_h1.total() != expected["h1_dim"]:
         return f"{name}: dimensions disagree with the golden file"
     if degree(E) != expected["degree"]:

@@ -18,8 +18,8 @@ adjugate, and each peel hands its quotient a block of U A^-1 V(1/z)^-1,
 with V^-1 from the same Bezout completion as V, so a split forms exactly one
 adjugate.  The certificate identity MInf(1/z) A M0 = D hands out both frame
 inverses as products (M0^-1 = D^-1 MInf(1/z) A, MInf(1/z)^-1 = A M0 D^-1), so
-neither the verifier nor ``splitting_hom`` takes a determinant or an
-adjugate.
+the verifier takes no determinant or adjugate, and it hands the inverses it
+read to ``splitting_hom``, which forms no product of its own to get them.
 
 With no torus (rank-0 action) the same pipeline is a constructive splitting
 of an arbitrary bundle into line bundles.
@@ -148,15 +148,14 @@ def _frame_completion(entries: list[LaurentPoly]) -> tuple[LaurentMatrix, Lauren
     Euclid on monomials produces only monomials, so the completion of a
     weight-homogeneous monomial vector (a moving-base eigen-section) is
     equivariant as it stands; ``peel`` checks the weight law of the result.
+    U @ entries = (g, 0, ..., 0) for the monic gcd g, so e_1 is reached exactly
+    when g = 1; entries that share a zero raise InvariantViolation.
     """
-    _, U, Uinv = poly_ext_gcd(entries)
-    achieved = [LaurentPoly.zero() for _ in entries]
-    for i in range(len(entries)):
-        for j, p in enumerate(entries):
-            achieved[i] = achieved[i] + U[i][j] * p
-    want = [LaurentPoly.one()] + [LaurentPoly.zero()] * (len(entries) - 1)
-    if achieved != want:
-        raise InvariantViolation("frame completion failed to reduce the section to e_1")
+    g, U, Uinv = poly_ext_gcd(entries)
+    if g != LaurentPoly.one():
+        raise InvariantViolation(
+            f"frame completion failed to reduce the section to e_1: its entries share the factor {g!r}"
+        )
     return LaurentMatrix(U), LaurentMatrix(Uinv)
 
 
@@ -394,13 +393,12 @@ def _frame_inverses(
 
     With D = diag(z^-n_i), D^-1 L M0 = I and MInf(1/z) R D^-1 = I, so M0^-1
     is L with row i shifted by n_i and MInf(1/z)^-1 is R with column j shifted
-    by n_j.  MInf^-1 comes back in w, like MInf.
+    by n_j.  MInf^-1 comes back in w, like MInf: its entry (i, j) maps each
+    exponent e of R[i][j] to -(e + n_j).
     """
     M0inv = LaurentMatrix([[p.shift(k) for p in row] for row, k in zip(L.entries, n)], L.rows, L.cols)
-    MInfinv = LaurentMatrix(
-        [[p.shift(k).invert_variable() for p, k in zip(row, n)] for row in R.entries], R.rows, R.cols
-    )
-    return M0inv, MInfinv
+    winv = [[{-(e + k): c for e, c in p.terms.items()} for p, k in zip(row, n)] for row in R.entries]
+    return M0inv, LaurentMatrix([[LaurentPoly.from_sums(t) for t in row] for row in winv], R.rows, R.cols)
 
 
 def _det_exponent(M: LaurentMatrix, Minv: LaurentMatrix) -> int:
@@ -428,6 +426,13 @@ def verify_certificate(E: EquivariantBundle, cert: SplittingCertificate) -> Cert
     (ii) and (iv) read the frame inverses off the identity in (i), so when
     (i) fails they fail too, with detail "needs product_diagonal".
     """
+    return _verify(E, cert)[0]
+
+
+def _verify(
+    E: EquivariantBundle, cert: SplittingCertificate
+) -> tuple[CertReport, tuple[LaurentMatrix, LaurentMatrix] | None]:
+    """``verify_certificate``'s report, and (M0^-1, MInf^-1) when check (i) holds."""
     checks: list[CertCheck] = []
     m = E.rank
     n_list = [s.n for s in cert.summands]
@@ -447,7 +452,7 @@ def verify_certificate(E: EquivariantBundle, cert: SplittingCertificate) -> Cert
         checks.append(CertCheck("frames_equivariant", False, "skipped"))
         checks.append(CertCheck("degrees_sum", False, "skipped"))
         checks.append(CertCheck("summand_inf_weights", False, "skipped"))
-        return CertReport(checks)
+        return CertReport(checks), None
 
     L = cert.MInf.invert_variable() @ E.A
     product = L @ cert.M0
@@ -469,8 +474,9 @@ def verify_certificate(E: EquivariantBundle, cert: SplittingCertificate) -> Cert
     # so the determinant is a nonzero constant
     inv_ok = False
     detail = "needs product_diagonal"
+    inverses = None
     if diag_ok:
-        M0inv, MInfinv = _frame_inverses(L, E.A @ cert.M0, n_list)
+        inverses = M0inv, MInfinv = _frame_inverses(L, E.A @ cert.M0, n_list)
         not_polynomial = [
             name
             for name, M in (("M0", cert.M0), ("M0^-1", M0inv), ("MInf", cert.MInf), ("MInf^-1", MInfinv))
@@ -530,7 +536,7 @@ def verify_certificate(E: EquivariantBundle, cert: SplittingCertificate) -> Cert
                 detail = f"row {i}: implied {got}, claimed {want}"
                 break
     checks.append(CertCheck("summand_inf_weights", implied_ok, detail))
-    return CertReport(checks)
+    return CertReport(checks), inverses
 
 
 def _hom_coeff_vector(h: HomElement) -> dict[tuple, Fraction]:
@@ -588,10 +594,10 @@ def splitting_hom(
 
     Returns (s, p) with s from the direct sum into E and p back; p o s is the
     identity exactly on chart-0 matrices, and both maps are weight-invariant.
-    The frame inverses s.FInf = MInf^-1 and p.F0 = M0^-1 are read off the
-    certificate identity, not formed by an adjugate.
+    The frame inverses s.FInf = MInf^-1 and p.F0 = M0^-1 are the ones the
+    verifier read off the certificate identity, not formed by an adjugate.
     """
-    report = verify_certificate(E, cert)
+    report, inverses = _verify(E, cert)
     if not report.ok:
         raise ValueError("refusing to build a splitting from an invalid certificate: " + report.summary())
     torus = E.torus
@@ -601,9 +607,7 @@ def splitting_hom(
         S = L if S is None else direct_sum(S, L)
     if S is None:
         S = EquivariantBundle(LaurentMatrix.zeros(0, 0), (), (), torus)
-    M0inv, MInfinv = _frame_inverses(
-        cert.MInf.invert_variable() @ E.A, E.A @ cert.M0, [t.n for t in cert.summands]
-    )
+    M0inv, MInfinv = inverses
     s = HomElement(S, E, cert.M0, MInfinv)
     p = HomElement(E, S, M0inv, cert.MInf)
     for h, name in ((s, "section-side"), (p, "projection-side")):

@@ -281,6 +281,16 @@ class TestFrameCompletion:
         assert transition_law_violations(M, target, src, torus) == []
         assert target[0] == (chi,)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [[P.monomial(1), P.monomial(2)], [P({0: 1, 1: 1}), P({0: -1, 2: 1})]],
+        ids=["z, z^2", "z+1, z^2-1"],
+    )
+    def test_shared_factor_raises(self, entries):
+        # a section whose entries share a zero has no completion to e_1
+        with pytest.raises(InvariantViolation, match="share the factor"):
+            _frame_completion(entries)
+
 
 class TestEquivariantSplit:
     def test_already_split_diagonal(self):
@@ -722,6 +732,26 @@ def test_rank_8_splitting_hom(torus):
     I8 = LaurentMatrix.identity(8)
     assert p.F0 @ s.F0 == s.F0 @ p.F0 == I8
     assert p.FInf @ s.FInf == s.FInf @ p.FInf == I8
+
+
+@pytest.mark.parametrize("torus", [TorusAction(0, ()), TorusAction(1, (0,))])
+def test_splitting_hom_takes_the_verifier_inverses(monkeypatch, torus):
+    # the verifier forms MInf(1/z) A, the product and A M0, and hands over the
+    # inverses it reads off them; the two maps then cost 4 intertwining
+    # products and p o s one more
+    E, cert, M0inv, MInfinv = unipotent_certificate(4, 1, torus, 8)
+    assert verify_certificate(E, cert).ok
+    calls = []
+    matmul = LaurentMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append((self.rows, other.cols))
+        return matmul(self, other)
+
+    monkeypatch.setattr(LaurentMatrix, "__matmul__", counted)
+    s, p = splitting_hom(E, cert)
+    assert len(calls) == 8
+    assert (p.F0, s.FInf) == (M0inv, MInfinv)
 
 
 def count_inverse_helpers(monkeypatch):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import LaurentPoly, Scalar, scalar_div
-from .linalg import LaurentMatrix, mat_det, mat_inverse
+from .linalg import LaurentMatrix, mat_adjugate, mat_inverse
 
 Weight = tuple[int, ...]
 
@@ -124,14 +124,19 @@ class EquivariantBundle:
         return self.A.rows
 
     def det_transition(self) -> LaurentPoly:
+        """det A from one adjugate pass, which also caches A^-1 when det A is a unit."""
         if self._det is None:
-            self._det = mat_det(self.A)
+            adj, self._det = mat_adjugate(self.A)
+            if self._det.is_monomial():
+                self._inv = mat_inverse(adj, self._det)
         return self._det
 
     def inverse_transition(self) -> LaurentMatrix:
-        """A^-1, from the adjugate once per bundle unless a producer set it."""
+        """A^-1, from the bundle's own det pass unless twist, dual or hom_bundle derived it."""
         if self._inv is None:
-            self._inv = mat_inverse(self.A, self.det_transition())
+            det = self.det_transition()
+            if self._inv is None:
+                raise ValueError(f"determinant {det!r} is not a nonzero monomial")
         return self._inv
 
     def __eq__(self, other: object) -> bool:

@@ -2,13 +2,13 @@
 
 Two small engines live here:
 
-* ``LaurentMatrix`` — rectangular matrices over the Laurent ring, with exact
-  determinant and adjugate (division-free Laplace expansion, memoized over
-  column subsets), the inverse ``mat_inverse`` of a matrix with monomial
-  determinant, and Kronecker products.  The matrix product is fused: each
-  output entry is one coefficient dict accumulated over the inner index
-  straight from the operands' terms, with no intermediate polynomial per
-  product.
+* ``LaurentMatrix`` — rectangular matrices over the Laurent ring, with the
+  exact adjugate and determinant from one Faddeev–LeVerrier pass of matrix
+  products (``mat_adjugate``), the inverse ``mat_inverse`` of a matrix with
+  monomial determinant, and Kronecker products.  The matrix product is
+  fused: each output entry is one coefficient dict accumulated over the
+  inner index straight from the operands' terms, with no intermediate
+  polynomial per product.
 * rational row reduction — one sparse, fraction-free elimination routine
   over Python integers, used by every cohomology computation.  Rows enter
   with their denominators cleared, are combined by integer
@@ -179,75 +179,54 @@ class LaurentMatrix:
             raise ValueError("shape mismatch")
 
 
-def mat_det(M: LaurentMatrix) -> LaurentPoly:
-    """Exact determinant via Laplace expansion memoized on column subsets."""
-    if not M.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return LaurentPoly.one()
-    # cache[(r, cols)] = det of rows r.. over frozen column bitmask
-    cache: dict[tuple[int, int], LaurentPoly] = {}
+def mat_adjugate(M: LaurentMatrix) -> tuple[LaurentMatrix, LaurentPoly]:
+    """(adj M, det M) of any square M, singular or not, by Faddeev–LeVerrier.
 
-    def minor(r: int, colmask: int) -> LaurentPoly:
-        if r == n:
-            return LaurentPoly.one()
-        key = (r, colmask)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        total = LaurentPoly.zero()
-        sign = 1
-        mask = colmask
-        while mask:
-            low = mask & -mask
-            col = low.bit_length() - 1
-            entry = M.entries[r][col]
-            if not entry.is_zero():
-                sub = minor(r + 1, colmask & ~low)
-                term = entry * sub
-                total = (total + term) if sign > 0 else (total - term)
-            sign = -sign
-            mask &= mask - 1
-        cache[key] = total
-        return total
-
-    return minor(0, (1 << n) - 1)
-
-
-def mat_adjugate(M: LaurentMatrix) -> LaurentMatrix:
-    """Exact adjugate: adj(M) @ M = M @ adj(M) = det(M) * identity."""
+    N_1 = I and N_{k+1} = M N_k + c_k I with c_k = -tr(M N_k)/k give
+    adj M = (-1)^(m-1) N_m (Faddeev & Faddeeva, Computational Methods of
+    Linear Algebra, 1963, §24).  M N_1 = M needs no product, so the pass takes
+    m - 2 fused products.  It runs on d M, with d the lcm of M's coefficient
+    denominators: the c_k of an integer matrix are the integer coefficients
+    of its characteristic polynomial, so each division by k is exact and
+    every product stays over the integers.  By Cayley–Hamilton
+    M adj M = det M I, so det M is row 0 of M times column 0 of adj M.
+    """
     if not M.is_square():
         raise ValueError("adjugate of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return LaurentMatrix.zeros(0, 0)
-    if n == 1:
-        return LaurentMatrix([[LaurentPoly.one()]])
-    adj = LaurentMatrix.zeros(n, n)
-    rows = list(range(n))
-    cols = list(range(n))
-    for i in range(n):
-        for j in range(n):
-            sub = M.submatrix([r for r in rows if r != j], [c for c in cols if c != i])
-            cof = mat_det(sub)
-            if (i + j) % 2:
-                cof = -cof
-            adj.entries[i][j] = cof
-    return adj
+    m = M.rows
+    if m == 0:
+        return LaurentMatrix.zeros(0, 0), LaurentPoly.one()
+    den = reduce(lcm, (v.denominator for row in M.entries for p in row for v in p.terms.values()), 1)
+    dM = M.scale(den)
+    N = LaurentMatrix.identity(m)
+    for k in range(1, m):
+        MN = dM @ N if k > 1 else dM
+        tr = sum((MN.entries[i][i] for i in range(m)), LaurentPoly.zero())
+        c = LaurentPoly.from_sums({e: scalar_div(-v, k) for e, v in tr.terms.items()})
+        N = LaurentMatrix(
+            [[p + c if i == j else p for j, p in enumerate(row)] for i, row in enumerate(MN.entries)], m, m
+        )
+    adj = N.scale(Fraction((-1) ** (m - 1), den ** (m - 1)))  # adj(dM) = d^(m-1) adj M
+    det = sum((M.entries[0][k] * adj.entries[k][0] for k in range(m)), LaurentPoly.zero())
+    return adj, det
 
 
-def mat_inverse(M: LaurentMatrix, det: LaurentPoly) -> LaurentMatrix:
-    """Exact inverse over the Laurent ring, given det(M) = c*z^e.
+def mat_det(M: LaurentMatrix) -> LaurentPoly:
+    """Exact determinant: the second half of ``mat_adjugate``."""
+    return mat_adjugate(M)[1]
 
-    The adjugate shifted by -e and scaled by 1/c; every bundle transition
-    and certificate frame is inverted here.
+
+def mat_inverse(adj: LaurentMatrix, det: LaurentPoly) -> LaurentMatrix:
+    """Exact inverse adj / det over the Laurent ring, given det = c*z^e.
+
+    Takes the pair ``mat_adjugate`` returns and shifts the adjugate by -e
+    and scales it by 1/c; a bundle's det pass inverts its transition here.
     """
     if not det.is_monomial():
         raise ValueError(f"determinant {det!r} is not a nonzero monomial")
     ((e, c),) = det.terms.items()
     inv = scalar_div(1, c)
-    return mat_adjugate(M).map(lambda p: p.shift(-e).scale(inv))
+    return adj.map(lambda p: p.shift(-e).scale(inv))
 
 
 # -- fraction-free row reduction ------------------------------------------

@@ -13,13 +13,13 @@ completion for every torus), the accumulated peel frames and the unipotent
 clearing factor are all built from elementary operations, and each
 operation's inverse is applied alongside it.  The producer therefore forms
 no determinant or adjugate of a frame.  The H^0 route needs the inverse
-transition of every bundle it peels: the input bundle's comes from one
-adjugate, and each peel hands its quotient a block of U A^-1 V(1/z)^-1,
-with V^-1 from the same Bezout completion as V, so a split forms exactly one
-adjugate.  The certificate identity MInf(1/z) A M0 = D hands out both frame
-inverses as products (M0^-1 = D^-1 MInf(1/z) A, MInf(1/z)^-1 = A M0 D^-1), so
-the verifier takes no determinant or adjugate, and it hands the inverses it
-read to ``splitting_hom``, which forms no product of its own to get them.
+transition of every bundle it peels, and each bundle's validation yields it:
+the one Faddeev–LeVerrier pass that gives det A gives A^-1 too, and the
+twists of the search reuse it.  The certificate identity MInf(1/z) A M0 = D
+hands out both frame inverses as products (M0^-1 = D^-1 MInf(1/z) A,
+MInf(1/z)^-1 = A M0 D^-1), so the verifier takes no determinant or
+adjugate, and it hands the inverses it read to ``splitting_hom``, which
+forms no product of its own to get them.
 
 With no torus (rank-0 action) the same pipeline is a constructive splitting
 of an arbitrary bundle into line bundles.
@@ -73,9 +73,8 @@ def max_twist(E: EquivariantBundle) -> tuple[int, EquivariantBundle]:
     if rng is None:
         raise ValueError("invalid bundle: zero transition matrix")
     hi = -rng[0]
-    floor = -(-degree(E) // E.rank)  # ceil
+    floor = -(-degree(E) // E.rank)  # ceil; its det pass caches A^-1, which the twists reuse
     zero = E.torus.zero_weight
-    E.inverse_transition()  # seed the cache once; twists reuse it
     for k in range(hi, floor - 1, -1):
         Et = twist(E, -k, zero)
         if h0_dim(Et) > 0:
@@ -167,8 +166,8 @@ def peel(E: EquivariantBundle) -> PeelStep:
     completion, and reads off the block-triangular transition.  A section
     that vanishes somewhere (a nonconstant gcd on either chart) cannot be
     completed to e_1, which raises InvariantViolation; theory rules it out
-    for valid input.  The quotient inherits its inverse transition as the
-    lower-right block of U A^-1 V(1/z)^-1.
+    for valid input.  Validating the quotient takes its determinant pass,
+    which also caches its inverse transition.
     """
     if E.rank == 0:
         raise ValueError("peel of a rank-0 bundle")
@@ -179,7 +178,7 @@ def peel(E: EquivariantBundle) -> PeelStep:
     chi = sigma.weight
 
     U, Uinv = _frame_completion(list(sigma.f))
-    V, Vinv = _frame_completion(list(sigma.g))
+    V, _ = _frame_completion(list(sigma.g))
     # the chart-inf law of V is the chart-0 law of V(1/z)
     Vz = V.invert_variable()
 
@@ -214,11 +213,6 @@ def peel(E: EquivariantBundle) -> PeelStep:
             raise InvariantViolation("peel produced an invalid quotient: " + "; ".join(qreport.violations))
         if degree(quotient) != degree(E) - n1:
             raise InvariantViolation("quotient degree mismatch")
-        # A_new is block upper triangular, so the lower-right block of its
-        # inverse U A^-1 Vz^-1 is the quotient's inverse
-        quotient._inv = (U.submatrix(rest, range(m)) @ E.inverse_transition()) @ (
-            Vinv.submatrix(range(m), rest).invert_variable()
-        )
     return PeelStep(summand, U, Uinv, V, beta, quotient)
 
 

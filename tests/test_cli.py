@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -9,7 +10,7 @@ from equisplit.equivariant import Character
 from equisplit.jsonio import certificate_to_json, dumps_canonical, instance_to_json, load_json_file
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
-from equisplit.selftest import CriterionResult, fixture_dir
+from equisplit.selftest import CriterionResult, _closed_form_characters, fixture_dir
 from equisplit.splitting import InvariantViolation, SplittingCertificate
 
 
@@ -77,6 +78,25 @@ class TestCohomology:
             expected = load_json_file(str(fixture_dir() / name / "expected.json"))
             assert doc["h0_character"] == expected["h0_character"]
             assert doc["h1_character"] == expected["h1_character"]
+
+    def test_dense_rank_7_matches_closed_forms(self, capsys, tmp_path):
+        # a dense no-torus scramble of 70 operations
+        rng = random.Random(1)
+        summands = [LineSummand(rng.randint(-3, 3), ()) for _ in range(7)]
+        E, hidden = random_instance(1, summands, 70)
+        path = tmp_path / "inst.json"
+        path.write_text(dumps_canonical(instance_to_json(E)))
+        code, out, _ = run(capsys, "cohomology", str(path))
+        assert code == 0
+        h0, h1 = _closed_form_characters(hidden, E.torus)
+        assert json.loads(out) == {
+            "rank": 7,
+            "degree": sum(s.n for s in hidden),
+            "h0_dim": h0.total(),
+            "h1_dim": h1.total(),
+            "h0_character": h0.to_json(),
+            "h1_character": h1.to_json(),
+        }
 
 
 class TestSplit:

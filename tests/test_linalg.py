@@ -58,9 +58,15 @@ class TestDeterminant:
 
     def test_against_naive_recursion(self):
         rng = random.Random(7)
-        for _ in range(40):
-            M = random_matrix(rng, rng.randint(1, 4))
-            assert mat_det(M) == naive_det(M)
+        singular = non_monomial = 0
+        for _ in range(60):
+            M = random_matrix(rng, rng.randint(0, 6))
+            det = mat_det(M)
+            assert det == naive_det(M)
+            singular += det.is_zero()
+            non_monomial += len(det.terms) > 1
+        # both kinds occur, so the comparison is not only on units
+        assert singular and non_monomial
 
     def test_multiplicative(self):
         rng = random.Random(11)
@@ -72,43 +78,49 @@ class TestDeterminant:
 
 class TestAdjugate:
     def test_1x1(self):
-        assert mat_adjugate(lm([[{3: 5}]])) == LaurentMatrix.identity(1)
+        assert mat_adjugate(lm([[{3: 5}]])) == (LaurentMatrix.identity(1), P.monomial(3, 5))
 
     def test_2x2_swap_rule(self):
         # adj [[z, 1], [0, z^-1]] = [[z^-1, -1], [0, z]]
         M = lm([[{1: 1}, {0: 1}], [{}, {-1: 1}]])
-        assert mat_adjugate(M) == lm([[{-1: 1}, {0: -1}], [{}, {1: 1}]])
+        assert mat_adjugate(M) == (lm([[{-1: 1}, {0: -1}], [{}, {1: 1}]]), P.one())
 
     def test_identity(self):
-        assert mat_adjugate(LaurentMatrix.identity(2)) == LaurentMatrix.identity(2)
+        for m in (0, 2):
+            assert mat_adjugate(LaurentMatrix.identity(m)) == (LaurentMatrix.identity(m), P.one())
 
     def test_adjugate_identity_on_random_instances(self):
-        # adj(M) @ M = M @ adj(M) = det(M) * I, 100 instances of size 2..4
+        # adj(M) @ M = M @ adj(M) = det(M) * I, 100 instances of size 2..4;
+        # every other one gets row 1 = p * row 0, so det = 0 and both products vanish
         rng = random.Random(23)
-        done = 0
-        while done < 100:
+        singular = nonzero_singular_adj = 0
+        for k in range(100):
             m = rng.randint(2, 4)
             M = random_matrix(rng, m)
-            det = mat_det(M)
-            if det.is_zero():
-                continue
-            adj = mat_adjugate(M)
+            if k % 2:
+                p = P.monomial(rng.randint(-2, 2), rng.choice([1, -2, Fraction(1, 2)]))
+                M.entries[1] = [p * q for q in M.entries[0]]
+            adj, det = mat_adjugate(M)
+            assert det == naive_det(M)
             want = LaurentMatrix.identity(m).scale(det)
             assert adj @ M == want
             assert M @ adj == want
-            done += 1
+            if det.is_zero():
+                singular += 1
+                nonzero_singular_adj += adj != LaurentMatrix.zeros(m, m)
+        assert singular >= 50 and nonzero_singular_adj > 0
 
     def test_inverse_of_monomial_determinant(self):
         # [[z, 1], [0, 2z^-2]] has det 2z^-1 and inverse [[z^-1, -z/2], [0, z^2/2]]
         M = lm([[{1: 1}, {0: 1}], [{}, {-2: 2}]])
-        inv = mat_inverse(M, mat_det(M))
+        inv = mat_inverse(*mat_adjugate(M))
         assert inv == lm([[{-1: 1}, {1: Fraction(-1, 2)}], [{}, {2: Fraction(1, 2)}]])
         assert M @ inv == inv @ M == LaurentMatrix.identity(2)
 
     def test_inverse_with_non_unit_constant_determinant(self):
         # [[2, z], [0, 1]] has det 2 and inverse [[1/2, -z/2], [0, 1]]
         M = lm([[{0: 2}, {1: 1}], [{}, {0: 1}]])
-        inv = mat_inverse(M, mat_det(M))
+        inv = mat_inverse(*mat_adjugate(M))
         assert inv == lm([[{0: Fraction(1, 2)}, {1: Fraction(-1, 2)}], [{}, {0: 1}]])
         _assert_normal(inv)
         assert type(inv.entries[1][1].terms[0]) is int
@@ -118,7 +130,7 @@ class TestAdjugate:
     def test_inverse_rejects_non_monomial_determinant(self):
         M = lm([[{0: 1, 1: 1}]])
         with pytest.raises(ValueError, match="not a nonzero monomial"):
-            mat_inverse(M, mat_det(M))
+            mat_inverse(*mat_adjugate(M))
 
 
 def dense_kernel(M, ncols):
@@ -317,9 +329,9 @@ class TestExactNormalForm:
     @settings(max_examples=60, deadline=None)
     @given(_invertible_matrices())
     def test_inverse_with_constant_determinant(self, M):
-        det = mat_det(M)
+        adj, det = mat_adjugate(M)
         assert det.is_constant() and not det.is_zero()
-        inv = mat_inverse(M, det)
+        inv = mat_inverse(adj, det)
         _assert_normal(inv)
         identity = [[{0: 1} if i == j else {} for j in range(M.rows)] for i in range(M.rows)]
         assert naive_matmul(M, inv) == naive_matmul(inv, M) == identity

@@ -175,7 +175,7 @@ class TestPeel:
             if step.quotient.rank:
                 assert validate(step.quotient).ok
                 assert degree(step.quotient) == degree(E) - step.summand.n
-                # the inverse the peel hands over, not one recomputed
+                # the inverse cached by the peel's validation of the quotient
                 Q = step.quotient
                 assert Q.A @ Q.inverse_transition() == LaurentMatrix.identity(m - 1)
 
@@ -327,6 +327,9 @@ class TestEquivariantSplit:
             assert [s.n for s in summands] == sorted((s.n for s in summands), reverse=True)
             report = verify_certificate(E, cert)
             assert report.ok, (seed, report.summary())
+            # the fibers at 0 and at infinity keep their weights
+            assert sorted(s.lam for s in summands) == sorted(E.lambda0), seed
+            assert sorted(s.chart_inf_weight(E.torus) for s in summands) == sorted(E.lambdaInf), seed
 
     @pytest.mark.parametrize("a", [(1,), (-2,)])
     @pytest.mark.parametrize("seed", [0, 1, 5])
@@ -560,20 +563,15 @@ def test_certificates_are_byte_identical(torus, hashes):
 
 
 @pytest.mark.parametrize("torus", [TorusAction(0, ()), TorusAction(1, (0,)), TorusAction(1, (1,))])
-def test_one_adjugate_per_split(monkeypatch, torus):
-    # the input bundle's inverse transition is the only adjugate a split
-    # forms: every peel hands its quotient an inverse
-    sizes = []
-    adjugate = linalg.mat_adjugate
-
-    def counted(M):
-        sizes.append(M.rows)
-        return adjugate(M)
-
-    monkeypatch.setattr(linalg, "mat_adjugate", counted)
+def test_one_adjugate_per_validated_bundle(monkeypatch, torus):
+    # a split validates its input and the quotient of every peel, and each
+    # validation takes one adjugate pass that also yields the inverse
+    # transition; the twists of the max_twist search reuse it
+    calls = count_inverse_helpers(monkeypatch)
     for seed in range(1000, 1005):
         equivariant_split(dense_case(seed, torus))
-    assert sizes == [5] * 5
+    one_split = [(helper, m) for m in (5, 4, 3, 2, 1) for helper in ("mat_adjugate", "mat_inverse")]
+    assert calls == one_split * 5
 
 
 @pytest.mark.parametrize("torus", [TorusAction(0, ()), TorusAction(1, (0,)), TorusAction(1, (1,))])
@@ -717,7 +715,7 @@ def unipotent_certificate(m, seed, torus, ops):
 
 @pytest.mark.parametrize("torus", [TorusAction(0, ()), TorusAction(1, (0,))])
 def test_rank_12_certificate_verifies(torus):
-    # Laplace determinants made this minutes of work; the products take a fraction of a second
+    # the verifier forms no determinant; its products take a fraction of a second
     E, cert, _, _ = unipotent_certificate(12, 1, torus, 48)
     assert verify_certificate(E, cert).ok
     tampered = SplittingCertificate(cert.summands, _mutate_monomial(cert.M0, random.Random(3)), cert.MInf)
@@ -755,14 +753,14 @@ def test_splitting_hom_takes_the_verifier_inverses(monkeypatch, torus):
 
 
 def count_inverse_helpers(monkeypatch):
-    """Count calls of mat_det, mat_adjugate and mat_inverse at every equisplit binding."""
+    """Record (name, size) of each mat_det, mat_adjugate and mat_inverse call at every equisplit binding."""
     calls = []
     modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "equisplit"]
     for attr in ("mat_det", "mat_adjugate", "mat_inverse"):
         original = getattr(linalg, attr)
 
         def counted(*args, _attr=attr, _original=original):
-            calls.append(_attr)
+            calls.append((_attr, args[0].rows))
             return _original(*args)
 
         for mod in modules:
@@ -777,7 +775,7 @@ def test_verifier_and_splitting_hom_take_no_determinant(monkeypatch):
     for seed in range(15):
         E, _, torus = sample(seed)
         _, cert = equivariant_split(E)
-        inverses = tuple(linalg.mat_inverse(M, linalg.mat_det(M)) for M in (cert.M0, cert.MInf))
+        inverses = tuple(linalg.mat_inverse(*linalg.mat_adjugate(M)) for M in (cert.M0, cert.MInf))
         cases.append((E, cert, altered_certificates(cert, torus, rng), inverses))
     calls = count_inverse_helpers(monkeypatch)
     for E, cert, altered, (M0inv, MInfinv) in cases:
@@ -787,6 +785,7 @@ def test_verifier_and_splitting_hom_take_no_determinant(monkeypatch):
         s, p = splitting_hom(E, cert)
         assert (p.F0, s.FInf) == (M0inv, MInfinv)
     assert calls == []
-    # the counter is live: validating a fresh bundle still takes its determinant
+    # the counter is live: validating a fresh bundle takes its adjugate pass,
+    # which also yields the inverse transition
     validate(EquivariantBundle(E.A, E.lambda0, E.lambdaInf, E.torus))
-    assert calls == ["mat_det"]
+    assert calls == [("mat_adjugate", E.rank), ("mat_inverse", E.rank)]

@@ -1,4 +1,4 @@
-"""Weight bookkeeping: characters, frame weights, graded bundle maps.
+"""Weight bookkeeping: characters, frame weights, bundle maps.
 
 Weight conventions follow the section action C3 in :mod:`equisplit.bundle`.
 The weight of a Hom-monomial is fixed as
@@ -6,8 +6,10 @@ The weight of a Hom-monomial is fixed as
 * chart 0:   (target frame weight) - (source frame weight) - d*a,
 * chart inf: (target frame weight) - (source frame weight) + e*a,
 
-for a z-monomial z^d resp. a w-monomial w^e; composition of graded maps adds
-weights under this convention, which the tests exercise.
+for a z-monomial z^d resp. a w-monomial w^e.  A map is invariant when every
+monomial has weight 0, which is the law
+:func:`equisplit.bundle.transition_law_violations` checks on F0 and on
+FInf(1/z), rows weighted by the target and columns by the source.
 """
 
 from __future__ import annotations
@@ -149,86 +151,6 @@ class HomElement:
             return "target.A @ F0 != FInf(1/z) @ source.A"
         return None
 
-    def __add__(self, other: "HomElement") -> "HomElement":
-        return HomElement(self.source, self.target, self.F0 + other.F0, self.FInf + other.FInf)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.F0.entries for e in row) and all(
-            e.is_zero() for row in self.FInf.entries for e in row
-        )
-
-
-def hom_identity(E: EquivariantBundle) -> HomElement:
-    n = E.rank
-    return HomElement(E, E, LaurentMatrix.identity(n), LaurentMatrix.identity(n))
-
-
-def hom_compose(g: HomElement, f: HomElement) -> HomElement:
-    """The composite g o f (source of g must be the target of f)."""
-    if g.source is not f.target and g.source != f.target:
-        raise ValueError("hom composition source/target mismatch")
-    return HomElement(f.source, g.target, g.F0 @ f.F0, g.FInf @ f.FInf)
-
-
-def hom_monomial_weights(h: HomElement) -> set[Weight]:
-    """All Hom-weights occurring among the monomials of h."""
-    out: set[Weight] = set()
-    a = h.source.torus.a
-    for i in range(h.F0.rows):
-        for j in range(h.F0.cols):
-            base = weight_sub(h.target.lambda0[i], h.source.lambda0[j])
-            for d, _ in h.F0.entries[i][j].monomials():
-                out.add(weight_sub(base, weight_scale(d, a)))
-    for i in range(h.FInf.rows):
-        for j in range(h.FInf.cols):
-            base = weight_sub(h.target.lambdaInf[i], h.source.lambdaInf[j])
-            for e, _ in h.FInf.entries[i][j].monomials():
-                out.add(weight_add(base, weight_scale(e, a)))
-    return out
-
-
-def weight_project_hom(h: HomElement, chi: Weight) -> HomElement:
-    """Keep exactly the monomials of Hom-weight chi.
-
-    Projection is idempotent and linear, components for distinct weights have
-    disjoint support, and summing over all occurring weights returns h.  The
-    input must satisfy the intertwining law; the output then does too.
-    """
-    bad = h.intertwining_violation()
-    if bad:
-        raise ValueError(f"weight_project_hom on a non-map: {bad}")
-    a = h.source.torus.a
-    chi = tuple(chi)
-
-    def filter0(i: int, j: int, p: LaurentPoly) -> LaurentPoly:
-        base = weight_sub(h.target.lambda0[i], h.source.lambda0[j])
-        kept = {
-            d: c for d, c in p.terms.items() if weight_sub(base, weight_scale(d, a)) == chi
-        }
-        return LaurentPoly(kept)
-
-    def filterInf(i: int, j: int, p: LaurentPoly) -> LaurentPoly:
-        base = weight_sub(h.target.lambdaInf[i], h.source.lambdaInf[j])
-        kept = {
-            e: c for e, c in p.terms.items() if weight_add(base, weight_scale(e, a)) == chi
-        }
-        return LaurentPoly(kept)
-
-    F0 = LaurentMatrix(
-        [[filter0(i, j, h.F0.entries[i][j]) for j in range(h.F0.cols)] for i in range(h.F0.rows)]
-    )
-    FInf = LaurentMatrix(
-        [
-            [filterInf(i, j, h.FInf.entries[i][j]) for j in range(h.FInf.cols)]
-            for i in range(h.FInf.rows)
-        ]
-    )
-    out = HomElement(h.source, h.target, F0, FInf)
-    bad = out.intertwining_violation()
-    if bad:
-        raise AssertionError(f"graded component broke the intertwining law: {bad}")
-    return out
-
 
 def hom_element_from_section(
     source: EquivariantBundle,
@@ -245,10 +167,3 @@ def hom_element_from_section(
     F0 = LaurentMatrix([[f[j * mT + i] for j in range(mS)] for i in range(mT)])
     FInf = LaurentMatrix([[g[j * mT + i] for j in range(mS)] for i in range(mT)])
     return HomElement(source, target, F0, FInf)
-
-
-def section_from_hom_element(h: HomElement) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
-    mS, mT = h.source.rank, h.target.rank
-    f = [h.F0.entries[i][j] for j in range(mS) for i in range(mT)]
-    g = [h.FInf.entries[i][j] for j in range(mS) for i in range(mT)]
-    return f, g

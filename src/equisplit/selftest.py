@@ -21,10 +21,11 @@ from .bundle import (
     degree,
     random_instance,
     random_reframe,
+    transition_law_violations,
     validate,
 )
 from .cohomology import cech_cohomology, h0_character, h0_dim, h1_character
-from .equivariant import Character, weight_project_hom
+from .equivariant import Character
 from .jsonio import (
     certificate_from_json,
     certificate_to_json,
@@ -300,10 +301,11 @@ def criterion_7_golden_fixtures() -> CriterionResult:
 def criterion_8_invariant_assertions(results: list[CriterionResult]) -> CriterionResult:
     """No theory-guaranteed assertion fired anywhere in the suite.
 
-    The assertions (nowhere-vanishing sections, sorted peel degrees,
-    equivariance of produced frames) are always armed; any InvariantViolation
-    in criteria 1-7 is recorded and fails this criterion.  A fresh sweep of
-    splits with invariant-heavy paths runs here as well.
+    The assertions (nowhere-vanishing sections, sorted degrees in the
+    verified certificate, equivariance of produced frames) are always armed;
+    any InvariantViolation in criteria 1-7 is recorded and fails this
+    criterion.  A fresh sweep of splits runs here as well and checks both
+    frames of each splitting map against the weight law.
     """
 
     def body() -> str:
@@ -313,10 +315,14 @@ def criterion_8_invariant_assertions(results: list[CriterionResult]) -> Criterio
         for seed in range(80_000, 80_050):
             E, _, torus = sample_case(seed)
             summands, cert = equivariant_split(E)
-            s, p = splitting_hom(E, cert)
-            zero = torus.zero_weight
-            if weight_project_hom(s, zero).F0 != s.F0:
-                return f"seed {seed}: splitting section is not weight-invariant"
+            s, _ = splitting_hom(E, cert)
+            S = s.source
+            bad = transition_law_violations(s.F0, E.lambda0, S.lambda0, torus, "s.F0")
+            bad += transition_law_violations(
+                s.FInf.invert_variable(), E.lambdaInf, S.lambdaInf, torus, "s.FInf(1/z)"
+            )
+            if bad:
+                return f"seed {seed}: splitting section is not weight-invariant: {bad[0]}"
         return ""
 
     return _run(8, "invariant assertions never fire", body)

@@ -57,22 +57,24 @@ from .laurent import LaurentPoly, poly_ext_gcd
 from .linalg import LaurentMatrix, rank_sparse
 
 
-def max_twist(E: EquivariantBundle) -> tuple[int, EquivariantBundle]:
+def max_twist(E: EquivariantBundle, bound: int | None = None) -> tuple[int, EquivariantBundle]:
     """The largest k with nonzero global sections after twisting by -k.
 
     Searches downward from -o (o the minimum exponent in A), where the
-    section window is empty; theory guarantees a hit at or before
-    ceil(degree/rank), so running past it is an internal error.  Each step
-    counts sections through the cached H^0 kernel and builds none.  Returns
-    k together with the twist E(-k), whose kernel is already solved for
-    ``eigen_section``.
+    section window is empty, or from ``bound`` when that is lower: the caller
+    passes a bound only when it knows k <= bound, as the splitting induction
+    does with the degree it peeled last.  Theory guarantees a hit at or
+    before ceil(degree/rank), so running past it is an internal error.  Each
+    step counts sections through the cached H^0 kernel and builds none.
+    Returns k together with the twist E(-k), whose kernel is already solved
+    for ``eigen_section``.
     """
     if E.rank == 0:
         raise ValueError("max_twist of a rank-0 bundle")
     rng = E.A.exponent_range()
     if rng is None:
         raise ValueError("invalid bundle: zero transition matrix")
-    hi = -rng[0]
+    hi = -rng[0] if bound is None else min(-rng[0], bound)
     floor = -(-degree(E) // E.rank)  # ceil; its det pass caches A^-1, which the twists reuse
     zero = E.torus.zero_weight
     for k in range(hi, floor - 1, -1):
@@ -158,9 +160,10 @@ def _frame_completion(entries: list[LaurentPoly]) -> tuple[LaurentMatrix, Lauren
     return LaurentMatrix(U), LaurentMatrix(Uinv)
 
 
-def peel(E: EquivariantBundle) -> PeelStep:
+def peel(E: EquivariantBundle, bound: int | None = None) -> PeelStep:
     """Split off the top-degree equivariant line subbundle.
 
+    ``bound`` is an upper bound on that degree, handed to ``max_twist``.
     Twists so the subbundle has degree 0, takes the deterministic
     eigen-section, completes it to chart-local frames via unimodular
     completion, and reads off the block-triangular transition.  A section
@@ -173,7 +176,7 @@ def peel(E: EquivariantBundle) -> PeelStep:
         raise ValueError("peel of a rank-0 bundle")
     m = E.rank
     torus = E.torus
-    n1, Et = max_twist(E)
+    n1, Et = max_twist(E, bound)
     sigma = eigen_section(Et)
     chi = sigma.weight
 
@@ -302,6 +305,8 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
 
     Repeatedly peels the top-degree line subbundle, accumulating the frame
     changes into a global triangularization, then clears the upper part.
+    A peel of degree n leaves the sum of the other summands, so the next
+    peel is bounded by n and the degrees come out non-increasing.
     Only the chart-0 inverse Uinv_tot = U_1^-1 ... U_k^-1 and the chart-inf
     frame Vtot = V_k ... V_1 are accumulated; peel k acts on coordinates
     t.. (t = k - 1), so it updates columns t.. of Uinv_tot and rows t.. of
@@ -320,11 +325,7 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
     summands: list[LineSummand] = []
     current = E
     while current.rank > 0:
-        step = peel(current)
-        if summands and step.summand.n > summands[-1].n:
-            raise InvariantViolation(
-                f"peel degrees out of order: {step.summand.n} after {summands[-1].n}"
-            )
+        step = peel(current, summands[-1].n if summands else None)
         summands.append(step.summand)
         t = m - step.U.rows
         cols = Uinv_tot.submatrix(range(m), range(t, m)) @ step.Uinv

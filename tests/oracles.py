@@ -1,15 +1,17 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately written from scratch against the definitions
-(dense elimination, naive recursion, products over ``Fraction`` only),
-sharing no algorithmic path with the package's sparse eliminator, memoized
-determinant, integer-first Laurent arithmetic, or windowed cohomology.
+(dense elimination, naive recursion, products over ``Fraction`` only, the
+fiber filtrations of a moving-base bundle), sharing no algorithmic path with
+the package's sparse eliminator, determinant, integer-first Laurent
+arithmetic, windowed cohomology, or peeling split.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from equisplit.bundle import LineSummand
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
 
@@ -205,3 +207,62 @@ def per_class_h0_kernel(E) -> list[tuple[tuple, tuple[LaurentPoly, ...]]]:
             found.append((cols.index(mine[f]), chi, tuple(LaurentPoly(t) for t in h)))
     found.sort(key=lambda r: r[0])
     return [(chi, h) for _, chi, h in found]
+
+
+def filtration_splitting(E) -> list[LineSummand]:
+    """The summands of a moving-base bundle, read off its two fiber filtrations.
+
+    With a != 0, write each frame weight as mu + level*a, mu a fixed
+    representative of its class modulo Z*a.  The law d*a = lambdaInf[i] -
+    lambda0[j] then allows entry (i, j) only the exponent q_i - p_j (q the
+    chart-inf and p the chart-0 levels) and only within one class, so each
+    class is a block diag(z^q) C diag(z^-p) with C constant.  Adding a row of
+    higher q to one of lower q keeps the chart-inf frame over k[w], and
+    adding a column of higher p to one of lower p keeps the chart-0 frame
+    over k[z]; so an LPU (Bruhat) elimination of C, rows and columns sorted
+    by level descending, leaves one pivot per row and column, and pivot
+    (i, j) is the summand O(p_j - q_i) of weight lambda0[j].  Summands come
+    in canonical order.
+    """
+    a = E.torus.a
+    k = next((t for t, x in enumerate(a) if x), None)
+    if k is None:
+        raise ValueError("the filtration oracle needs a moving base")
+
+    def split_weight(w):
+        level = w[k] // a[k]
+        return tuple(x - level * y for x, y in zip(w, a)), level
+
+    m = E.rank
+    rows = [split_weight(w) for w in E.lambdaInf]
+    cols = [split_weight(w) for w in E.lambda0]
+    for i in range(m):
+        for j in range(m):
+            allowed = {rows[i][1] - cols[j][1]} if rows[i][0] == cols[j][0] else set()
+            if set(E.A.entries[i][j].terms) - allowed:
+                raise ValueError(f"entry ({i}, {j}) breaks the weight law")
+    out = []
+    for mu in sorted({mu for mu, _ in rows + cols}):
+        I = sorted((i for i in range(m) if rows[i][0] == mu), key=lambda i: -rows[i][1])
+        J = sorted((j for j in range(m) if cols[j][0] == mu), key=lambda j: -cols[j][1])
+        if len(I) != len(J):
+            raise ValueError(f"class {mu} has {len(I)} rows and {len(J)} columns")
+        C = [
+            [Fraction(E.A.entries[i][j].terms.get(rows[i][1] - cols[j][1], 0)) for j in J]
+            for i in I
+        ]
+        used = [False] * len(J)
+        for r in range(len(I)):
+            # rows above r have cleared their pivot columns below them; the
+            # column operations clearing row r right of its pivot touch no
+            # other row, so they are left implicit
+            c = next((c for c in range(len(J)) if not used[c] and C[r][c]), None)
+            if c is None:
+                raise ValueError(f"class {mu} has a singular block")
+            used[c] = True
+            for r2 in range(r + 1, len(I)):
+                if C[r2][c]:
+                    f = C[r2][c] / C[r][c]
+                    C[r2] = [x - f * y for x, y in zip(C[r2], C[r])]
+            out.append(LineSummand(cols[J[c]][1] - rows[I[r]][1], E.lambda0[J[c]]))
+    return sorted(out, key=LineSummand.sort_key)

@@ -14,14 +14,8 @@ from equisplit.bundle import (
 from equisplit.cohomology import h0_sections
 from equisplit.equivariant import (
     Character,
-    HomElement,
-    hom_compose,
     hom_element_from_section,
-    hom_identity,
-    hom_monomial_weights,
     monomial_weight,
-    section_from_hom_element,
-    weight_project_hom,
 )
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
@@ -123,87 +117,15 @@ def _random_bundle(seed, r=1, max_rank=3):
     return E, torus
 
 
-class TestWeightProjectHom:
-    def test_identity_is_invariant(self):
-        E, torus = _random_bundle(1)
-        h = hom_identity(E)
-        zero = torus.zero_weight
-        assert weight_project_hom(h, zero).F0 == h.F0
-        assert weight_project_hom(h, (5,)).is_zero()
-
-    def test_single_monomial_grading(self):
-        L1 = line_bundle(0, (0,), T1)
-        L2 = line_bundle(0, (2,), T1)
-        h = HomElement(L1, L2, lm([[{1: 1}]]), lm([[{-1: 1}]]))
-        assert h.intertwining_violation() is None
-        # hom weight on chart 0: 2 - 0 - 1*1 = 1
-        assert weight_project_hom(h, (1,)).F0 == h.F0
-        assert weight_project_hom(h, (0,)).is_zero()
-
-    def test_rejects_non_map(self):
-        L1 = line_bundle(0, (0,), T1)
-        h = HomElement(L1, L1, lm([[{1: 1}]]), lm([[{0: 1}]]))
-        with pytest.raises(ValueError):
-            weight_project_hom(h, (0,))
-
-    def test_grading_completeness_and_disjoint_support(self):
-        for seed in range(12):
-            E, torus = _random_bundle(seed)
-            secs = h0_sections(hom_bundle(E, E))
-            if not secs:
-                continue
-            total = None
-            for s, _ in secs:
-                h = hom_element_from_section(E, E, list(s.f), list(s.g))
-                total = h if total is None else total + h
-            weights = hom_monomial_weights(total)
-            pieces = [weight_project_hom(total, chi) for chi in weights]
-            acc = None
-            for piece in pieces:
-                acc = piece if acc is None else acc + piece
-            assert acc.F0 == total.F0 and acc.FInf == total.FInf
-            # disjoint support: each projection is idempotent and its pairwise
-            # overlap with a different weight is empty
-            for chi in weights:
-                proj = weight_project_hom(total, chi)
-                again = weight_project_hom(proj, chi)
-                assert again.F0 == proj.F0 and again.FInf == proj.FInf
-                for other in weights:
-                    if other != chi:
-                        cross = weight_project_hom(proj, other)
-                        assert cross.is_zero()
-
-    def test_composition_adds_weights(self):
-        rng = random.Random(2)
-        for seed in range(10):
-            E, torus = _random_bundle(seed, max_rank=2)
-            secs = [
-                hom_element_from_section(E, E, list(s.f), list(s.g))
-                for s, _ in h0_sections(hom_bundle(E, E))
-            ]
-            graded = []
-            for h in secs:
-                for chi in hom_monomial_weights(h):
-                    piece = weight_project_hom(h, chi)
-                    if not piece.is_zero():
-                        graded.append((chi, piece))
-            for _ in range(6):
-                if not graded:
-                    break
-                chi1, h1 = graded[rng.randrange(len(graded))]
-                chi2, h2 = graded[rng.randrange(len(graded))]
-                comp = hom_compose(h1, h2)
-                if comp.is_zero():
-                    continue
-                want = tuple(x + y for x, y in zip(chi1, chi2))
-                assert hom_monomial_weights(comp) == {want}
-
-
 class TestHomReshape:
     def test_roundtrip(self):
         E, torus = _random_bundle(4, max_rank=3)
         for s, _ in h0_sections(hom_bundle(E, E)):
             h = hom_element_from_section(E, E, list(s.f), list(s.g))
             assert h.intertwining_violation() is None
-            f, g = section_from_hom_element(h)
-            assert f == list(s.f) and g == list(s.g)
+            # component j*rank + i of the section is entry (i, j) of the map
+            m = E.rank
+            for i in range(m):
+                for j in range(m):
+                    assert h.F0.entries[i][j] == s.f[j * m + i]
+                    assert h.FInf.entries[i][j] == s.g[j * m + i]

@@ -20,13 +20,13 @@ from equisplit.bundle import (
     validate,
 )
 from equisplit.cohomology import _h0_records, h0_character, h0_dim, h1_character
-from equisplit.equivariant import Character, derive_target_weights, weight_project_hom
+from equisplit.equivariant import Character, derive_target_weights
 from equisplit import cohomology, linalg, splitting
 from equisplit.jsonio import certificate_from_json, certificate_to_json, dumps_canonical
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix, mat_det
 from equisplit.selftest import _mutate_monomial, sample_case
-from oracles import det_certificate_checks, is_normal
+from oracles import det_certificate_checks, filtration_splitting, is_normal
 from equisplit.splitting import (
     InvariantViolation,
     SplittingCertificate,
@@ -102,6 +102,14 @@ class TestMaxTwist:
             assert h0_dim(twist_by(E, -n1)) > 0
             assert h0_dim(twist_by(E, -n1 - 1)) == 0
             assert n1 * E.rank >= degree(E)
+
+    def test_bound_at_or_above_the_answer(self):
+        # a bound the answer does not exceed only shortens the search
+        for seed in range(20):
+            E, _, _ = sample(seed)
+            k, Et = max_twist(E)
+            for bound in (k, k + 1, k + 5):
+                assert max_twist(E, bound) == (k, Et), (seed, bound)
 
 
 def twist_by(E, k):
@@ -453,9 +461,12 @@ class TestSplittingHom:
             _, cert = equivariant_split(E)
             s, p = splitting_hom(E, cert)
             assert p.F0 @ s.F0 == LaurentMatrix.identity(E.rank)
-            zero = torus.zero_weight
-            proj = weight_project_hom(s, zero)
-            assert proj.F0 == s.F0 and proj.FInf == s.FInf
+            # s is invariant: both frames obey the weight law from the
+            # summand weights to E's weights
+            S = s.source
+            assert transition_law_violations(s.F0, E.lambda0, S.lambda0, torus) == []
+            FInf_z = s.FInf.invert_variable()
+            assert transition_law_violations(FInf_z, E.lambdaInf, S.lambdaInf, torus) == []
 
     def test_invalid_certificate_rejected(self):
         E = e3_bundle()
@@ -572,6 +583,66 @@ def test_one_adjugate_per_validated_bundle(monkeypatch, torus):
         equivariant_split(dense_case(seed, torus))
     one_split = [(helper, m) for m in (5, 4, 3, 2, 1) for helper in ("mat_adjugate", "mat_inverse")]
     assert calls == one_split * 5
+
+
+def test_rank_6_split_h0_solves(monkeypatch):
+    # each peel searches its twist down from the degree peeled before it,
+    # so the dense rank-6 split takes 20 H^0 eliminations (102 when every
+    # search started at the top of the quotient's exponent range)
+    rng = random.Random(1)
+    summands = [LineSummand(rng.randint(-3, 3), ()) for _ in range(6)]
+    E, hidden = random_instance(1, summands, 60)
+    calls = []
+    kernel = cohomology.kernel_sparse
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(cohomology, "kernel_sparse", counted)
+    got, cert = equivariant_split(E)
+    assert got == hidden
+    assert verify_certificate(E, cert).ok
+    assert len(calls) == 20
+
+
+def dense_moving(m, a):
+    """Dense rank-m scramble with 10*m ops under the torus acting through a."""
+    torus = TorusAction(len(a), a)
+    rng = random.Random(1)
+    summands = [
+        LineSummand(rng.randint(-3, 3), tuple(rng.randint(-2, 2) for _ in a)) for _ in range(m)
+    ]
+    return random_instance(1, summands, 10 * m, torus)
+
+
+class TestFiltrationOracle:
+    def test_matches_hidden_on_sample_cases(self):
+        moving = 0
+        for seed in range(3000):
+            E, hidden, torus = sample_case(seed)
+            if torus.rank and not torus.base_is_fixed():
+                moving += 1
+                assert filtration_splitting(E) == hidden, seed
+        assert moving > 1000
+
+    @pytest.mark.parametrize("a", [(1,), (2,), (1, 0)])
+    @pytest.mark.parametrize("m", [16, 32, 64])
+    def test_matches_hidden_on_dense(self, m, a):
+        E, hidden = dense_moving(m, a)
+        assert filtration_splitting(E) == hidden
+
+    @pytest.mark.parametrize("a", [(1,), (2,), (1, 0)])
+    @pytest.mark.parametrize("m", [6, 8, 12, 16])
+    def test_split_matches_oracle(self, m, a):
+        E, _ = dense_moving(m, a)
+        got, cert = equivariant_split(E)
+        assert got == filtration_splitting(E)
+        assert verify_certificate(E, cert).ok
+
+    def test_rejects_a_fixed_base(self):
+        with pytest.raises(ValueError):
+            filtration_splitting(line_bundle(1, (0,), TorusAction(1, (0,))))
 
 
 @pytest.mark.parametrize("torus", [TorusAction(0, ()), TorusAction(1, (0,)), TorusAction(1, (1,))])

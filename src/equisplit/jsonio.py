@@ -65,7 +65,7 @@ def _int_list(x: Any, ptr: str) -> list[int]:
 
 def poly_from_json(data: Any, ptr: str) -> LaurentPoly:
     _want(isinstance(data, list), ptr, "expected a list of monomials")
-    terms: dict[int, Fraction] = {}
+    terms: dict[int, int | Fraction] = {}
     for k, mono in enumerate(data):
         mptr = f"{ptr}/{k}"
         _want(isinstance(mono, list) and len(mono) == 3, mptr, "expected [exp, num, den]")
@@ -75,7 +75,7 @@ def poly_from_json(data: Any, ptr: str) -> LaurentPoly:
         _want(den > 0, f"{mptr}/2", "denominator must be positive")
         _want(num != 0, f"{mptr}/1", "zero coefficients must not be stored")
         _want(e not in terms, f"{mptr}/0", f"duplicate exponent {e}")
-        terms[e] = Fraction(num, den)
+        terms[e] = num if den == 1 else Fraction(num, den)
     return LaurentPoly(terms)
 
 

@@ -306,6 +306,11 @@ def poly_ext_gcd2(
     return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
 
+def _times(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """p*q, forming no product when either factor is zero."""
+    return p * q if p.terms and q.terms else LaurentPoly()
+
+
 def poly_ext_gcd(
     polys: list[LaurentPoly],
 ) -> tuple[LaurentPoly, list[list[LaurentPoly]], list[list[LaurentPoly]]]:
@@ -338,11 +343,16 @@ def poly_ext_gcd(
         # 2x2 block [[s, t], [-f/g2, g/g2]] has determinant exactly 1, and
         # inverse [[g/g2, -t], [f/g2, s]]
         fq, gq = poly_exact_div(f, g2), poly_exact_div(g, g2)
-        row0 = [s * U[0][j] + t * U[i][j] for j in range(k)]
-        rowi = [gq * U[i][j] - fq * U[0][j] for j in range(k)]
-        U[0], U[i] = row0, rowi
-        for r in Uinv:
-            r[0], r[i] = r[0] * gq + r[i] * fq, r[i] * s - r[0] * t
+        # earlier blocks touched only rows 0 and i' < i of U and columns 0 and
+        # i' of Uinv, so row i of U and column i of Uinv are still e_i and
+        # U[0][i] = Uinv[i][0] = 0: every updated entry is a single product,
+        # and none is formed with a zero entry
+        nfq, nt = -fq, -t
+        row0 = U[0]
+        U[0] = [t if j == i else _times(s, u) for j, u in enumerate(row0)]
+        U[i] = [gq if j == i else _times(nfq, u) for j, u in enumerate(row0)]
+        for j, r in enumerate(Uinv):
+            r[0], r[i] = (fq, s) if j == i else (_times(r[0], gq), _times(r[0], nt))
         g = g2
     if not g.is_zero() and g.leading_coeff() != 1:
         lc = g.leading_coeff()

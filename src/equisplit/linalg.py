@@ -8,7 +8,11 @@ Two small engines live here:
   monomial determinant, and Kronecker products.  The matrix product is
   fused: each output entry is one coefficient dict accumulated over the
   inner index straight from the operands' terms, with no intermediate
-  polynomial per product.
+  polynomial per product.  Results are wrapped by the private constructor
+  ``LaurentMatrix._adopt``, which takes only freshly built rows of a known
+  shape and so skips the copy and the ragged check.  Scalar scalings (by the
+  coefficient lcm, by a sign, by an inverse determinant) scale coefficients
+  and never go through the Laurent product.
 * rational row reduction — one sparse, fraction-free elimination routine
   over Python integers, used by every cohomology computation.  Rows enter
   with their denominators cleared, are combined by integer
@@ -45,6 +49,15 @@ class LaurentMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+
+    @classmethod
+    def _adopt(cls, entries: list[list[LaurentPoly]], rows: int, cols: int) -> "LaurentMatrix":
+        """Wrap freshly built rows of the given shape: no copy, no ragged check."""
+        out = cls.__new__(cls)
+        out.rows = rows
+        out.cols = cols
+        out.entries = entries
+        return out
 
     @classmethod
     def identity(cls, n: int) -> "LaurentMatrix":
@@ -84,14 +97,14 @@ class LaurentMatrix:
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._check_same_shape(other)
-        return LaurentMatrix(
-            [[self.entries[i][j] + other.entries[i][j] for j in range(self.cols)] for i in range(self.rows)]
+        return LaurentMatrix._adopt(
+            [[p + q for p, q in zip(r, s)] for r, s in zip(self.entries, other.entries)], self.rows, self.cols
         )
 
     def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._check_same_shape(other)
-        return LaurentMatrix(
-            [[self.entries[i][j] - other.entries[i][j] for j in range(self.cols)] for i in range(self.rows)]
+        return LaurentMatrix._adopt(
+            [[p - q for p, q in zip(r, s)] for r, s in zip(self.entries, other.entries)], self.rows, self.cols
         )
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
@@ -102,46 +115,54 @@ class LaurentMatrix:
             [(k, row[j].terms) for k, row in enumerate(other.entries) if row[j].terms]
             for j in range(other.cols)
         ]
+        from_sums = LaurentPoly.from_sums
         entries = []
         for row in self.entries:
+            aterms = [p.terms for p in row]
             orow = []
             for bcol in bcols:
                 sums: dict[int, Scalar] = {}
                 get = sums.get
                 for k, bt in bcol:
-                    at = row[k].terms
+                    at = aterms[k]
                     if not at:
                         continue
                     bitems = bt.items()
                     for e1, c1 in at.items():
                         for e2, c2 in bitems:
                             e = e1 + e2
-                            sums[e] = get(e, 0) + c1 * c2
-                orow.append(LaurentPoly.from_sums(sums))
+                            # the first product is stored as it is: 0 + Fraction
+                            # would take Fraction's slow reflected add
+                            s = get(e)
+                            sums[e] = c1 * c2 if s is None else s + c1 * c2
+                orow.append(from_sums(sums))
             entries.append(orow)
-        return LaurentMatrix(entries, self.rows, other.cols)
+        return LaurentMatrix._adopt(entries, self.rows, other.cols)
 
     def scale(self, p: LaurentPoly | Scalar) -> "LaurentMatrix":
-        if not isinstance(p, LaurentPoly):
-            p = LaurentPoly.constant(p)
-        return LaurentMatrix([[e * p for e in row] for row in self.entries])
+        """Multiply every entry by p; a scalar p scales coefficients, with no Laurent product."""
+        if isinstance(p, LaurentPoly):
+            return self.map(lambda e: e * p)
+        return self.map(lambda e: e.scale(p))
 
     def shift(self, k: int) -> "LaurentMatrix":
         """Multiply every entry by z**k (an exponent shift, no arithmetic)."""
         return self.map(lambda e: e.shift(k))
 
     def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return LaurentMatrix._adopt(
+            [[row[j] for row in self.entries] for j in range(self.cols)], self.cols, self.rows
+        )
 
     def map(self, fn: Callable[[LaurentPoly], LaurentPoly]) -> "LaurentMatrix":
-        return LaurentMatrix([[fn(e) for e in row] for row in self.entries])
+        return LaurentMatrix._adopt([[fn(e) for e in row] for row in self.entries], self.rows, self.cols)
 
     def invert_variable(self) -> "LaurentMatrix":
         """Substitute z -> 1/z in every entry."""
         return self.map(lambda e: e.invert_variable())
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "LaurentMatrix":
-        return LaurentMatrix(
+        return LaurentMatrix._adopt(
             [[self.entries[i][j] for j in col_idx] for i in row_idx], len(row_idx), len(col_idx)
         )
 
@@ -189,7 +210,9 @@ def mat_adjugate(M: LaurentMatrix) -> tuple[LaurentMatrix, LaurentPoly]:
     denominators: the c_k of an integer matrix are the integer coefficients
     of its characteristic polynomial, so each division by k is exact and
     every product stays over the integers.  By Cayley–Hamilton
-    M adj M = det M I, so det M is row 0 of M times column 0 of adj M.
+    d M adj(d M) = det(d M) I, so det(d M) = d^m det M is row 0 of d M times
+    column 0 of adj(d M) = (-1)^(m-1) N_m, an integer product; the scalings
+    by d and back are coefficient scalings, skipped when d = 1.
     """
     if not M.is_square():
         raise ValueError("adjugate of a non-square matrix")
@@ -197,18 +220,19 @@ def mat_adjugate(M: LaurentMatrix) -> tuple[LaurentMatrix, LaurentPoly]:
     if m == 0:
         return LaurentMatrix.zeros(0, 0), LaurentPoly.one()
     den = reduce(lcm, (v.denominator for row in M.entries for p in row for v in p.terms.values()), 1)
-    dM = M.scale(den)
+    dM = M if den == 1 else M.scale(den)
     N = LaurentMatrix.identity(m)
     for k in range(1, m):
         MN = dM @ N if k > 1 else dM
         tr = sum((MN.entries[i][i] for i in range(m)), LaurentPoly.zero())
         c = LaurentPoly.from_sums({e: scalar_div(-v, k) for e, v in tr.terms.items()})
-        N = LaurentMatrix(
+        N = LaurentMatrix._adopt(
             [[p + c if i == j else p for j, p in enumerate(row)] for i, row in enumerate(MN.entries)], m, m
         )
-    adj = N.scale(Fraction((-1) ** (m - 1), den ** (m - 1)))  # adj(dM) = d^(m-1) adj M
-    det = sum((M.entries[0][k] * adj.entries[k][0] for k in range(m)), LaurentPoly.zero())
-    return adj, det
+    sign = (-1) ** (m - 1)
+    adj = N if sign == den == 1 else N.scale(Fraction(sign, den ** (m - 1)))  # adj(dM) = d^(m-1) adj M
+    det = sum((dM.entries[0][k] * N.entries[k][0] for k in range(m)), LaurentPoly.zero())
+    return adj, det.scale(Fraction(sign, den**m))
 
 
 def mat_det(M: LaurentMatrix) -> LaurentPoly:
@@ -220,13 +244,14 @@ def mat_inverse(adj: LaurentMatrix, det: LaurentPoly) -> LaurentMatrix:
     """Exact inverse adj / det over the Laurent ring, given det = c*z^e.
 
     Takes the pair ``mat_adjugate`` returns and shifts the adjugate by -e
-    and scales it by 1/c; a bundle's det pass inverts its transition here.
+    and scales it by 1/c, both in one dict per entry; a bundle's det pass
+    inverts its transition here.
     """
     if not det.is_monomial():
         raise ValueError(f"determinant {det!r} is not a nonzero monomial")
     ((e, c),) = det.terms.items()
     inv = scalar_div(1, c)
-    return adj.map(lambda p: p.shift(-e).scale(inv))
+    return adj.map(lambda p: LaurentPoly.from_sums({d - e: inv * v for d, v in p.terms.items()}))
 
 
 # -- fraction-free row reduction ------------------------------------------
@@ -234,7 +259,7 @@ def mat_inverse(adj: LaurentMatrix, det: LaurentPoly) -> LaurentMatrix:
 
 def _integer_row(row: dict[int, Scalar]) -> dict[int, int]:
     """The row scaled by the lcm of its denominators, zeros dropped; callers pass raw coefficients."""
-    den = reduce(lcm, (v.denominator for v in row.values()), 1)
+    den = reduce(lcm, (v.denominator for v in row.values() if v.__class__ is not int), 1)
     if den == 1:  # already integral: .numerator keeps a Fraction(k, 1) an int
         return {c: v.numerator for c, v in row.items() if v}
     return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}

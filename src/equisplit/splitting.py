@@ -308,9 +308,9 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
     A peel of degree n leaves the sum of the other summands, so the next
     peel is bounded by n and the degrees come out non-increasing.
     Only the chart-0 inverse Uinv_tot = U_1^-1 ... U_k^-1 and the chart-inf
-    frame Vtot = V_k ... V_1 are accumulated; peel k acts on coordinates
-    t.. (t = k - 1), so it updates columns t.. of Uinv_tot and rows t.. of
-    Vtot in place.
+    frame Vtot = V_k ... V_1 are accumulated; the first peel's frames seed
+    them, and peel k > 1 acts on coordinates t.. (t = k - 1), so it updates
+    columns t.. of Uinv_tot and rows t.. of Vtot in place.
     Summands come out in canonical ``LineSummand.sort_key`` order
     (non-increasing degree, then weight).  With a rank-0 torus this is a
     constructive splitting-type computation.
@@ -320,18 +320,22 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
         raise ValueError("cannot split an invalid bundle: " + "; ".join(report.violations))
     m = E.rank
     torus = E.torus
-    Uinv_tot = LaurentMatrix.identity(m)
-    Vtot = LaurentMatrix.identity(m)
+    Uinv_tot = Vtot = LaurentMatrix.zeros(0, 0)  # the first peel replaces both when m > 0
     summands: list[LineSummand] = []
     current = E
     while current.rank > 0:
         step = peel(current, summands[-1].n if summands else None)
         summands.append(step.summand)
         t = m - step.U.rows
-        cols = Uinv_tot.submatrix(range(m), range(t, m)) @ step.Uinv
-        for row, new in zip(Uinv_tot.entries, cols.entries):
-            row[t:] = new
-        Vtot.entries[t:] = (step.V @ Vtot.submatrix(range(t, m), range(m))).entries
+        if t == 0:
+            # the constructor copies the rows, which later peels update in place
+            Uinv_tot = LaurentMatrix(step.Uinv.entries, m, m)
+            Vtot = LaurentMatrix(step.V.entries, m, m)
+        else:
+            cols = Uinv_tot.submatrix(range(m), range(t, m)) @ step.Uinv
+            for row, new in zip(Uinv_tot.entries, cols.entries):
+                row[t:] = new
+            Vtot.entries[t:] = (step.V @ Vtot.submatrix(range(t, m), range(m))).entries
         current = step.quotient
 
     R = (Vtot.invert_variable() @ E.A) @ Uinv_tot

@@ -1,5 +1,6 @@
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -45,11 +46,18 @@ class TestPolyCodec:
     def test_rejects_bad_denominator(self):
         with pytest.raises(ParseError) as exc:
             poly_from_json([[0, 1, 0]], "/x")
-        assert "/2" in exc.value.pointer
+        assert exc.value.pointer == "/x/0/2"
 
     def test_rejects_duplicate_exponent(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             poly_from_json([[1, 1, 1], [1, 2, 1]], "")
+        assert exc.value.pointer == "/1/0"
+
+    def test_coefficients_in_normal_form(self):
+        # an integral value parses to an int, whatever its stored denominator
+        for mono, want in (([0, 4, 2], 2), ([0, 2, 4], Fraction(1, 2)), ([0, -3, 1], -3)):
+            (c,) = poly_from_json([mono], "").terms.values()
+            assert type(c) is type(want) and c == want
 
 
 class TestInstanceCodec:

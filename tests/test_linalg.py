@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equisplit.laurent import LaurentPoly
+from equisplit.laurent import LaurentPoly, poly_ext_gcd
 from equisplit.linalg import (
     LaurentMatrix,
     kernel_sparse,
@@ -16,7 +16,7 @@ from equisplit.linalg import (
     rank_sparse,
     rref_sparse,
 )
-from oracles import dense_rank, dense_rref, is_normal, naive_det, naive_matmul
+from oracles import dense_rank, dense_rref, is_normal, naive_det, naive_matmul, naive_mul
 
 P = LaurentPoly
 
@@ -221,6 +221,22 @@ class TestMatrixOps:
         assert empty_cols @ empty_rows == LaurentMatrix.zeros(1, 1)
         assert (empty_rows @ empty_cols).rows == (empty_rows @ empty_cols).cols == 0
 
+    def test_elementwise_ops_keep_empty_shapes(self):
+        for shape in ((0, 3), (3, 0)):
+            Z = LaurentMatrix.zeros(*shape)
+            for M in (
+                Z.map(lambda p: p),
+                Z.shift(2),
+                Z.invert_variable(),
+                Z.scale(2),
+                Z.scale(P.monomial(1)),
+                Z + Z,
+                Z - Z,
+            ):
+                assert (M.rows, M.cols) == shape
+            T = Z.transpose()
+            assert (T.rows, T.cols) == shape[::-1]
+
     def test_exponent_range(self):
         assert lm([[{-2: 1}, {5: 1}]]).exponent_range() == (-2, 5)
         assert LaurentMatrix.zeros(2, 2).exponent_range() is None
@@ -298,21 +314,60 @@ def _assert_normal(M):
     assert not bad, f"coefficients outside the normal form: {bad!r}"
 
 
-@st.composite
-def _invertible_matrices(draw):
-    """L D U: unit triangular factors with Laurent entries, D constant diagonal.
+# integer coefficients only, so that the lcm d of the denominators is 1
+_INT_COEFFS = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+_INT_LAURENTS = st.dictionaries(st.integers(-3, 3), _INT_COEFFS, max_size=3).map(LaurentPoly)
 
-    det = prod(D) is a nonzero constant, often not a unit of Z (2, 1/3, ...).
+
+@st.composite
+def _invertible_matrices(draw, min_m=1, max_m=3, coeffs=_COEFFS, laurents=_LAURENTS, shifts=False):
+    """L D U: unit triangular factors with Laurent entries, D diagonal.
+
+    D is constant, or with ``shifts`` has monomial entries c z^k; either way
+    det = prod(D) is a nonzero monomial whose constant is often not a unit of
+    Z (2, 1/3, ...).
     """
-    m = draw(st.integers(1, 3))
-    diag = draw(st.lists(_COEFFS.filter(bool), min_size=m, max_size=m))
+    m = draw(st.integers(min_m, max_m))
+    diag = draw(st.lists(coeffs.filter(bool), min_size=m, max_size=m))
+    exps = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m)) if shifts else [0] * m
     L, U = LaurentMatrix.identity(m), LaurentMatrix.identity(m)
     for i in range(m):
         for j in range(i):
-            L.entries[i][j] = draw(_LAURENTS)
-            U.entries[j][i] = draw(_LAURENTS)
-    D = LaurentMatrix.diagonal([LaurentPoly.constant(c) for c in diag])
+            L.entries[i][j] = draw(laurents)
+            U.entries[j][i] = draw(laurents)
+    D = LaurentMatrix.diagonal([LaurentPoly.monomial(k, c) for k, c in zip(exps, diag)])
     return L @ D @ U
+
+
+def _naive_adjugate(M):
+    """The terms of adj M by cofactors: entry (i, j) is (-1)^(i+j) det of M without row j and column i."""
+    m = M.rows
+
+    def cofactor(i, j):
+        minor = M.submatrix([r for r in range(m) if r != j], [c for c in range(m) if c != i])
+        return naive_det(minor).scale((-1) ** (i + j)).terms
+
+    return [[cofactor(i, j) for j in range(m)] for i in range(m)]
+
+
+def _terms(M):
+    return [[p.terms for p in row] for row in M.entries]
+
+
+@st.composite
+def _square_matrices(draw, integral):
+    """Square Laurent matrices of size 0..4 whose coefficient lcm d is 1 (integral) or > 1.
+
+    A non-integral matrix gets z^4 / 2 added to entry (0, 0); no drawn
+    monomial has exponent 4, so it cannot cancel.  (The 0x0 matrix has d = 1
+    either way.)
+    """
+    m = draw(st.integers(0, 4))
+    cells = st.lists(_INT_LAURENTS if integral else _LAURENTS, min_size=m, max_size=m)
+    M = LaurentMatrix(draw(st.lists(cells, min_size=m, max_size=m)), m, m)
+    if m and not integral:
+        M.entries[0][0] = M.entries[0][0] + P.monomial(4, Fraction(1, 2))
+    return M
 
 
 class TestExactNormalForm:
@@ -335,3 +390,62 @@ class TestExactNormalForm:
         _assert_normal(inv)
         identity = [[{0: 1} if i == j else {} for j in range(M.rows)] for i in range(M.rows)]
         assert naive_matmul(M, inv) == naive_matmul(inv, M) == identity
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 3), st.one_of(_COEFFS, _LAURENTS), st.data())
+    def test_scale_matches_fraction_reference(self, n, k, c, data):
+        # an int or Fraction scales the coefficients; a LaurentPoly multiplies
+        M = data.draw(_laurent_matrices(n, k))
+        S = M.scale(c)
+        assert (S.rows, S.cols) == (n, k)
+        _assert_normal(S)
+        p = c if isinstance(c, LaurentPoly) else P.constant(c)
+        assert _terms(S) == [[naive_mul(e, p) for e in row] for row in M.entries]
+
+    @pytest.mark.parametrize("integral", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_adjugate_matches_cofactor_reference(self, integral, data):
+        # d = 1 skips the scalings by d; d > 1 runs the pass on d M and scales back
+        M = data.draw(_square_matrices(integral))
+        adj, det = mat_adjugate(M)
+        assert (adj.rows, adj.cols) == (M.rows, M.rows)
+        _assert_normal(adj)
+        assert all(is_normal(c) for c in det.terms.values())
+        assert det == naive_det(M)
+        assert _terms(adj) == _naive_adjugate(M)
+
+    @pytest.mark.parametrize("integral", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_inverse_matches_fraction_reference(self, integral, data):
+        # det = c z^e: each adjugate entry is shifted by -e and scaled by 1/c in one dict
+        coeffs, laurents = (_INT_COEFFS, _INT_LAURENTS) if integral else (_COEFFS, _LAURENTS)
+        M = data.draw(_invertible_matrices(0, 4, coeffs, laurents, shifts=True))
+        adj, det = mat_adjugate(M)
+        assert det == naive_det(M) and det.is_monomial()
+        ((e, c),) = det.terms.items()
+        inv = mat_inverse(adj, det)
+        _assert_normal(inv)
+        want = [[{k - e: Fraction(v, c) for k, v in cell.items()} for cell in row] for row in _naive_adjugate(M)]
+        assert _terms(inv) == want
+        identity = [[{0: 1} if i == j else {} for j in range(M.rows)] for i in range(M.rows)]
+        assert naive_matmul(M, inv) == naive_matmul(inv, M) == identity
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.data())
+    def test_ext_gcd_with_zero_entries(self, k, data):
+        # the Bezout updates skip products with zero entries of U and Uinv
+        polys = st.dictionaries(st.integers(0, 3), _COEFFS, max_size=3).map(LaurentPoly).filter(bool)
+        fs = data.draw(st.lists(polys, min_size=k, max_size=k))
+        zeros = data.draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k - 1))
+        fs = [P.zero() if i in zeros else f for i, f in enumerate(fs)]
+        g, U, Uinv = poly_ext_gcd(fs)
+        U, Uinv = LaurentMatrix(U), LaurentMatrix(Uinv)
+        _assert_normal(U)
+        _assert_normal(Uinv)
+        assert g.leading_coeff() == 1
+        F = LaurentMatrix([[f] for f in fs])
+        assert naive_matmul(U, F) == [[g.terms]] + [[{}]] * (k - 1)
+        identity = [[{0: 1} if i == j else {} for j in range(k)] for i in range(k)]
+        assert naive_matmul(U, Uinv) == naive_matmul(Uinv, U) == identity

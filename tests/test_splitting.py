@@ -606,6 +606,30 @@ def test_rank_6_split_h0_solves(monkeypatch):
     assert len(calls) == 20
 
 
+def test_rank_5_split_products(monkeypatch):
+    # the first peel's frames seed the accumulated frames, so a dense rank-5
+    # split takes 31 matrix products (33 when both started as identities);
+    # scalar scalings scale coefficients and each Bezout update is a single
+    # product with a nonzero entry, which leaves 316 Laurent products (662
+    # when both formed full products)
+    E = dense_case(1000, TorusAction(0, ()))
+    calls = {"matmul": 0, "mul": 0}
+
+    def counted(name, fn):
+        def wrapper(a, b):
+            calls[name] += 1
+            return fn(a, b)
+
+        return wrapper
+
+    monkeypatch.setattr(LaurentMatrix, "__matmul__", counted("matmul", LaurentMatrix.__matmul__))
+    mul = counted("mul", LaurentPoly.__mul__)
+    monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", mul)
+    equivariant_split(E)
+    assert calls == {"matmul": 31, "mul": 316}
+
+
 def dense_moving(m, a):
     """Dense rank-m scramble with 10*m ops under the torus acting through a."""
     torus = TorusAction(len(a), a)

@@ -48,7 +48,12 @@ from .bundle import (
 )
 from .equivariant import Character, monomial_weight
 from .laurent import LaurentPoly, Scalar
-from .linalg import kernel_sparse, rank_sparse, rref_sparse
+from .linalg import LaurentMatrix, kernel_sparse, rank_sparse, rref_sparse
+
+
+def _times_column(M: LaurentMatrix, v: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
+    """M v through one fused matrix product, v taken as a column."""
+    return tuple(row[0] for row in (M @ LaurentMatrix([[p] for p in v], len(v), 1)).entries)
 
 
 @dataclass
@@ -64,10 +69,7 @@ class Section:
     weight: Weight | None = None
 
     def compatibility_violation(self, E: EquivariantBundle) -> str | None:
-        for i in range(E.rank):
-            lhs = LaurentPoly.zero()
-            for j in range(E.rank):
-                lhs = lhs + E.A.entries[i][j] * self.f[j]
+        for i, lhs in enumerate(_times_column(E.A, self.f)):
             if lhs != self.g[i].invert_variable():
                 return f"component {i}: A f != g(1/z)"
         for i, p in enumerate(self.f):
@@ -147,18 +149,10 @@ def _h0_basis(E: EquivariantBundle) -> list[tuple[Weight, tuple[LaurentPoly, ...
 
 def _section_from_h(E: EquivariantBundle, h: tuple[LaurentPoly, ...], chi: Weight) -> Section:
     """The section (f, g) = (A^-1 h, h(1/z)) of weight chi."""
-    inv = E.inverse_transition()
-    m = E.rank
-    f = []
-    for i in range(m):
-        fi = LaurentPoly.zero()
-        for j in range(m):
-            fi = fi + inv.entries[i][j] * h[j]
-        if not fi.is_polynomial():
-            raise AssertionError("inverse parametrization produced a non-polynomial f")
-        f.append(fi)
-    g = [hi.invert_variable() for hi in h]
-    return Section(tuple(f), tuple(g), chi)
+    f = _times_column(E.inverse_transition(), h)
+    if not all(fi.is_polynomial() for fi in f):
+        raise AssertionError("inverse parametrization produced a non-polynomial f")
+    return Section(f, tuple(hi.invert_variable() for hi in h), chi)
 
 
 def _h0_records(E: EquivariantBundle) -> list[tuple[Weight, tuple[LaurentPoly, ...]]]:

@@ -298,8 +298,8 @@ def poly_ext_gcd2(
     while not r1.is_zero():
         q, r = poly_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
+        s0, s1 = s1, s0 - _times(q, s1)
+        t0, t1 = t1, t0 - _times(q, t1)
     if r0.is_zero():
         return LaurentPoly(), s0, t0
     inv = scalar_div(1, r0.leading_coeff())

@@ -4,9 +4,10 @@ The engine peels off a maximal-degree equivariant line subbundle (spanned by
 an eigenvector of the global sections of a suitable twist), passes to the
 quotient, and recurses; the accumulated chart-local frames leave an
 upper-triangular transition with monomial diagonal, which a final
-triangular-clearing pass makes diagonal.  The output is the summand list
-together with the two invertible frame matrices whose product identity is
-machine-checkable, plus an independent verifier for that certificate.
+bottom-up triangular-clearing pass (one column update per entry) makes
+diagonal.  The output is the summand list together with the two invertible
+frame matrices whose product identity is machine-checkable, plus an
+independent verifier for that certificate.
 
 Every chart-0 frame carries its inverse: the Bezout completion (one
 completion for every torus), the accumulated peel frames and the unipotent
@@ -231,9 +232,13 @@ def triangular_clear(
     Each entry beta at (i, j) is split as beta = delta z^(-n_j) - gamma
     z^(-n_i) with gamma in k[z] and delta in k[w]; monomials with exponent
     >= -n_i go to gamma, the rest to delta (the two ranges cover all
-    exponents because n_i >= n_j).  Returns unipotent (WInf over k[w], W0inv
-    over k[z]) with WInf @ R @ W0inv diagonal; W0inv is accumulated from the
-    column operations directly, and its chart-0 frame W0 is never formed.
+    exponents because n_i >= n_j).  Rows are cleared bottom-up, so the rows
+    below i are diagonal: "row i -= delta(1/z) row j" only cancels the delta
+    part of (i, j), and "col j += gamma col i" its gamma part, otherwise
+    reaching only rows above i; each step is one column update of R.
+    Returns unipotent (WInf over k[w], W0inv over k[z]) with WInf @ R @ W0inv
+    diagonal; W0inv is accumulated from the column operations directly, and
+    its chart-0 frame W0 is never formed.
     """
     m = R.rows
     degrees = []
@@ -248,35 +253,33 @@ def triangular_clear(
     if any(degrees[i] < degrees[i + 1] for i in range(m - 1)):
         raise ValueError(f"diagonal degrees {degrees} are not non-increasing")
 
-    Rc = LaurentMatrix([row[:] for row in R.entries])
+    rc = [row[:] for row in R.entries]
     W0inv = LaurentMatrix.identity(m)
     WInf = LaurentMatrix.identity(m)
-    for s in range(1, m):
-        for i in range(0, m - s):
-            j = i + s
-            beta = Rc.entries[i][j]
+    w0, wi = W0inv.entries, WInf.entries
+    for i in range(m - 2, -1, -1):
+        ni = degrees[i]
+        for j in range(i + 1, m):
+            beta = rc[i][j]
             if beta.is_zero():
                 continue
-            ni, nj = degrees[i], degrees[j]
             gamma = LaurentPoly({d + ni: -c for d, c in beta.terms.items() if d >= -ni})
-            delta_w = LaurentPoly({-(d + nj): c for d, c in beta.terms.items() if d < -ni})
-            delta_z = delta_w.invert_variable()
-            # row i -= delta_z * row j ; col j += gamma * col i
-            for t in range(m):
-                Rc.entries[i][t] = Rc.entries[i][t] - delta_z * Rc.entries[j][t]
-            for t in range(m):
-                Rc.entries[t][j] = Rc.entries[t][j] + gamma * Rc.entries[t][i]
-            # accumulate the unipotent factors: the chart-0 frame would gain
-            # row i -= gamma * row j, so its inverse gains col j += gamma * col i
-            for t in range(m):
-                WInf.entries[i][t] = WInf.entries[i][t] - delta_w * WInf.entries[j][t]
-                W0inv.entries[t][j] = W0inv.entries[t][j] + gamma * W0inv.entries[t][i]
+            delta_w = LaurentPoly({-(d + degrees[j]): c for d, c in beta.terms.items() if d < -ni})
+            if gamma.terms:
+                # col j += gamma col i, in R and in W0inv (the chart-0 frame
+                # would gain row i -= gamma row j); row i of W0inv is still e_i
+                for t in range(i):
+                    if rc[t][i].terms:
+                        rc[t][j] = rc[t][j] + gamma * rc[t][i]
+                    if w0[t][i].terms:
+                        w0[t][j] = w0[t][j] + gamma * w0[t][i]
+                w0[i][j] = gamma
+            if delta_w.terms:
+                # row i -= delta row j in WInf; row j is final and zero left of j
+                for t in range(j, m):
+                    if wi[j][t].terms:
+                        wi[i][t] = wi[i][t] - delta_w * wi[j][t]
 
-    for i in range(m):
-        for j in range(m):
-            want = LaurentPoly.monomial(-degrees[i]) if i == j else LaurentPoly.zero()
-            if Rc.entries[i][j] != want:
-                raise InvariantViolation("triangular clearing did not reach diagonal form")
     # a unipotent frame and its inverse obey the same lam0 -> lam0 law
     bad = transition_law_violations(W0inv, lam0, lam0, torus, "W0inv") + transition_law_violations(
         WInf.invert_variable(), lamInf, lamInf, torus, "WInf(1/z)"

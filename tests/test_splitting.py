@@ -550,6 +550,20 @@ CERT_SHA_FIXED_BASE = [
     "f3a840bbc3ba4e2286bf24248b0a2baed200a4a02a8b4e5077db8a529a613220",
 ]
 
+# the same seeds under a moving base, pinned from the superdiagonal clearing
+CERT_SHA_MOVING_BASE = [
+    "69e352231979988cc14c92d9227e99972a46888f67f7191424d1e74b58f78364",
+    "af93b88dcbd476283efdcdb9fad700075703dbeb7ac5e3e6a10592b23c73c1e9",
+    "23803a58efe8a7d370ea9503b741f13ac36342f88cf4dd24d88f751197bec4ab",
+    "a3fd04ef661cf59f3fe63e0a6d6752dee62c27fae1248b438e792b83e958eb77",
+    "54264eb0e838abadee2da3e40b72cb3c81b967aa8567b329c1973b521ce5fe9c",
+    "a858ee020f41f602ae02523c3a921fc3f23ae2b66fc06a7c176cebbf182a04cf",
+    "b9b5fb1d7ec73534e4ed1d6dc831369fde88ca7b4f4f439e298bdc88b4e35610",
+    "f2af95e608ec8b34980991543eb2377fe713e9e0b1c3b47a073fb234bb23e2f8",
+    "875ff22a515864886cf9863622c61d670fde16dea0d652667be428a843a09fb7",
+    "44e1faa877b8fc081e37bb003bb06b191c888f832356479dbf51a920718db5e5",
+]
+
 
 def dense_case(seed, torus):
     rng = random.Random(seed)
@@ -562,7 +576,11 @@ def dense_case(seed, torus):
 
 @pytest.mark.parametrize(
     "torus, hashes",
-    [(TorusAction(0, ()), CERT_SHA_NO_TORUS), (TorusAction(1, (0,)), CERT_SHA_FIXED_BASE)],
+    [
+        (TorusAction(0, ()), CERT_SHA_NO_TORUS),
+        (TorusAction(1, (0,)), CERT_SHA_FIXED_BASE),
+        (TorusAction(1, (1,)), CERT_SHA_MOVING_BASE),
+    ],
 )
 def test_certificates_are_byte_identical(torus, hashes):
     got = []
@@ -607,11 +625,13 @@ def test_rank_6_split_h0_solves(monkeypatch):
 
 
 def test_rank_5_split_products(monkeypatch):
-    # the first peel's frames seed the accumulated frames, so a dense rank-5
-    # split takes 31 matrix products (33 when both started as identities);
-    # scalar scalings scale coefficients and each Bezout update is a single
-    # product with a nonzero entry, which leaves 316 Laurent products (662
-    # when both formed full products)
+    # the first peel's frames seed the accumulated frames, and each of the
+    # five built sections is one fused product (A^-1 h), so a dense rank-5
+    # split takes 36 matrix products; scalar scalings scale coefficients,
+    # each Bezout update is a single product with a nonzero entry, and the
+    # bottom-up clear updates one column per entry with nonzero factors
+    # only, which leaves 87 Laurent products (316 with the superdiagonal
+    # clear and hand-rolled sections)
     E = dense_case(1000, TorusAction(0, ()))
     calls = {"matmul": 0, "mul": 0}
 
@@ -627,7 +647,7 @@ def test_rank_5_split_products(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", mul)
     monkeypatch.setattr(LaurentPoly, "__rmul__", mul)
     equivariant_split(E)
-    assert calls == {"matmul": 31, "mul": 316}
+    assert calls == {"matmul": 36, "mul": 87}
 
 
 def dense_moving(m, a):

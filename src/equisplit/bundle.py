@@ -296,8 +296,8 @@ def hom_bundle(E: EquivariantBundle, F: EquivariantBundle) -> EquivariantBundle:
     """The bundle of morphisms E -> F, realized as dual(E) tensor F.
 
     Index pairs (j, i) with j a frame index of E and i of F are flattened as
-    j*rank(F) + i, so a global section vector reshapes to the chart-0 matrix
-    of a bundle map (see equivariant.hom_element_from_section).
+    j*rank(F) + i, and that component of a global section (f, g) is entry
+    (i, j) of the bundle map's chart matrices F0 and FInf respectively.
     """
     if E.torus != F.torus:
         raise ValueError("hom of bundles over different tori")

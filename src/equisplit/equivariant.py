@@ -25,7 +25,6 @@ from .bundle import (
     weight_scale,
     weight_sub,
 )
-from .laurent import LaurentPoly
 from .linalg import LaurentMatrix
 
 Chart = Literal[0, "inf"]
@@ -151,19 +150,3 @@ class HomElement:
             return "target.A @ F0 != FInf(1/z) @ source.A"
         return None
 
-
-def hom_element_from_section(
-    source: EquivariantBundle,
-    target: EquivariantBundle,
-    f: list[LaurentPoly],
-    g: list[LaurentPoly],
-) -> HomElement:
-    """Reshape a section of hom_bundle(source, target) into a bundle map.
-
-    The flattening is j*rank(target) + i  ->  entry (i, j), matching the
-    Kronecker index order used by :func:`equisplit.bundle.hom_bundle`.
-    """
-    mS, mT = source.rank, target.rank
-    F0 = LaurentMatrix([[f[j * mT + i] for j in range(mS)] for i in range(mT)])
-    FInf = LaurentMatrix([[g[j * mT + i] for j in range(mS)] for i in range(mT)])
-    return HomElement(source, target, F0, FInf)

@@ -212,7 +212,9 @@ def mat_adjugate(M: LaurentMatrix) -> tuple[LaurentMatrix, LaurentPoly]:
     every product stays over the integers.  By Cayley–Hamilton
     d M adj(d M) = det(d M) I, so det(d M) = d^m det M is row 0 of d M times
     column 0 of adj(d M) = (-1)^(m-1) N_m, an integer product; the scalings
-    by d and back are coefficient scalings, skipped when d = 1.
+    by d and back are coefficient scalings, skipped when d = 1.  That row
+    times that column is one fused 1 x m by m x 1 product, which skips zero
+    entries and calls no ``LaurentPoly`` product.
     """
     if not M.is_square():
         raise ValueError("adjugate of a non-square matrix")
@@ -231,7 +233,7 @@ def mat_adjugate(M: LaurentMatrix) -> tuple[LaurentMatrix, LaurentPoly]:
         )
     sign = (-1) ** (m - 1)
     adj = N if sign == den == 1 else N.scale(Fraction(sign, den ** (m - 1)))  # adj(dM) = d^(m-1) adj M
-    det = sum((dM.entries[0][k] * N.entries[k][0] for k in range(m)), LaurentPoly.zero())
+    det = (dM.submatrix([0], range(m)) @ N.submatrix(range(m), [0])).entries[0][0]
     return adj, det.scale(Fraction(sign, den**m))
 
 

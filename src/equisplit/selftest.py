@@ -222,11 +222,11 @@ def criterion_6_projection_surjectivity(count: int = 50) -> CriterionResult:
         seed = 60_000
         while done < count:
             seed += 1
-            E, _, torus = sample_case(seed, max_rank=4, max_ops=8)
+            E, _, _ = sample_case(seed, max_rank=4, max_ops=8)
             if E.rank < 2:
                 continue
             step = peel(E)
-            if not projection_surjective_on_invariants(step, torus):
+            if not projection_surjective_on_invariants(step):
                 return f"seed {seed}: projection map is not surjective on invariants"
             done += 1
         return ""

@@ -3,11 +3,12 @@
 The engine peels off a maximal-degree equivariant line subbundle (spanned by
 an eigenvector of the global sections of a suitable twist), passes to the
 quotient, and recurses; the accumulated chart-local frames leave an
-upper-triangular transition with monomial diagonal, which a final
-bottom-up triangular-clearing pass (one column update per entry) makes
-diagonal.  The output is the summand list together with the two invertible
-frame matrices whose product identity is machine-checkable, plus an
-independent verifier for that certificate.
+upper-triangular transition with monomial diagonal, whose rows are the
+peels' reframed top rows carried through the later chart-0 frames (no
+product forms it), and which a final bottom-up triangular-clearing pass
+(one column update per entry) makes diagonal.  The output is the summand
+list together with the two invertible frame matrices whose product identity
+is machine-checkable, plus an independent verifier for that certificate.
 
 Every chart-0 frame carries its inverse: the Bezout completion (one
 completion for every torus), the accumulated peel frames and the unipotent
@@ -30,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from fractions import Fraction
-
 from .bundle import (
     EquivariantBundle,
     InvariantViolation,
@@ -49,11 +48,7 @@ from .bundle import (
     weight_sub,
 )
 from .cohomology import Section, _h0_records, _section_from_h, h0_character, h0_dim
-from .equivariant import (
-    HomElement,
-    derive_target_weights,
-    hom_element_from_section,
-)
+from .equivariant import HomElement, derive_target_weights
 from .laurent import LaurentPoly, poly_ext_gcd
 from .linalg import LaurentMatrix, rank_sparse
 
@@ -112,36 +107,21 @@ def eigen_section(E: EquivariantBundle) -> Section:
 
 @dataclass
 class PeelStep:
-    """One induction step: V A Uinv = [[z^-n, beta], [0, quotient.A]].
+    """One induction step: V(1/z) A Uinv = reframed.A = [[z^-n, beta], [0, quotient.A]].
 
     U (over k[z]) and V (over k[w]) have constant nonzero determinant and are
     equivariant from the input frame weights to (summand weight, quotient
-    weights); Uinv is the exact inverse of U and beta is the extension row.
+    weights); Uinv is the exact inverse of U.  ``reframed`` is the input
+    bundle in the new frame, with those weights; the extension row beta is
+    row 0 of reframed.A past its first entry.
     """
 
     summand: LineSummand
     U: LaurentMatrix
     Uinv: LaurentMatrix
     V: LaurentMatrix
-    beta: list[LaurentPoly]
+    reframed: EquivariantBundle
     quotient: EquivariantBundle
-
-    def reframed(self, torus: TorusAction) -> EquivariantBundle:
-        """The input bundle in the new frame (block-triangular transition)."""
-        m = self.quotient.rank + 1
-        A = LaurentMatrix.zeros(m, m)
-        A.entries[0][0] = LaurentPoly.monomial(-self.summand.n)
-        for j, b in enumerate(self.beta):
-            A.entries[0][j + 1] = b
-        for i in range(self.quotient.rank):
-            for j in range(self.quotient.rank):
-                A.entries[i + 1][j + 1] = self.quotient.A.entries[i][j]
-        return EquivariantBundle(
-            A,
-            (self.summand.lam,) + self.quotient.lambda0,
-            (self.summand.chart_inf_weight(torus),) + self.quotient.lambdaInf,
-            torus,
-        )
 
 
 def _frame_completion(entries: list[LaurentPoly]) -> tuple[LaurentMatrix, LaurentMatrix]:
@@ -209,7 +189,6 @@ def peel(E: EquivariantBundle, bound: int | None = None) -> PeelStep:
 
     rest = range(1, m)
     quotient = EquivariantBundle(A_new.submatrix(rest, rest), nu0[1:], nuInf[1:], torus)
-    beta = [A_new.entries[0][j] for j in rest]
     summand = LineSummand(n1, chi if torus.rank else ())
     if quotient.rank:
         qreport = validate(quotient)
@@ -217,7 +196,7 @@ def peel(E: EquivariantBundle, bound: int | None = None) -> PeelStep:
             raise InvariantViolation("peel produced an invalid quotient: " + "; ".join(qreport.violations))
         if degree(quotient) != degree(E) - n1:
             raise InvariantViolation("quotient degree mismatch")
-    return PeelStep(summand, U, Uinv, V, beta, quotient)
+    return PeelStep(summand, U, Uinv, V, EquivariantBundle(A_new, nu0, nuInf, torus), quotient)
 
 
 def triangular_clear(
@@ -313,7 +292,11 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
     Only the chart-0 inverse Uinv_tot = U_1^-1 ... U_k^-1 and the chart-inf
     frame Vtot = V_k ... V_1 are accumulated; the first peel's frames seed
     them, and peel k > 1 acts on coordinates t.. (t = k - 1), so it updates
-    columns t.. of Uinv_tot and rows t.. of Vtot in place.
+    columns t.. of Uinv_tot and rows t.. of Vtot in place.  The triangular
+    form R = Vtot(1/z) A Uinv_tot is never multiplied out: later peels leave
+    rows <= t of it alone on the left and change only its columns t.. on the
+    right, so row t is peel t's top row (z^-n, beta) of ``reframed.A``
+    carried through the later Uinv's, in the product that updates Uinv_tot.
     Summands come out in canonical ``LineSummand.sort_key`` order
     (non-increasing degree, then weight).  With a rank-0 torus this is a
     constructive splitting-type computation.
@@ -324,6 +307,7 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
     m = E.rank
     torus = E.torus
     Uinv_tot = Vtot = LaurentMatrix.zeros(0, 0)  # the first peel replaces both when m > 0
+    top: list[list[LaurentPoly]] = []  # rows 0..t-1 of R, final in columns < t
     summands: list[LineSummand] = []
     current = E
     while current.rank > 0:
@@ -335,13 +319,16 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
             Uinv_tot = LaurentMatrix(step.Uinv.entries, m, m)
             Vtot = LaurentMatrix(step.V.entries, m, m)
         else:
-            cols = Uinv_tot.submatrix(range(m), range(t, m)) @ step.Uinv
-            for row, new in zip(Uinv_tot.entries, cols.entries):
+            # columns t.. of Uinv_tot and of R's rows so far, in one product
+            rows = Uinv_tot.entries + top
+            cols = LaurentMatrix._adopt([row[t:] for row in rows], m + t, m - t) @ step.Uinv
+            for row, new in zip(rows, cols.entries):
                 row[t:] = new
             Vtot.entries[t:] = (step.V @ Vtot.submatrix(range(t, m), range(m))).entries
+        top.append([LaurentPoly.zero()] * t + step.reframed.A.entries[0])
         current = step.quotient
 
-    R = (Vtot.invert_variable() @ E.A) @ Uinv_tot
+    R = LaurentMatrix._adopt(top, m, m)
     lam0 = tuple(s.lam for s in summands)
     lamInf = tuple(s.chart_inf_weight(torus) for s in summands)
     WInf, W0inv = triangular_clear(R, lam0, lamInf, torus)
@@ -541,52 +528,30 @@ def _verify(
     return CertReport(checks), inverses
 
 
-def _hom_coeff_vector(h: HomElement) -> dict[tuple, Fraction]:
-    vec: dict[tuple, Fraction] = {}
-    for i in range(h.F0.rows):
-        for j in range(h.F0.cols):
-            for d, c in h.F0.entries[i][j].monomials():
-                vec[(0, i, j, d)] = c
-    for i in range(h.FInf.rows):
-        for j in range(h.FInf.cols):
-            for e, c in h.FInf.entries[i][j].monomials():
-                vec[(1, i, j, e)] = c
-    return vec
-
-
-def projection_surjective_on_invariants(step: PeelStep, torus: TorusAction) -> bool:
+def projection_surjective_on_invariants(step: PeelStep) -> bool:
     """Does composing with the quotient projection stay onto, weight-0 part?
 
     For a peel step L -> E -> Q this checks, by exact rank computation, that
     every invariant global endomorphism of Q lifts to an invariant global
     bundle map Q -> E.  The projection is the constant matrix that drops the
-    peeled coordinate of the reframed bundle.
+    peeled coordinate of the reframed bundle: in the flattening j*rank(E) + i
+    of ``hom_bundle``, it keeps the H^0 coefficients with i >= 1.  A map
+    Q -> Q is fixed by its chart-inf matrix (F0 = Q.A^-1 FInf(1/z) Q.A), so
+    the rank of those coefficients is the rank of the projected maps.
     """
     Q = step.quotient
     if Q.rank == 0:
         return True
-    Eprime = step.reframed(torus)
-    zero = torus.zero_weight
-    H = hom_bundle(Q, Eprime)
-    sections = [_section_from_h(H, h, w) for w, h in _h0_records(H) if w == zero]
-    sources = [hom_element_from_section(Q, Eprime, list(s.f), list(s.g)) for s in sections]
-    target_dim = h0_character(hom_bundle(Q, Q)).mult.get(zero, 0)
-    composed = []
-    for h in sources:
-        img = HomElement(
-            Q,
-            Q,
-            LaurentMatrix(h.F0.entries[1:]),
-            LaurentMatrix(h.FInf.entries[1:]),
-        )
-        bad = img.intertwining_violation()
-        if bad:
-            raise InvariantViolation(f"projected map is not a bundle map: {bad}")
-        composed.append(_hom_coeff_vector(img))
-    keys = sorted({k for vec in composed for k in vec})
-    index = {k: t for t, k in enumerate(keys)}
-    rows = [{index[k]: v for k, v in vec.items()} for vec in composed if vec]
-    return rank_sparse(rows, len(keys)) == target_dim
+    m = step.reframed.rank
+    zero = Q.torus.zero_weight
+    composed = [
+        {(k, e): c for k, p in enumerate(h) if k % m for e, c in p.terms.items()}
+        for w, h in _h0_records(hom_bundle(Q, step.reframed))
+        if w == zero
+    ]
+    index = {key: t for t, key in enumerate(sorted({key for vec in composed for key in vec}))}
+    rows = [{index[key]: c for key, c in vec.items()} for vec in composed]
+    return rank_sparse(rows, len(index)) == h0_character(hom_bundle(Q, Q)).mult.get(zero, 0)
 
 
 def splitting_hom(

@@ -12,11 +12,7 @@ from equisplit.bundle import (
     transition_law_violations,
 )
 from equisplit.cohomology import h0_sections
-from equisplit.equivariant import (
-    Character,
-    hom_element_from_section,
-    monomial_weight,
-)
+from equisplit.equivariant import Character, HomElement, monomial_weight
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
 
@@ -120,11 +116,16 @@ def _random_bundle(seed, r=1, max_rank=3):
 class TestHomReshape:
     def test_roundtrip(self):
         E, torus = _random_bundle(4, max_rank=3)
+        m = E.rank
         for s, _ in h0_sections(hom_bundle(E, E)):
-            h = hom_element_from_section(E, E, list(s.f), list(s.g))
-            assert h.intertwining_violation() is None
             # component j*rank + i of the section is entry (i, j) of the map
-            m = E.rank
+            h = HomElement(
+                E,
+                E,
+                LaurentMatrix([[s.f[j * m + i] for j in range(m)] for i in range(m)]),
+                LaurentMatrix([[s.g[j * m + i] for j in range(m)] for i in range(m)]),
+            )
+            assert h.intertwining_violation() is None
             for i in range(m):
                 for j in range(m):
                     assert h.F0.entries[i][j] == s.f[j * m + i]

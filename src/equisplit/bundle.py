@@ -100,8 +100,9 @@ class LineSummand:
 class EquivariantBundle:
     """Transition matrix plus per-chart frame weights under a torus action."""
 
-    # _h0 caches the canonical H^0 kernel, as (weight, h) pairs in echelon
-    # order; cohomology builds sections from it on request
+    # _h0 caches the forward-eliminated H^0 system (cohomology._H0System):
+    # column weights, pivots and echelon rows, plus the canonical kernel once
+    # a caller asks for sections
     __slots__ = ("A", "lambda0", "lambdaInf", "torus", "_det", "_inv", "_h0")
 
     def __init__(
@@ -117,7 +118,7 @@ class EquivariantBundle:
         self.torus = torus
         self._det: LaurentPoly | None = None
         self._inv: LaurentMatrix | None = None
-        self._h0: list | None = None
+        self._h0 = None
 
     @property
     def rank(self) -> int:

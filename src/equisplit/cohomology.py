@@ -6,10 +6,13 @@ into [o, 0] where o is the minimum exponent over the monomials of A, and
 f = A^-1 h is polynomial iff every coefficient of z^e with e < 0 in A^-1 h
 vanishes (A^-1 is the bundle's cached inverse transition).  That is a finite
 rational linear system in the coefficients of h, graded by the weight
-lambdaInf[i] - e*a of the unknown h[i][e].  One elimination solves it: no row
-meets two weight classes, so every canonical kernel vector is homogeneous.
-The kernel is solved once per bundle and cached; sections (f, g) are built
-from it only on request.
+lambdaInf[i] - e*a of the unknown h[i][e].  One forward elimination per
+bundle solves it, and its result is cached on the bundle.  The free unknowns
+are the non-pivot columns, so dim H^0 and the character are read off the
+pivots with no back-substitution.  Only a caller that needs sections gets the
+canonical kernel, reduced once from the cached echelon rows: no row meets two
+weight classes, so every canonical kernel vector is homogeneous.  Sections
+(f, g) are built from it only on request.
 
 H^1 is computed from the two-chart cover complex truncated at one window W
 that is exact.  Chains (f, g) with deg f <= W + margin and deg g <= W map to
@@ -25,11 +28,12 @@ of A, [lo', hi'] that of A^-1 and margin = max(0, -lo),
   exponents [1, W]; A z^e e_j has exponents >= lo + e, so chart-0 chains of
   degree <= W + margin reach all of them.
 
-The cokernel elimination therefore runs on exponents in [1, W] only.  Dually,
-each kernel equation with exponent in [-W, 0] holds a g-chain unknown of its
-own, so the kernel rank eliminates only the remaining equations, over the f
-unknowns.  The Euler identity h0 - h1 = degree + rank stays armed: a failure
-raises InvariantViolation.
+The cokernel elimination therefore runs on exponents in [1, W] only, and
+stops at the forward pass: the cokernel is spanned by the non-pivot columns.
+Dually, each kernel equation with exponent in [-W, 0] holds a g-chain unknown
+of its own, so the kernel rank eliminates only the remaining equations, over
+the f unknowns.  The Euler identity h0 - h1 = degree + rank stays armed: a
+failure raises InvariantViolation.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .bundle import (
 )
 from .equivariant import Character, monomial_weight
 from .laurent import LaurentPoly, Scalar
-from .linalg import LaurentMatrix, kernel_sparse, rank_sparse, rref_sparse
+from .linalg import LaurentMatrix, echelon_sparse, rank_sparse, rref_sparse
 
 
 def _times_column(M: LaurentMatrix, v: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
@@ -90,23 +94,42 @@ class Section:
         return None
 
 
-def _h0_basis(E: EquivariantBundle) -> list[tuple[Weight, tuple[LaurentPoly, ...]]]:
-    """Canonical kernel basis of the section system, as (weight, h) in echelon order.
+@dataclass(slots=True)
+class _H0System:
+    """The forward-eliminated section system of one bundle, cached as ``E._h0``.
 
-    Unknowns h[i][e] are ordered by (component i, exponent e ascending), and
-    the whole graded system is solved by one elimination.  No row meets two
-    weight classes, so the elimination never mixes them: every kernel vector
-    is weight-homogeneous, of the weight of its free column.
+    ``weights[c]`` is the weight of unknown c, ``pivots`` and ``echelon`` are
+    what ``echelon_sparse`` returned, and ``records`` holds the canonical
+    kernel once a caller has asked for it.
+    """
+
+    weights: list[Weight]
+    pivots: list[int]
+    echelon: list[dict[int, int]]
+    records: list[tuple[Weight, tuple[LaurentPoly, ...]]] | None = None
+
+    def free_columns(self) -> list[int]:
+        pivot_set = set(self.pivots)
+        return [c for c in range(len(self.weights)) if c not in pivot_set]
+
+
+def _h0_basis(E: EquivariantBundle) -> _H0System:
+    """The one H^0 solve of E: the section system, forward-eliminated.
+
+    Unknowns h[i][e] are ordered by (component i, exponent e ascending).  The
+    elimination stops after the forward pass, whose pivots are those of the
+    canonical reduced form; the unknowns off the pivots are free, one per
+    basis section, each of the weight of its column.
     """
     m = E.rank
     if m == 0:
-        return []
+        return _H0System([], [], [])
     rng = E.A.exponent_range()
     if rng is None:
         raise ValueError("invalid bundle: zero transition matrix")
     lo, _ = rng
     if lo > 0:
-        return []
+        return _H0System([], [], [])
 
     width = 1 - lo  # exponents lo..0
     a = E.torus.a
@@ -136,15 +159,7 @@ def _h0_basis(E: EquivariantBundle) -> list[tuple[Weight, tuple[LaurentPoly, ...
                     "section system mixes weight classes; the bundle is not equivariant"
                 )
 
-    free, basis = kernel_sparse(rows.values(), m * width)
-    out = []
-    for fcol, vec in zip(free, basis):
-        h = [{} for _ in range(m)]
-        for c, v in vec.items():
-            i, e = divmod(c, width)
-            h[i][e + lo] = v
-        out.append((col_weight[fcol], tuple(LaurentPoly(t) for t in h)))
-    return out
+    return _H0System(col_weight, *echelon_sparse(rows.values(), m * width))
 
 
 def _section_from_h(E: EquivariantBundle, h: tuple[LaurentPoly, ...], chi: Weight) -> Section:
@@ -155,14 +170,43 @@ def _section_from_h(E: EquivariantBundle, h: tuple[LaurentPoly, ...], chi: Weigh
     return Section(f, tuple(hi.invert_variable() for hi in h), chi)
 
 
-def _h0_records(E: EquivariantBundle) -> list[tuple[Weight, tuple[LaurentPoly, ...]]]:
-    """The canonical H^0 kernel of E, solved once per bundle object and cached.
-
-    Callers must not mutate the returned list.
-    """
+def _h0_system(E: EquivariantBundle) -> _H0System:
+    """The section system of E, eliminated once per bundle object and cached."""
     if E._h0 is None:
         E._h0 = _h0_basis(E)
     return E._h0
+
+
+def _h0_records(E: EquivariantBundle) -> list[tuple[Weight, tuple[LaurentPoly, ...]]]:
+    """The canonical H^0 kernel of E as (weight, h) pairs, in echelon order.
+
+    Built on first request by reducing the cached echelon rows, which are
+    already eliminated, so only back-substitution runs; the reduced form,
+    and so the kernel, is the canonical one.  Kernel vector k has entry 1 at
+    the k-th free unknown and is supported on pivot unknowns otherwise.
+    Callers must not mutate the returned list.
+    """
+    system = _h0_system(E)
+    if system.records is None:
+        ncols = len(system.weights)
+        free = system.free_columns()
+        records = []
+        if free:
+            width = ncols // E.rank
+            lo = 1 - width
+            pivots, reduced = rref_sparse(system.echelon, ncols)
+            for fcol in free:
+                h = [{} for _ in range(E.rank)]
+                i, e = divmod(fcol, width)
+                h[i][e + lo] = 1
+                for p, row in zip(pivots, reduced):
+                    v = row.get(fcol)
+                    if v:
+                        i, e = divmod(p, width)
+                        h[i][e + lo] = -v
+                records.append((system.weights[fcol], tuple(LaurentPoly(t) for t in h)))
+        system.records = records
+    return system.records
 
 
 def h0_sections(E: EquivariantBundle) -> list[tuple[Section, Weight]]:
@@ -177,11 +221,15 @@ def h0_sections(E: EquivariantBundle) -> list[tuple[Section, Weight]]:
 
 
 def h0_dim(E: EquivariantBundle) -> int:
-    return len(_h0_records(E))
+    """dim H^0: the unknowns of the cached section system minus its pivots."""
+    system = _h0_system(E)
+    return len(system.weights) - len(system.pivots)
 
 
 def h0_character(E: EquivariantBundle) -> Character:
-    return Character.from_weights(chi for chi, _ in _h0_records(E))
+    """The H^0 character: the weights of the free unknowns of the cached system."""
+    system = _h0_system(E)
+    return Character.from_weights(system.weights[c] for c in system.free_columns())
 
 
 # -- truncated overlap (Cech) complex ---------------------------------------
@@ -240,7 +288,7 @@ def _cech_once(E: EquivariantBundle, W: int) -> tuple[int, Character]:
             row = {ocol(i, d + e): c for i, d, c in base if 1 <= d + e <= W}
             if row:
                 gen_rows.append(row)
-    pivots, _ = rref_sparse(gen_rows, m * W)
+    pivots, _ = echelon_sparse(gen_rows, m * W)
     pivot_set = set(pivots)
     weights = []
     for cidx in range(m * W):

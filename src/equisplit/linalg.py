@@ -16,11 +16,12 @@ Two small engines live here:
 * rational row reduction — one sparse, fraction-free elimination routine
   over Python integers, used by every cohomology computation.  Rows enter
   with their denominators cleared, are combined by integer
-  cross-multiplication and kept primitive by dividing out their content;
-  ``rank_sparse`` is its forward pass, and ``rref_sparse`` (with
-  ``kernel_sparse`` on top) back-substitutes and returns to ``Fraction``
-  only to normalize each row by its pivot, so its output is the canonical
-  reduced row echelon form.
+  cross-multiplication and kept primitive by dividing out their content.
+  ``echelon_sparse`` is the forward pass, whose pivot columns are already
+  those of the canonical reduced form; ``rank_sparse`` counts them, and
+  ``rref_sparse`` back-substitutes and returns to ``Fraction`` only to
+  normalize each row by its pivot, so its output is the canonical reduced
+  row echelon form.
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ def _combine(row: dict[int, int], a: int, b: int, piv: dict[int, int]) -> dict[i
     return row
 
 
-def _echelon(rows: Iterable[dict[int, Scalar]], ncols: int) -> tuple[list[int], list[dict[int, int]]]:
+def echelon_sparse(rows: Iterable[dict[int, Scalar]], ncols: int) -> tuple[list[int], list[dict[int, int]]]:
     """Fraction-free forward elimination over the integers.
 
     Rows may hold ``int`` or ``Fraction`` values; each enters with its
@@ -339,7 +340,7 @@ def rref_sparse(rows: Iterable[dict[int, Scalar]], ncols: int) -> tuple[list[int
     pivot column.  The elimination runs over the integers; only the final
     division of each row by its pivot entry produces fractions.
     """
-    pivots, echelon = _echelon(rows, ncols)
+    pivots, echelon = echelon_sparse(rows, ncols)
     position = {p: k for k, p in enumerate(pivots)}
     # back-substitute from the bottom, so every row used is already reduced
     for k in range(len(pivots) - 1, -1, -1):
@@ -357,25 +358,4 @@ def rref_sparse(rows: Iterable[dict[int, Scalar]], ncols: int) -> tuple[list[int
 
 def rank_sparse(rows: Iterable[dict[int, Scalar]], ncols: int) -> int:
     """Rank only; forward elimination without back-substitution."""
-    return len(_echelon(rows, ncols)[0])
-
-
-def kernel_sparse(rows: Iterable[dict[int, Scalar]], ncols: int) -> tuple[list[int], list[dict[int, Fraction]]]:
-    """Canonical kernel basis from the reduced row echelon form.
-
-    Returns (free columns, basis vectors as sparse dicts); basis vector k has
-    entry 1 at free column k and is supported on pivot columns otherwise.
-    Vectors are emitted in ascending free-column order (echelon order).
-    """
-    pivots, reduced = rref_sparse(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis: list[dict[int, Fraction]] = []
-    for f in free:
-        vec: dict[int, Fraction] = {f: Fraction(1)}
-        for p, row in zip(pivots, reduced):
-            v = row.get(f)
-            if v:
-                vec[p] = -v
-        basis.append(vec)
-    return free, basis
+    return len(echelon_sparse(rows, ncols)[0])

@@ -4,16 +4,20 @@ Everything here is deliberately written from scratch against the definitions
 (dense elimination, naive recursion, products over ``Fraction`` only, the
 fiber filtrations of a moving-base bundle), sharing no algorithmic path with
 the package's sparse eliminator, determinant, integer-first Laurent
-arithmetic, windowed cohomology, or peeling split.
+arithmetic, windowed cohomology, or peeling split.  The one exception is
+``kernel_sparse``, a thin reading of the package's ``rref_sparse`` that the
+package itself no longer needs; its tests check it against the dense
+oracles here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 from equisplit.bundle import LineSummand
-from equisplit.laurent import LaurentPoly
-from equisplit.linalg import LaurentMatrix
+from equisplit.laurent import LaurentPoly, Scalar
+from equisplit.linalg import LaurentMatrix, rref_sparse
 
 
 def dense_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], list[list[Fraction]]]:
@@ -43,6 +47,27 @@ def dense_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], list[
         pivots.append(col)
     return pivots, m[: len(pivots)]
 
+
+
+def kernel_sparse(rows: Iterable[dict[int, Scalar]], ncols: int) -> tuple[list[int], list[dict[int, Fraction]]]:
+    """Canonical kernel basis from the reduced row echelon form.
+
+    Returns (free columns, basis vectors as sparse dicts); basis vector k has
+    entry 1 at free column k and is supported on pivot columns otherwise.
+    Vectors are emitted in ascending free-column order (echelon order).
+    """
+    pivots, reduced = rref_sparse(rows, ncols)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis: list[dict[int, Fraction]] = []
+    for f in free:
+        vec: dict[int, Fraction] = {f: Fraction(1)}
+        for p, row in zip(pivots, reduced):
+            v = row.get(f)
+            if v:
+                vec[p] = -v
+        basis.append(vec)
+    return free, basis
 
 def dense_rank(rows: list[list[Fraction]]) -> int:
     return len(dense_rref(rows, len(rows[0]) if rows else 0)[0])

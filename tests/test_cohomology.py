@@ -14,10 +14,11 @@ from equisplit.bundle import (
     random_instance,
     twist,
 )
+from equisplit.cli import main
 from equisplit.cohomology import (
     _cech_once,
     _exact_window,
-    _h0_basis,
+    _h0_records,
     cech_cohomology,
     euler_check,
     h0_character,
@@ -29,7 +30,7 @@ from equisplit.cohomology import (
 from equisplit.equivariant import Character
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
-from equisplit.selftest import _closed_form_characters, sample_case
+from equisplit.selftest import _closed_form_characters, fixture_dir, sample_case
 from equisplit.splitting import eigen_section, max_twist
 from oracles import brute_force_h0_dim, dense_rank, per_class_h0_kernel
 
@@ -146,7 +147,7 @@ class TestOneElimination:
             E, _, torus = sample_case(seed, max_rank=4, max_ops=8)
             for k in (0, 1, 2):
                 Et = twist(E, k, torus.zero_weight)
-                got = _h0_basis(Et)
+                got = _h0_records(Et)
                 assert got == per_class_h0_kernel(Et), (seed, k)
                 if got:
                     with_sections.add(torus_kind(torus))
@@ -194,14 +195,23 @@ class TestOneElimination:
         assert read > 0
 
     def test_one_kernel_solve_per_bundle(self, monkeypatch):
-        solves = []
-        original = cohomology.kernel_sparse
+        # one forward elimination per bundle with unknowns; counts and
+        # characters read its pivots, and only sections back-substitute,
+        # once per bundle however often they are asked for
+        solves, reductions = [], []
+        original_echelon = cohomology.echelon_sparse
+        original_rref = cohomology.rref_sparse
 
-        def counted(rows, ncols):
+        def counted_echelon(rows, ncols):
             solves.append(ncols)
-            return original(rows, ncols)
+            return original_echelon(rows, ncols)
 
-        monkeypatch.setattr(cohomology, "kernel_sparse", counted)
+        def counted_rref(rows, ncols):
+            reductions.append(ncols)
+            return original_rref(rows, ncols)
+
+        monkeypatch.setattr(cohomology, "echelon_sparse", counted_echelon)
+        monkeypatch.setattr(cohomology, "rref_sparse", counted_rref)
         bundles = [sample(seed) for seed in range(20)]
         bundles += [line_bundle(2, (0,), T1), line_bundle(-1)]
         bundles.append(EquivariantBundle(LaurentMatrix.zeros(0, 0), (), (), T1))
@@ -209,9 +219,13 @@ class TestOneElimination:
             before = len(solves)
             h0_dim(E)
             h0_character(E)
+            assert reductions == []
+            h0_sections(E)
             h0_sections(E)
             want = int(E.rank > 0 and E.A.exponent_range()[0] <= 0)
             assert len(solves) - before == want
+            assert len(reductions) == int(h0_dim(E) > 0)
+            reductions.clear()
 
 
 class TestH1:
@@ -235,6 +249,56 @@ class TestH1:
     def test_sum_character(self):
         got = h0_character(direct_sum(line_bundle(1, (0,), T1), line_bundle(0, (0,), T1)))
         assert got == Character({(0,): 2, (-1,): 1})
+
+
+def fresh(E):
+    """A copy of E with nothing cached."""
+    return EquivariantBundle(E.A, E.lambda0, E.lambdaInf, E.torus)
+
+
+def dense(m, torus):
+    rng = random.Random(m)
+    summands = [
+        LineSummand(rng.randint(-3, 3), tuple(rng.randint(-2, 2) for _ in torus.a))
+        for _ in range(m)
+    ]
+    return random_instance(m, summands, 10 * m, torus)[0]
+
+
+class TestPivotsAgreeWithKernel:
+    """dim H^0 and the character read off the forward pivots equal the kernel's."""
+
+    @staticmethod
+    def check(E):
+        records = _h0_records(fresh(E))
+        pivots_read = fresh(E)
+        assert h0_dim(pivots_read) == len(records)
+        assert h0_character(pivots_read) == Character.from_weights(chi for chi, _ in records)
+
+    def test_sample_seeds(self):
+        for seed in range(100):
+            self.check(sample(seed))
+
+    @pytest.mark.parametrize("m", [6, 8])
+    @pytest.mark.parametrize(
+        "torus", [TorusAction(0, ()), TorusAction(1, (0,)), T1], ids=["none", "a=0", "a=1"]
+    )
+    def test_dense(self, m, torus):
+        self.check(dense(m, torus))
+
+    def test_cli_cohomology_makes_no_reduction(self, monkeypatch, capsys):
+        reductions = []
+        original = cohomology.rref_sparse
+
+        def counted(rows, ncols):
+            reductions.append(ncols)
+            return original(rows, ncols)
+
+        monkeypatch.setattr(cohomology, "rref_sparse", counted)
+        for name in ("o_3", "jump_type_0_0", "peel_equivariant"):
+            assert main(["cohomology", str(fixture_dir() / name / "instance.json")]) == 0
+        capsys.readouterr()
+        assert reductions == []
 
 
 class TestOracleEquivalence:

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from equisplit.laurent import LaurentPoly, poly_ext_gcd
 from equisplit.linalg import (
     LaurentMatrix,
-    kernel_sparse,
+    echelon_sparse,
     mat_adjugate,
     mat_det,
     mat_inverse,
     rank_sparse,
     rref_sparse,
 )
-from oracles import dense_rank, dense_rref, is_normal, naive_det, naive_matmul, naive_mul
+from oracles import dense_rank, dense_rref, is_normal, kernel_sparse, naive_det, naive_matmul, naive_mul
 
 P = LaurentPoly
 
@@ -188,6 +188,11 @@ class TestSparseEngine:
             sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
             assert rank_sparse(sparse, cols) == dense_rank(dense)
 
+    def test_echelon_of_empty_and_zero_rows(self):
+        assert echelon_sparse([], 3) == ([], [])
+        assert echelon_sparse([{}, {1: 0}], 3) == ([], [])
+        assert echelon_sparse([{1: Fraction(2, 3), 2: Fraction(1, 2)}], 3) == ([1], [{1: 4, 2: 3}])
+
     def test_kernel_echelon_order(self):
         free, basis = kernel_sparse([{0: Fraction(1), 1: Fraction(2)}], 3)
         assert free == [1, 2]
@@ -285,6 +290,20 @@ class TestEliminationProperties:
     def test_rank_matches_dense_oracle(self, case):
         dense, sparse, ncols = case
         assert rank_sparse(sparse, ncols) == dense_rank(dense)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_matrices())
+    def test_echelon_agrees_with_rref_and_rank(self, case):
+        _, sparse, ncols = case
+        before = copy.deepcopy(sparse)
+        pivots, echelon = echelon_sparse(sparse, ncols)
+        assert sparse == before
+        want = rref_sparse(sparse, ncols)
+        assert pivots == want[0]
+        assert len(pivots) == rank_sparse(sparse, ncols)
+        assert all(type(v) is int and v for r in echelon for v in r.values())
+        assert [min(r) for r in echelon] == pivots
+        assert rref_sparse(echelon, ncols) == want
 
     @settings(max_examples=200, deadline=None)
     @given(_matrices())

@@ -641,13 +641,13 @@ def test_rank_6_split_h0_solves(monkeypatch):
     summands = [LineSummand(rng.randint(-3, 3), ()) for _ in range(6)]
     E, hidden = random_instance(1, summands, 60)
     calls = []
-    kernel = cohomology.kernel_sparse
+    echelon = cohomology.echelon_sparse
 
     def counted(*args):
         calls.append(1)
-        return kernel(*args)
+        return echelon(*args)
 
-    monkeypatch.setattr(cohomology, "kernel_sparse", counted)
+    monkeypatch.setattr(cohomology, "echelon_sparse", counted)
     got, cert = equivariant_split(E)
     assert got == hidden
     assert verify_certificate(E, cert).ok

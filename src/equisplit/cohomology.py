@@ -1,39 +1,48 @@
 """Exact sheaf cohomology on the projective line, with weight grading.
 
-H^0 is computed by a finite inverse-kernel parametrization.  Writing
-h(z) = g(1/z), the section equation g(1/z) = A f forces every exponent of h
-into [o, 0] where o is the minimum exponent over the monomials of A, and
-f = A^-1 h is polynomial iff every coefficient of z^e with e < 0 in A^-1 h
-vanishes (A^-1 is the bundle's cached inverse transition).  That is a finite
-rational linear system in the coefficients of h, graded by the weight
-lambdaInf[i] - e*a of the unknown h[i][e].  One forward elimination per
-bundle solves it, and its result is cached on the bundle.  The free unknowns
-are the non-pivot columns, so dim H^0 and the character are read off the
-pivots with no back-substitution.  Only a caller that needs sections gets the
-canonical kernel, reduced once from the cached echelon rows: no row meets two
-weight classes, so every canonical kernel vector is homogeneous.  Sections
-(f, g) are built from it only on request.
+A global section is a pair (f, g) of polynomial vectors with g(1/z) = A f,
+and every exponent bound below is read off one component at a time.  With
+lo_i the least exponent of row i of A and hi'_j the greatest exponent of row
+j of A^-1 (the bundle's cached inverse transition):
 
-H^1 is computed from the two-chart cover complex truncated at one window W
-that is exact.  Chains (f, g) with deg f <= W + margin and deg g <= W map to
-overlap vectors by (f, g) -> A f - g(1/z).  With [lo, hi] the exponent range
-of A, [lo', hi'] that of A^-1 and margin = max(0, -lo),
+* h = g(1/z) = A f has component i in [lo_i, 0]: at least lo_i because f is
+  polynomial, at most 0 because g is.  A component with lo_i > 0 is zero.
+* f = A^-1 h has component j of degree at most hi'_j, since every exponent
+  of h is <= 0.  A component with hi'_j < 0 is zero.
 
-    W = max(1, -lo, hi' - margin, -lo' - 1).
+H^0 is computed by the inverse parametrization: the unknowns are the
+coefficients h[i][e], e in [lo_i, 0], and f = A^-1 h is polynomial iff every
+coefficient of z^x with x < 0 in A^-1 h vanishes.  That is a finite rational
+linear system, graded by the weight lambdaInf[i] - e*a of the unknown
+h[i][e].  One forward elimination per bundle solves it, and its result is
+cached on the bundle.  The free unknowns are the non-pivot columns, so
+dim H^0 and the character are read off the pivots with no back-substitution.
+Only a caller that needs sections gets the canonical kernel, reduced once
+from the cached echelon rows: no row meets two weight classes, so every
+canonical kernel vector is homogeneous.  Sections (f, g) are built from it
+only on request.  An unknown outside its component's bound would be zero in
+every kernel vector, so leaving it out changes neither the pivots nor the
+canonical kernel.
 
-* Kernel: a section has g(1/z) = A f with exponents in [lo, 0], so
-  deg g <= -lo <= W, and f = A^-1 g(1/z), so deg f <= hi' <= W + margin.
-* Cokernel: for x >= -lo', z^x e_i = A (A^-1 z^x e_i) with a polynomial
-  preimage, and every exponent <= 0 is some g(1/z), so H^1 lives on the
-  exponents [1, W]; A z^e e_j has exponents >= lo + e, so chart-0 chains of
-  degree <= W + margin reach all of them.
+H^1 is computed from the two-chart cover complex (f, g) -> A f - g(1/z),
+truncated by the same bounds.
 
-The cokernel elimination therefore runs on exponents in [1, W] only, and
-stops at the forward pass: the cokernel is spanned by the non-pivot columns.
-Dually, each kernel equation with exponent in [-W, 0] holds a g-chain unknown
-of its own, so the kernel rank eliminates only the remaining equations, over
-the f unknowns.  The Euler identity h0 - h1 = degree + rank stays armed: a
-failure raises InvariantViolation.
+* Kernel: the unknowns are f[j][e], e in [0, hi'_j].  Each equation of
+  component i and exponent x in [lo_i, 0] holds the unknown g_i of degree -x,
+  which no other equation meets, so g absorbs those equations; the kernel
+  rank runs over the equations x >= 1 of A f alone, and
+  dim H^0 = sum_j max(0, hi'_j + 1) - rank.
+* Cokernel: with lo' the least exponent of A^-1, z^x e_i = A (A^-1 z^x e_i)
+  has a polynomial preimage for x >= -lo', and every exponent <= 0 is some
+  g(1/z).  So with W = max(0, -lo' - 1) and P the projection onto the
+  overlap exponents [1, W], H^1 = O_[1,W] / P(A f).  A z^e e_j has exponents
+  >= lo + e (lo the least exponent of A), so chart-0 chains of degree
+  <= W + max(0, -lo) reach the whole window.  W = 0 gives H^1 = 0.  The
+  cokernel elimination stops at the forward pass: the cokernel is spanned by
+  the non-pivot columns.
+
+The Euler identity h0 - h1 = degree + rank stays armed: a failure raises
+InvariantViolation.
 """
 
 from __future__ import annotations
@@ -94,15 +103,26 @@ class Section:
         return None
 
 
+def _row_ranges(M: LaurentMatrix) -> list[tuple[int, int] | None]:
+    """(least, greatest) exponent of each row of M; None for a zero row."""
+    ranges = []
+    for row in M.entries:
+        terms = [p.terms for p in row if p.terms]
+        ranges.append((min(min(t) for t in terms), max(max(t) for t in terms)) if terms else None)
+    return ranges
+
+
 @dataclass(slots=True)
 class _H0System:
     """The forward-eliminated section system of one bundle, cached as ``E._h0``.
 
-    ``weights[c]`` is the weight of unknown c, ``pivots`` and ``echelon`` are
-    what ``echelon_sparse`` returned, and ``records`` holds the canonical
-    kernel once a caller has asked for it.
+    Column c is the unknown h[i][e] with (i, e) = ``unknowns[c]``, of weight
+    ``weights[c]``; ``pivots`` and ``echelon`` are what ``echelon_sparse``
+    returned, and ``records`` holds the canonical kernel once a caller has
+    asked for it.
     """
 
+    unknowns: list[tuple[int, int]]
     weights: list[Weight]
     pivots: list[int]
     echelon: list[dict[int, int]]
@@ -116,26 +136,32 @@ class _H0System:
 def _h0_basis(E: EquivariantBundle) -> _H0System:
     """The one H^0 solve of E: the section system, forward-eliminated.
 
-    Unknowns h[i][e] are ordered by (component i, exponent e ascending).  The
-    elimination stops after the forward pass, whose pivots are those of the
-    canonical reduced form; the unknowns off the pivots are free, one per
-    basis section, each of the weight of its column.
+    The unknowns are h[i][e] for e in [lo_i, 0], lo_i the least exponent of
+    row i of A, ordered by (component i, exponent e ascending); a component
+    with lo_i > 0 has none.  Every section lies inside these bounds, so the
+    unknowns left out are zero in every kernel vector.  The elimination
+    stops after the forward pass, whose pivots are those of the canonical
+    reduced form; the unknowns off the pivots are free, one per basis
+    section, each of the weight of its column.
     """
     m = E.rank
     if m == 0:
-        return _H0System([], [], [])
-    rng = E.A.exponent_range()
-    if rng is None:
+        return _H0System([], [], [], [])
+    ranges = _row_ranges(E.A)
+    if not any(ranges):
         raise ValueError("invalid bundle: zero transition matrix")
-    lo, _ = rng
-    if lo > 0:
-        return _H0System([], [], [])
 
-    width = 1 - lo  # exponents lo..0
+    # h_i = (A f)_i has exponents in [lo_i, 0]; column offset[i] + e is h[i][e]
+    windows = [range(r[0], 1) if r else range(0) for r in ranges]
+    offset, n = [], 0
+    for w in windows:
+        offset.append(n - w.start)
+        n += len(w)
+    if n == 0:
+        return _H0System([], [], [], [])
+    unknowns = [(i, e) for i, w in enumerate(windows) for e in w]
     a = E.torus.a
-    col_weight: list[Weight] = [
-        weight_sub(E.lambdaInf[i], weight_scale(e, a)) for i in range(m) for e in range(lo, 1)
-    ]
+    col_weight: list[Weight] = [weight_sub(E.lambdaInf[i], weight_scale(e, a)) for i, e in unknowns]
 
     # constraint rows: coefficient of z^x in (A^-1 h)_i must vanish for
     # x < 0; column (j, e) meets row (i, x) through the one monomial of
@@ -144,11 +170,10 @@ def _h0_basis(E: EquivariantBundle) -> _H0System:
     rows: dict[tuple[int, int], dict[int, Scalar]] = {}
     inv = E.inverse_transition().entries
     for i in range(m):
-        for j in range(m):
+        for j, w in enumerate(windows):
             for d, c in inv[i][j].monomials():
-                for e in range(lo, 1):
-                    if d + e < 0:
-                        rows.setdefault((i, d + e), {})[j * width + e - lo] = c
+                for e in range(w.start, min(w.stop, -d)):
+                    rows.setdefault((i, d + e), {})[offset[j] + e] = c
 
     # a graded system never mixes classes within a row, so straddling rows
     # mean the input was not actually equivariant
@@ -159,7 +184,7 @@ def _h0_basis(E: EquivariantBundle) -> _H0System:
                     "section system mixes weight classes; the bundle is not equivariant"
                 )
 
-    return _H0System(col_weight, *echelon_sparse(rows.values(), m * width))
+    return _H0System(unknowns, col_weight, *echelon_sparse(rows.values(), n))
 
 
 def _section_from_h(E: EquivariantBundle, h: tuple[LaurentPoly, ...], chi: Weight) -> Section:
@@ -192,18 +217,17 @@ def _h0_records(E: EquivariantBundle) -> list[tuple[Weight, tuple[LaurentPoly, .
         free = system.free_columns()
         records = []
         if free:
-            width = ncols // E.rank
-            lo = 1 - width
+            unknowns = system.unknowns
             pivots, reduced = rref_sparse(system.echelon, ncols)
             for fcol in free:
                 h = [{} for _ in range(E.rank)]
-                i, e = divmod(fcol, width)
-                h[i][e + lo] = 1
+                i, e = unknowns[fcol]
+                h[i][e] = 1
                 for p, row in zip(pivots, reduced):
                     v = row.get(fcol)
                     if v:
-                        i, e = divmod(p, width)
-                        h[i][e + lo] = -v
+                        i, e = unknowns[p]
+                        h[i][e] = -v
                 records.append((system.weights[fcol], tuple(LaurentPoly(t) for t in h)))
         system.records = records
     return system.records
@@ -235,46 +259,48 @@ def h0_character(E: EquivariantBundle) -> Character:
 # -- truncated overlap (Cech) complex ---------------------------------------
 
 
-def _exact_window(E: EquivariantBundle) -> int:
-    """The one window W at which the truncated complex is exact (module docstring)."""
-    rng = E.A.exponent_range()
-    if rng is None:
+def _cech_bounds(E: EquivariantBundle) -> tuple[list[int], int]:
+    """The exact truncation of E's complex (module docstring).
+
+    Returns ([hi'_j], W): the kernel's f[j] has degree at most hi'_j, the
+    greatest exponent of row j of A^-1, and the cokernel lives on the
+    overlap exponents [1, W], W = max(0, -lo' - 1) with lo' the least
+    exponent of A^-1.
+    """
+    if E.A.exponent_range() is None:
         raise ValueError("invalid bundle: zero transition matrix")
-    lo, _ = rng
-    lo_inv, hi_inv = E.inverse_transition().exponent_range()
-    margin = max(0, -lo)
-    return max(1, -lo, hi_inv - margin, -lo_inv - 1)
+    ranges = _row_ranges(E.inverse_transition())
+    return [hi for _, hi in ranges], max(0, -min(lo for lo, _ in ranges) - 1)
 
 
-def _cech_once(E: EquivariantBundle, W: int) -> tuple[int, Character]:
-    """(kernel dimension, cokernel character) of the W-truncated complex."""
+def _cech_once(E: EquivariantBundle, f_degrees: list[int], W: int) -> tuple[int, Character]:
+    """(kernel dimension, cokernel character) of the truncated complex.
+
+    The kernel's unknowns are f[j][e] for e in [0, f_degrees[j]]; g is not
+    truncated, as it absorbs every overlap exponent <= 0.  The cokernel is
+    taken on the overlap exponents [1, W].
+    """
     m = E.rank
-    lo, hi = E.A.exponent_range()
-    margin = max(0, -lo)
-    Wf = W + margin  # chart-0 degree bound
-    Wg = W  # chart-inf degree bound
-
-    # kernel: unknowns f[j][e], e in [0, Wf] and g[i][e'], e' in [0, Wg]
-    fw, gw = Wf + 1, Wg + 1
-
-    def fcol(j: int, e: int) -> int:
-        return j * fw + e
-
-    # rows of A f - g(1/z), with A's coefficients; column (j, e) meets row
-    # (i, x) through the one monomial of exponent x - e.  Each of the m * gw
-    # rows with x in [-Wg, 0] holds its own g-chain column, which no other
-    # row meets, so those rows are independent of everything else: the rank
-    # is m * gw plus the rank of the remaining rows, which hold f columns only.
+    lo, _ = E.A.exponent_range()
     A = E.A.entries
+
+    # kernel: column offset[j] + e is f[j][e].  Rows of A f with exponent
+    # x >= 1, with A's coefficients; column (j, e) meets row (i, x) through
+    # the one monomial of exponent x - e.  Each row with x <= 0 holds a
+    # g-chain column of its own, which no other row meets, so those rows are
+    # independent of everything else: the kernel dimension is the number of
+    # f columns minus the rank of the remaining rows.
+    offset, ncols = [], 0
+    for b in f_degrees:
+        offset.append(ncols)
+        ncols += max(0, b + 1)
     frows: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i in range(m):
-        for j in range(m):
+        for j, b in enumerate(f_degrees):
             for d, c in A[i][j].monomials():
-                for e in range(fw):
-                    if not -Wg <= d + e <= 0:
-                        frows.setdefault((i, d + e), {})[fcol(j, e)] = c
-    # kernel dimension = (m * fw + m * gw) - (m * gw + rank of the f rows)
-    kernel_dim = m * fw - rank_sparse(frows.values(), m * fw)
+                for e in range(max(0, 1 - d), b + 1):
+                    frows.setdefault((i, d + e), {})[offset[j] + e] = c
+    kernel_dim = ncols - rank_sparse(frows.values(), ncols)
 
     # cokernel inside exponents [1, W]: the g-side image covers everything
     # below, so only chart-0 generators projected to the window remain.
@@ -284,7 +310,7 @@ def _cech_once(E: EquivariantBundle, W: int) -> tuple[int, Character]:
     gen_rows = []
     for j in range(m):
         base = [(i, d, c) for i in range(m) for d, c in A[i][j].monomials()]
-        for e in range(fw):
+        for e in range(W + max(0, -lo) + 1):
             row = {ocol(i, d + e): c for i, d, c in base if 1 <= d + e <= W}
             if row:
                 gen_rows.append(row)
@@ -299,20 +325,21 @@ def _cech_once(E: EquivariantBundle, W: int) -> tuple[int, Character]:
 
 
 def cech_cohomology(E: EquivariantBundle) -> tuple[int, Character]:
-    """(h0 dimension, h1 character) from the complex truncated at one exact window.
+    """(h0 dimension, h1 character) from the complex truncated at exact bounds.
 
-    W = max(1, -lo, hi' - margin, -lo' - 1), with [lo, hi] and [lo', hi'] the
-    exponent ranges of A and A^-1 and margin = max(0, -lo).  Every section
-    has deg g <= -lo and deg f <= hi', so the kernel is all of H^0; every
-    overlap monomial of exponent <= 0 or >= -lo' is a coboundary, so H^1 lives
-    on [1, W], which chart-0 chains of degree <= W + margin reach.  Raises
-    InvariantViolation if h0 - h1 = degree + rank fails at that window.
+    Every section has deg f_j <= hi'_j (hi'_j the greatest exponent of row j
+    of A^-1) and (A f)_i = g_i(1/z) supported on [lo_i, 0], so the kernel
+    over those f unknowns, with g absorbing every overlap exponent <= 0, is
+    all of H^0.  Every overlap monomial of exponent <= 0 or >= -lo' (lo' the
+    least exponent of A^-1) is a coboundary, so H^1 lives on [1, W] with
+    W = max(0, -lo' - 1).  Raises InvariantViolation if
+    h0 - h1 = degree + rank fails there.
     """
     m = E.rank
     if m == 0:
         return 0, Character()
-    W = _exact_window(E)
-    h0, h1 = _cech_once(E, W)
+    f_degrees, W = _cech_bounds(E)
+    h0, h1 = _cech_once(E, f_degrees, W)
     deg = degree(E)
     if h0 - h1.total() != deg + m:
         raise InvariantViolation(

@@ -199,7 +199,11 @@ def criterion_4_character_identity(count: int = 200) -> CriterionResult:
 
 
 def criterion_5_oracle_equivalence(count: int = 100) -> CriterionResult:
-    """Inverse-route H^0 dimension equals the overlap kernel at the exact window."""
+    """Inverse-route H^0 dimension equals the overlap kernel at the exact bounds.
+
+    Both routes bound each unknown by its own component: h[i] by the least
+    exponent of row i of A, f[j] by the greatest exponent of row j of A^-1.
+    """
 
     def body() -> str:
         for k in range(count):

@@ -191,6 +191,23 @@ def brute_force_h0_dim(A: LaurentMatrix, window: int | None = None) -> int:
     return ncols - dense_rank(rows)
 
 
+def reference_cech_window(E) -> int:
+    """One window W that bounds every chain of E's Cech complex at once.
+
+    W = max(1, -lo, hi' - margin, -lo' - 1), with [lo, hi] and [lo', hi'] the
+    exponent ranges of A and A^-1 and margin = max(0, -lo).  A section has
+    deg g <= -lo <= W and deg f <= hi' <= W + margin, and H^1 lives on the
+    overlap exponents [1, -lo' - 1], so the complex truncated at deg f <=
+    W + margin and deg g <= W is exact.  The package bounds each component
+    on its own; this coarser, uniform window is the reference it must agree
+    with.
+    """
+    lo, _ = E.A.exponent_range()
+    lo_inv, hi_inv = E.inverse_transition().exponent_range()
+    margin = max(0, -lo)
+    return max(1, -lo, hi_inv - margin, -lo_inv - 1)
+
+
 def per_class_h0_kernel(E) -> list[tuple[tuple, tuple[LaurentPoly, ...]]]:
     """The canonical H^0 kernel of E as (weight, h) pairs, each weight class solved alone.
 

@@ -317,7 +317,7 @@ class TestErrors:
         self._assert_invariant_document(capsys, "H^0 dimension 2 from the inverse route != 5")
 
     def test_euler_failure_is_an_invariant_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(cohomology, "_cech_once", lambda E, W: (0, Character()))
+        monkeypatch.setattr(cohomology, "_cech_once", lambda E, f_degrees, W: (0, Character()))
         self._assert_invariant_document(capsys, "Euler identity fails at Cech window")
 
 

@@ -12,12 +12,13 @@ from equisplit.bundle import (
     direct_sum,
     line_bundle,
     random_instance,
+    random_reframe,
     twist,
 )
 from equisplit.cli import main
 from equisplit.cohomology import (
+    _cech_bounds,
     _cech_once,
-    _exact_window,
     _h0_records,
     cech_cohomology,
     euler_check,
@@ -30,9 +31,10 @@ from equisplit.cohomology import (
 from equisplit.equivariant import Character
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
-from equisplit.selftest import _closed_form_characters, fixture_dir, sample_case
+from equisplit.jsonio import instance_from_json, load_json_file
+from equisplit.selftest import FIXTURE_NAMES, _closed_form_characters, fixture_dir, sample_case
 from equisplit.splitting import eigen_section, max_twist
-from oracles import brute_force_h0_dim, dense_rank, per_class_h0_kernel
+from oracles import brute_force_h0_dim, dense_rank, per_class_h0_kernel, reference_cech_window
 
 P = LaurentPoly
 T1 = TorusAction(1, (1,))
@@ -50,6 +52,33 @@ def e3_bundle():
     return EquivariantBundle(
         lm([[{-1: 1}, {0: 1}], [{}, {-1: 1}]]), ((0,), (-1,)), ((-1,), (-2,)), T1
     )
+
+
+def dense(m, torus):
+    rng = random.Random(m)
+    summands = [
+        LineSummand(rng.randint(-3, 3), tuple(rng.randint(-2, 2) for _ in torus.a))
+        for _ in range(m)
+    ]
+    return random_instance(m, summands, 10 * m, torus)[0]
+
+
+TORI = [TorusAction(0, ()), TorusAction(1, (0,)), T1]
+TORUS_IDS = ["none", "a=0", "a=1"]
+
+
+def lopsided():
+    """Rows whose least exponents differ most: row 0 reaches z^-4, row 1 starts at z^3.
+
+    Row 1 of A has no exponent <= 0, so h[1] has an empty window.
+    """
+    E = direct_sum(line_bundle(4, (0,), T1), line_bundle(-3, (1,), T1))
+    return random_reframe(E, 2, 6)
+
+
+def per_row_cases():
+    """Bundles whose rows of A and of A^-1 have unequal exponent ranges."""
+    return [dense(m, torus) for m in (6, 8) for torus in TORI] + [lopsided()]
 
 
 def sample(seed, max_rank=4, ops=8):
@@ -105,6 +134,15 @@ class TestH0Random:
             E = sample(seed, max_rank=3, ops=5)
             assert h0_dim(E) == brute_force_h0_dim(E.A), seed
 
+    def test_matches_brute_force_on_per_row_cases(self):
+        # brute force at one uniform window that holds every section,
+        # max(-lo, hi') over the whole of A and A^-1, as the dense rank of
+        # the default window would take minutes at rank 8
+        for k, E in enumerate(per_row_cases()):
+            lo, _ = E.A.exponent_range()
+            _, hi_inv = E.inverse_transition().exponent_range()
+            assert h0_dim(E) == brute_force_h0_dim(E.A, max(-lo, hi_inv)), k
+
     def test_sections_are_honest(self):
         for seed in range(15):
             E = sample(seed)
@@ -155,6 +193,10 @@ class TestOneElimination:
                     multi_class.add(torus_kind(torus))
         assert with_sections == {0, "fixed", "moving"}
         assert multi_class == {"fixed", "moving"}
+        for k, E in enumerate(per_row_cases()):
+            got = _h0_records(E)
+            assert got, k
+            assert got == per_class_h0_kernel(E), k
 
     def test_straddling_row_rejected(self):
         # weights that break the law of the entry z^-1: the row of z^-1 in
@@ -256,15 +298,6 @@ def fresh(E):
     return EquivariantBundle(E.A, E.lambda0, E.lambdaInf, E.torus)
 
 
-def dense(m, torus):
-    rng = random.Random(m)
-    summands = [
-        LineSummand(rng.randint(-3, 3), tuple(rng.randint(-2, 2) for _ in torus.a))
-        for _ in range(m)
-    ]
-    return random_instance(m, summands, 10 * m, torus)[0]
-
-
 class TestPivotsAgreeWithKernel:
     """dim H^0 and the character read off the forward pivots equal the kernel's."""
 
@@ -280,11 +313,14 @@ class TestPivotsAgreeWithKernel:
             self.check(sample(seed))
 
     @pytest.mark.parametrize("m", [6, 8])
-    @pytest.mark.parametrize(
-        "torus", [TorusAction(0, ()), TorusAction(1, (0,)), T1], ids=["none", "a=0", "a=1"]
-    )
+    @pytest.mark.parametrize("torus", TORI, ids=TORUS_IDS)
     def test_dense(self, m, torus):
         self.check(dense(m, torus))
+
+    def test_lopsided_rows(self):
+        E = lopsided()
+        self.check(E)
+        self.check(twist(E, -1, E.torus.zero_weight))
 
     def test_cli_cohomology_makes_no_reduction(self, monkeypatch, capsys):
         reductions = []
@@ -327,8 +363,32 @@ class TestEuler:
             assert report.ok, (seed, report.to_json())
 
 
+def enlarged(f_degrees, W):
+    """Every way the tests enlarge the Cech bounds: each f bound alone, all, W, and both.
+
+    A negative f bound leaves no unknown, so doubling it enlarges nothing
+    and is skipped.
+    """
+    grows = (lambda b: b + 1, lambda b: max(b, 2 * b))
+    out = []
+    for grow in grows:
+        out += [
+            ([grow(b) if k == j else b for k, b in enumerate(f_degrees)], W)
+            for j in range(len(f_degrees))
+        ]
+        out += [([grow(b) for b in f_degrees], W), (f_degrees, grow(W))]
+        out.append(([grow(b) for b in f_degrees], grow(W)))
+    return out
+
+
+def uniform_reference(E):
+    """The bounds of the uniform reference window: every f at W + margin, the cokernel at W."""
+    W = reference_cech_window(E)
+    return [W + max(0, -E.A.exponent_range()[0])] * E.rank, W
+
+
 class TestStabilization:
-    """One window, exact by the exponent bound: larger windows change nothing."""
+    """Exact per-component bounds: larger bounds change nothing."""
 
     def test_larger_windows_agree(self):
         # sample_case seeds draw torus rank 0-2, so they cover no torus, a = 0
@@ -337,19 +397,28 @@ class TestStabilization:
         for seed in range(150):
             E, _, torus = sample_case(seed, max_rank=4, max_ops=8)
             kinds.add(torus.rank and ("fixed" if torus.base_is_fixed() else "moving"))
-            W = _exact_window(E)
-            want = _cech_once(E, W)
-            assert _cech_once(E, W + 1) == want, seed
-            assert _cech_once(E, 2 * W) == want, seed
+            f_degrees, W = _cech_bounds(E)
+            want = _cech_once(E, f_degrees, W)
+            assert cech_cohomology(E) == want, seed
+            for bounds in enlarged(f_degrees, W):
+                assert _cech_once(E, *bounds) == want, (seed, bounds)
+            assert _cech_once(E, *uniform_reference(E)) == want, seed
         assert kinds == {0, "fixed", "moving"}
+
+    def test_larger_windows_agree_on_per_row_cases(self):
+        for k, E in enumerate(per_row_cases()):
+            f_degrees, W = _cech_bounds(E)
+            want = _cech_once(E, f_degrees, W)
+            for bounds in enlarged(f_degrees, W)[-1:] + [uniform_reference(E)]:
+                assert _cech_once(E, *bounds) == want, (k, bounds)
 
     def test_one_window_per_bundle(self, monkeypatch):
         windows = []
         original = cohomology._cech_once
 
-        def counted(E, W):
+        def counted(E, f_degrees, W):
             windows.append(W)
-            return original(E, W)
+            return original(E, f_degrees, W)
 
         monkeypatch.setattr(cohomology, "_cech_once", counted)
         bundles = [sample(seed) for seed in range(20)]
@@ -359,19 +428,25 @@ class TestStabilization:
             cech_cohomology(E)
             assert len(windows) - before == min(E.rank, 1)
 
-    @pytest.mark.parametrize(
-        "torus", [TorusAction(0, ()), TorusAction(1, (0,)), T1], ids=["none", "a=0", "a=1"]
-    )
-    def test_dense_rank_6_matches_closed_forms(self, torus):
-        rng = random.Random(6)
+    @staticmethod
+    def check_closed_forms(m, torus):
+        rng = random.Random(m)
         summands = [
             LineSummand(rng.randint(-3, 3), tuple(rng.randint(-2, 2) for _ in torus.a))
-            for _ in range(6)
+            for _ in range(m)
         ]
-        E, hidden = random_instance(6, summands, 60, torus)
+        E, hidden = random_instance(m, summands, 10 * m, torus)
         want_h0, want_h1 = _closed_form_characters(hidden, torus)
         assert h0_character(E) == want_h0
         assert cech_cohomology(E) == (want_h0.total(), want_h1)
+
+    @pytest.mark.parametrize("torus", TORI, ids=TORUS_IDS)
+    def test_dense_rank_6_matches_closed_forms(self, torus):
+        self.check_closed_forms(6, torus)
+
+    @pytest.mark.parametrize("m", [12, 16])
+    def test_dense_moving_base_matches_closed_forms(self, m):
+        self.check_closed_forms(m, T1)
 
     def test_rank_zero(self):
         E = EquivariantBundle(LaurentMatrix.zeros(0, 0), (), (), T1)
@@ -385,26 +460,89 @@ def test_zero_transition_matrix_is_one_error(fn):
         fn(E)
 
 
-def full_cech_kernel_dim(E, W):
-    """Kernel dimension of the whole W-truncated system f, g -> A f - g(1/z), densely."""
+def full_cech_kernel_dim(E, f_degrees, g_degree):
+    """Kernel dimension of the truncated system f, g -> A f - g(1/z), densely.
+
+    f[j] runs over the degrees [0, f_degrees[j]] and every g[i] over
+    [0, g_degree]; every Laurent coefficient is one equation.
+    """
     m = E.rank
-    lo, _ = E.A.exponent_range()
-    fw, gw = W + max(0, -lo) + 1, W + 1
-    ncols = m * fw + m * gw
+    fcol = [sum(max(0, b + 1) for b in f_degrees[:j]) for j in range(m)]
+    nf = sum(max(0, b + 1) for b in f_degrees)
+    ncols = nf + m * (g_degree + 1)
     rows = {}
     for i in range(m):
         for j in range(m):
             for d, c in E.A.entries[i][j].monomials():
-                for e in range(fw):
-                    rows.setdefault((i, d + e), [Fraction(0)] * ncols)[j * fw + e] += c
-        for e in range(gw):
-            rows.setdefault((i, -e), [Fraction(0)] * ncols)[m * fw + i * gw + e] -= 1
+                for e in range(f_degrees[j] + 1):
+                    rows.setdefault((i, d + e), [Fraction(0)] * ncols)[fcol[j] + e] += c
+        for e in range(g_degree + 1):
+            rows.setdefault((i, -e), [Fraction(0)] * ncols)[nf + i * (g_degree + 1) + e] -= 1
     return ncols - dense_rank(list(rows.values()))
 
 
 def test_cech_kernel_dim_matches_full_system_rank():
+    # the dense oracle truncates g too, at -lo: every section has deg g <= -lo
+    truncated_smaller = 0
     for seed in range(12):
         E, _, _ = sample_case(seed, max_rank=3, max_ops=6)
-        W = _exact_window(E)
-        for w in (1, W):
-            assert _cech_once(E, w)[0] == full_cech_kernel_dim(E, w), (seed, w)
+        f_degrees, W = _cech_bounds(E)
+        g_degree = max(0, -E.A.exponent_range()[0])
+        h0, _ = _cech_once(E, f_degrees, W)
+        assert h0 == full_cech_kernel_dim(E, f_degrees, g_degree), seed
+        truncated = [b - 1 for b in f_degrees]
+        got = _cech_once(E, truncated, W)[0]
+        assert got == full_cech_kernel_dim(E, truncated, g_degree), seed
+        truncated_smaller += got < h0
+        # the uniform reference window, f and g both truncated by it
+        f_ref, W_ref = uniform_reference(E)
+        assert cech_cohomology(E)[0] == full_cech_kernel_dim(E, f_ref, W_ref), seed
+    assert truncated_smaller > 0
+
+
+class TestSizeGate:
+    """Each solve has exactly one unknown per exponent inside its component's bound."""
+
+    @staticmethod
+    def row_bounds(M):
+        """(least, greatest) exponent of each row of M, read off its entries."""
+        out = []
+        for row in M.entries:
+            exps = [e for p in row for e in p.terms]
+            out.append((min(exps), max(exps)))
+        return out
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = []
+        for name in ("echelon_sparse", "rank_sparse"):
+            original = getattr(cohomology, name)
+
+            def counted(rows, ncols, original=original, name=name):
+                log.append((name, ncols))
+                return original(rows, ncols)
+
+            monkeypatch.setattr(cohomology, name, counted)
+        return log
+
+    @staticmethod
+    def bundles():
+        for name in FIXTURE_NAMES:
+            yield name, instance_from_json(
+                load_json_file(str(fixture_dir() / name / "instance.json"))
+            )[0]
+        yield "dense m=8, a=()", dense(8, TorusAction(0, ()))
+
+    def test_unknowns_per_component(self, calls):
+        names = []
+        for name, E in self.bundles():
+            names.append(name)
+            h0_cols = sum(max(0, 1 - lo) for lo, _ in self.row_bounds(E.A))
+            h0_dim(E)
+            assert calls == ([("echelon_sparse", h0_cols)] if h0_cols else []), name
+            calls.clear()
+            f_cols = sum(max(0, hi + 1) for _, hi in self.row_bounds(E.inverse_transition()))
+            cech_cohomology(E)
+            assert [c for c in calls if c[0] == "rank_sparse"] == [("rank_sparse", f_cols)], name
+            calls.clear()
+        assert len(names) == len(FIXTURE_NAMES) + 1

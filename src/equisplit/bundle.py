@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, Scalar, scalar_div
+from .laurent import LaurentPoly, Scalar
 from .linalg import LaurentMatrix, mat_adjugate, mat_inverse
 
 Weight = tuple[int, ...]
@@ -100,10 +100,12 @@ class LineSummand:
 class EquivariantBundle:
     """Transition matrix plus per-chart frame weights under a torus action."""
 
-    # _h0 caches the forward-eliminated H^0 system (cohomology._H0System):
-    # column weights, pivots and echelon rows, plus the canonical kernel once
-    # a caller asks for sections
-    __slots__ = ("A", "lambda0", "lambdaInf", "torus", "_det", "_inv", "_h0")
+    # _degree and A^-1 (_inv) are set together or not at all: twist, dual,
+    # hom_bundle and a peel's quotient inherit both, any other bundle takes
+    # one adjugate pass (_det_pass).  _h0 caches the forward-eliminated H^0
+    # system (cohomology._H0System): column weights, pivots and echelon rows,
+    # plus the canonical kernel once a caller asks for sections
+    __slots__ = ("A", "lambda0", "lambdaInf", "torus", "_degree", "_inv", "_h0")
 
     def __init__(
         self,
@@ -116,7 +118,7 @@ class EquivariantBundle:
         self.lambda0 = tuple(tuple(w) for w in lambda0)
         self.lambdaInf = tuple(tuple(w) for w in lambdaInf)
         self.torus = torus
-        self._det: LaurentPoly | None = None
+        self._degree: int | None = None
         self._inv: LaurentMatrix | None = None
         self._h0 = None
 
@@ -124,18 +126,18 @@ class EquivariantBundle:
     def rank(self) -> int:
         return self.A.rows
 
-    def det_transition(self) -> LaurentPoly:
-        """det A from one adjugate pass, which also caches A^-1 when det A is a unit."""
-        if self._det is None:
-            adj, self._det = mat_adjugate(self.A)
-            if self._det.is_monomial():
-                self._inv = mat_inverse(adj, self._det)
-        return self._det
+    def _det_pass(self) -> LaurentPoly:
+        """det A from one adjugate pass, caching the degree and A^-1 when det A is a monomial."""
+        adj, det = mat_adjugate(self.A)
+        if det.is_monomial():
+            self._degree = -det.deg
+            self._inv = mat_inverse(adj, det)
+        return det
 
     def inverse_transition(self) -> LaurentMatrix:
-        """A^-1, from the bundle's own det pass unless twist, dual or hom_bundle derived it."""
+        """A^-1: inherited from the bundle this one was derived from, else from its own det pass."""
         if self._inv is None:
-            det = self.det_transition()
+            det = self._det_pass()
             if self._inv is None:
                 raise ValueError(f"determinant {det!r} is not a nonzero monomial")
         return self._inv
@@ -216,20 +218,19 @@ def validate(E: EquivariantBundle) -> ValidationReport:
                 v.append(f"{name}[{i}] has length {len(w)}, expected torus rank {r}")
     if v:
         return ValidationReport(v)
-    det = E.det_transition()
-    if not det.is_monomial():
-        v.append(f"det(A) = {det!r} is not a nonzero monomial")
+    if E._inv is None:
+        det = E._det_pass()
+        if not det.is_monomial():
+            v.append(f"det(A) = {det!r} is not a nonzero monomial")
     v.extend(transition_law_violations(E.A, E.lambdaInf, E.lambda0, E.torus))
     return ValidationReport(v)
 
 
 def degree(E: EquivariantBundle) -> int:
     """Minus the z-exponent of det(A); additive over direct sums."""
-    det = E.det_transition()
-    if not det.is_monomial():
+    if E._degree is None and not E._det_pass().is_monomial():
         raise ValueError("transition determinant is not a monomial")
-    ((e, _),) = det.terms.items()
-    return -e
+    return E._degree
 
 
 def line_bundle(n: int, lam: Weight = (), torus: TorusAction = NO_TORUS) -> EquivariantBundle:
@@ -255,9 +256,8 @@ def twist(E: EquivariantBundle, n: int, lam: Weight) -> EquivariantBundle:
         tuple(weight_add(w, shift_inf) for w in E.lambdaInf),
         E.torus,
     )
-    if E._det is not None:
-        out._det = E._det.shift(-n * E.rank)
     if E._inv is not None:
+        out._degree = E._degree + n * E.rank
         out._inv = E._inv.shift(n)
     return out
 
@@ -270,8 +270,7 @@ def dual(E: EquivariantBundle) -> EquivariantBundle:
         tuple(weight_neg(w) for w in E.lambdaInf),
         E.torus,
     )
-    ((e, c),) = E.det_transition().terms.items()
-    out._det = LaurentPoly.monomial(-e, scalar_div(1, c))
+    out._degree = -degree(E)
     out._inv = E.A.transpose()
     return out
 
@@ -311,10 +310,7 @@ def hom_bundle(E: EquivariantBundle, F: EquivariantBundle) -> EquivariantBundle:
         weight_add(dE.lambdaInf[j], F.lambdaInf[i]) for j in range(E.rank) for i in range(F.rank)
     )
     out = EquivariantBundle(K, lam0, lamInf, E.torus)
-    detE, detF = dE.det_transition(), F.det_transition()
-    ((eE, cE),) = detE.terms.items()
-    ((eF, cF),) = detF.terms.items()
-    out._det = LaurentPoly.monomial(eE * F.rank + eF * E.rank, cE**F.rank * cF**E.rank)
+    out._degree = E.rank * degree(F) - F.rank * degree(E)
     out._inv = dE.inverse_transition().kron(F.inverse_transition())
     return out
 

@@ -15,13 +15,14 @@ completion for every torus), the accumulated peel frames and the unipotent
 clearing factor are all built from elementary operations, and each
 operation's inverse is applied alongside it.  The producer therefore forms
 no determinant or adjugate of a frame.  The H^0 route needs the inverse
-transition of every bundle it peels, and each bundle's validation yields it:
-the one Faddeev–LeVerrier pass that gives det A gives A^-1 too, and the
-twists of the search reuse it.  The certificate identity MInf(1/z) A M0 = D
-hands out both frame inverses as products (M0^-1 = D^-1 MInf(1/z) A,
-MInf(1/z)^-1 = A M0 D^-1), so the verifier takes no determinant or
-adjugate, and it hands the inverses it read to ``splitting_hom``, which
-forms no product of its own to get them.
+transition of every bundle it peels: the input's validation takes the
+split's one Faddeev–LeVerrier pass, for det A and A^-1, and each quotient
+inherits its inverse (a block of U A^-1 V(1/z)^-1) and degree from its peel,
+as the twists do.  The certificate identity MInf(1/z) A M0 = D hands out
+both frame inverses as products (M0^-1 = D^-1 MInf(1/z) A, MInf(1/z)^-1 =
+A M0 D^-1), so the verifier takes no determinant or adjugate, and it hands
+the inverses it read to ``splitting_hom``, which forms no product of its
+own to get them.
 
 With no torus (rank-0 action) the same pipeline is a constructive splitting
 of an arbitrary bundle into line bundles.
@@ -71,7 +72,7 @@ def max_twist(E: EquivariantBundle, bound: int | None = None) -> tuple[int, Equi
     if rng is None:
         raise ValueError("invalid bundle: zero transition matrix")
     hi = -rng[0] if bound is None else min(-rng[0], bound)
-    floor = -(-degree(E) // E.rank)  # ceil; its det pass caches A^-1, which the twists reuse
+    floor = -(-degree(E) // E.rank)  # ceil; the twists inherit A^-1 along with the degree
     zero = E.torus.zero_weight
     for k in range(hi, floor - 1, -1):
         Et = twist(E, -k, zero)
@@ -150,8 +151,8 @@ def peel(E: EquivariantBundle, bound: int | None = None) -> PeelStep:
     completion, and reads off the block-triangular transition.  A section
     that vanishes somewhere (a nonconstant gcd on either chart) cannot be
     completed to e_1, which raises InvariantViolation; theory rules it out
-    for valid input.  Validating the quotient takes its determinant pass,
-    which also caches its inverse transition.
+    for valid input.  The quotient inherits its degree and inverse transition
+    (a block of U A^-1 V(1/z)^-1), so its validation takes no det pass.
     """
     if E.rank == 0:
         raise ValueError("peel of a rank-0 bundle")
@@ -162,7 +163,7 @@ def peel(E: EquivariantBundle, bound: int | None = None) -> PeelStep:
     chi = sigma.weight
 
     U, Uinv = _frame_completion(list(sigma.f))
-    V, _ = _frame_completion(list(sigma.g))
+    V, Vinv = _frame_completion(list(sigma.g))
     # the chart-inf law of V is the chart-0 law of V(1/z)
     Vz = V.invert_variable()
 
@@ -191,11 +192,13 @@ def peel(E: EquivariantBundle, bound: int | None = None) -> PeelStep:
     quotient = EquivariantBundle(A_new.submatrix(rest, rest), nu0[1:], nuInf[1:], torus)
     summand = LineSummand(n1, chi if torus.rank else ())
     if quotient.rank:
+        # A_new is block triangular: Q.A^-1 is the lower right block of U A^-1 V(1/z)^-1
+        Vinv_z = Vinv.submatrix(range(m), rest).invert_variable()
+        quotient._inv = (U.submatrix(rest, range(m)) @ E.inverse_transition()) @ Vinv_z
+        quotient._degree = degree(E) - n1
         qreport = validate(quotient)
         if not qreport.ok:
             raise InvariantViolation("peel produced an invalid quotient: " + "; ".join(qreport.violations))
-        if degree(quotient) != degree(E) - n1:
-            raise InvariantViolation("quotient degree mismatch")
     return PeelStep(summand, U, Uinv, V, EquivariantBundle(A_new, nu0, nuInf, torus), quotient)
 
 

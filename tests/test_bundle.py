@@ -17,6 +17,7 @@ from equisplit.bundle import (
     twist,
     validate,
 )
+from equisplit import splitting
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix, mat_adjugate, mat_inverse
 
@@ -40,6 +41,15 @@ def sample(seed, r=None, max_rank=4, ops=8, torus=None):
         for _ in range(m)
     ]
     return random_instance(seed, summands, rng.randint(0, ops), torus) + (torus,)
+
+
+def dense(m, torus):
+    """Dense rank-m scramble with 10*m ops, seeded as the splitting tests' dense cases."""
+    rng = random.Random(1)
+    summands = [
+        LineSummand(rng.randint(-3, 3), tuple(rng.randint(-2, 2) for _ in torus.a)) for _ in range(m)
+    ]
+    return random_instance(1, summands, 10 * m, torus)[0]
 
 
 class TestTorusAction:
@@ -75,10 +85,18 @@ class TestValidate:
         assert validate(E).ok
 
     def test_nonmonomial_det_reported(self):
+        # a det pass that finds no monomial caches neither the degree nor
+        # A^-1, so the bundle stays invalid on every later path
         E = EquivariantBundle(lm([[{0: 1, 1: 1}]]), ((),), ((),))
         report = validate(E)
         assert not report.ok
         assert "monomial" in report.violations[0]
+        assert validate(E).violations == report.violations
+        with pytest.raises(ValueError):
+            E.inverse_transition()
+        assert validate(E).violations == report.violations
+        with pytest.raises(ValueError):
+            degree(E)
 
     def test_single_corrupted_monomial_reported(self):
         rng = random.Random(0)
@@ -186,14 +204,37 @@ class TestHomAndSum:
             assert degree(H) == E.rank * degree(F) - F.rank * degree(E)
             assert validate(H).ok
 
-    def test_inverse_transition_is_mat_inverse(self):
-        # hom_bundle, dual and twist derive their cached inverses instead of
-        # forming an adjugate; each must be the inverse of its transition
+    def test_inverse_transition_is_mat_inverse(self, monkeypatch):
+        # hom_bundle, dual, twist and a peel's quotient inherit their inverse
+        # and degree instead of forming an adjugate; each inverse must be the
+        # inverse of its transition, and each degree that of a fresh bundle
+        # on the same data, which takes its own det pass
+        inputs = []
         for seed in range(8):
             E, _, torus = sample(seed, max_rank=2)
             F, _, _ = sample(seed + 50, max_rank=2, torus=torus)
-            for B in (hom_bundle(E, F), dual(E), twist(F, 2, torus.zero_weight)):
-                assert B.inverse_transition() == mat_inverse(*mat_adjugate(B.A)), seed
+            inputs += [hom_bundle(E, F), dual(E), twist(F, 2, torus.zero_weight)]
+        for seed in range(20):
+            E, _, _ = sample(seed, max_rank=5)
+            if E.rank >= 2:
+                inputs.append(splitting.peel(E).quotient)
+        peeled = len(inputs)
+        peel = splitting.peel
+
+        def recorded(*args):
+            step = peel(*args)
+            if step.quotient.rank:
+                inputs.append(step.quotient)
+            return step
+
+        monkeypatch.setattr(splitting, "peel", recorded)
+        for a in ((), (0,), (1,)):
+            splitting.equivariant_split(dense(8, TorusAction(len(a), a)))
+        assert peeled > 24 and len(inputs) - peeled == 3 * 7  # ranks 7..1 of each dense split
+        for k, B in enumerate(inputs):
+            assert B._inv is not None, k  # inherited, not yet computed below
+            assert B.inverse_transition() == mat_inverse(*mat_adjugate(B.A)), k
+            assert degree(B) == degree(EquivariantBundle(B.A, B.lambda0, B.lambdaInf, B.torus)), k
 
     def test_endomorphisms_have_degree_zero(self):
         E, _, _ = sample(3, max_rank=3)

@@ -622,15 +622,15 @@ def test_certificates_are_byte_identical(torus, hashes):
 
 
 @pytest.mark.parametrize("torus", [TorusAction(0, ()), TorusAction(1, (0,)), TorusAction(1, (1,))])
-def test_one_adjugate_per_validated_bundle(monkeypatch, torus):
-    # a split validates its input and the quotient of every peel, and each
-    # validation takes one adjugate pass that also yields the inverse
-    # transition; the twists of the max_twist search reuse it
+def test_one_adjugate_per_split(monkeypatch, torus):
+    # validating the input takes the split's one adjugate pass, which yields
+    # det A and A^-1; each peel's quotient inherits its inverse from the
+    # peel's frames and its degree from the bundle it was peeled from, and
+    # the twists of the max_twist search shift both, so ranks 4..1 take none
     calls = count_inverse_helpers(monkeypatch)
     for seed in range(1000, 1005):
         equivariant_split(dense_case(seed, torus))
-    one_split = [(helper, m) for m in (5, 4, 3, 2, 1) for helper in ("mat_adjugate", "mat_inverse")]
-    assert calls == one_split * 5
+    assert calls == [("mat_adjugate", 5), ("mat_inverse", 5)] * 5
 
 
 def test_rank_6_split_h0_solves(monkeypatch):
@@ -657,9 +657,11 @@ def test_rank_6_split_h0_solves(monkeypatch):
 def test_rank_5_split_products(monkeypatch):
     # the first peel's frames seed the accumulated frames, each of the five
     # built sections is one fused product (A^-1 h), the triangular form is
-    # read off the peels' top rows in the products that update Uinv_tot, and
-    # each of the five adjugate passes takes det as one fused row-times-column
-    # product, so a dense rank-5 split takes 39 matrix products; scalar
+    # read off the peels' top rows in the products that update Uinv_tot, the
+    # input's adjugate pass takes three products and det as one fused
+    # row-times-column product, and each of the four quotients inherits its
+    # inverse in two restricted products, so a dense rank-5 split takes 40
+    # matrix products (39 when every quotient took its own pass); scalar
     # scalings scale coefficients, each Bezout update is a single product
     # with a nonzero entry, and the bottom-up clear updates one column per
     # entry with nonzero factors only, which leaves 72 Laurent products
@@ -678,7 +680,7 @@ def test_rank_5_split_products(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", mul)
     monkeypatch.setattr(LaurentPoly, "__rmul__", mul)
     equivariant_split(E)
-    assert calls == {"matmul": 39, "mul": 72}
+    assert calls == {"matmul": 40, "mul": 72}
 
 
 def dense_moving(m, a):
@@ -726,7 +728,7 @@ class TestFiltrationOracle:
         assert filtration_splitting(E) == hidden
 
     @pytest.mark.parametrize("a", [(1,), (2,), (1, 0)])
-    @pytest.mark.parametrize("m", [6, 8, 12, 16])
+    @pytest.mark.parametrize("m", [6, 8, 12, 16, 24])
     def test_split_matches_oracle(self, m, a):
         E, _ = dense_moving(m, a)
         got, cert = equivariant_split(E)

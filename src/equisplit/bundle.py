@@ -2,9 +2,12 @@
 
 A rank-m bundle is a transition matrix A(z) that converts chart-0 section
 coordinates into chart-infinity coordinates on the overlap; invertibility
-over the Laurent ring means det A is a nonzero monomial.  A torus action is
-recorded by a base character exponent vector ``a`` together with one integer
-weight vector per frame vector on each chart.
+over the Laurent ring means det A is a nonzero monomial.  ``validate`` and
+``degree`` take det A and A^-1 from one ``mat_det_inverse`` per bundle,
+which pivots on the monomial entries of A and runs a Faddeev–LeVerrier pass
+only on the unit-free core left, if any; derived bundles inherit both.  A
+torus action is recorded by a base character exponent vector ``a`` together
+with one integer weight vector per frame vector on each chart.
 
 Conventions (fixed here, cited everywhere else):
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import LaurentPoly, Scalar
-from .linalg import LaurentMatrix, mat_adjugate, mat_inverse
+from .linalg import LaurentMatrix, mat_det_inverse
 
 Weight = tuple[int, ...]
 
@@ -102,9 +105,11 @@ class EquivariantBundle:
 
     # _degree and A^-1 (_inv) are set together or not at all: twist, dual,
     # hom_bundle and a peel's quotient inherit both, any other bundle takes
-    # one adjugate pass (_det_pass).  _h0 caches the forward-eliminated H^0
-    # system (cohomology._H0System): column weights, pivots and echelon rows,
-    # plus the canonical kernel once a caller asks for sections
+    # one det pass (_det_pass): unit-pivot Gauss–Jordan, plus one adjugate
+    # pass on the unit-free core when that is nonempty.  _h0 caches the
+    # forward-eliminated H^0 system (cohomology._H0System): column weights,
+    # pivots and echelon rows, plus the canonical kernel once a caller asks
+    # for sections
     __slots__ = ("A", "lambda0", "lambdaInf", "torus", "_degree", "_inv", "_h0")
 
     def __init__(
@@ -127,11 +132,11 @@ class EquivariantBundle:
         return self.A.rows
 
     def _det_pass(self) -> LaurentPoly:
-        """det A from one adjugate pass, caching the degree and A^-1 when det A is a monomial."""
-        adj, det = mat_adjugate(self.A)
-        if det.is_monomial():
+        """det A from one ``mat_det_inverse``, caching the degree and A^-1 when det A is a monomial."""
+        det, inv = mat_det_inverse(self.A)
+        if inv is not None:
             self._degree = -det.deg
-            self._inv = mat_inverse(adj, det)
+            self._inv = inv
         return det
 
     def inverse_transition(self) -> LaurentMatrix:

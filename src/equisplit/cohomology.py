@@ -32,14 +32,15 @@ truncated by the same bounds.
   which no other equation meets, so g absorbs those equations; the kernel
   rank runs over the equations x >= 1 of A f alone, and
   dim H^0 = sum_j max(0, hi'_j + 1) - rank.
-* Cokernel: with lo' the least exponent of A^-1, z^x e_i = A (A^-1 z^x e_i)
-  has a polynomial preimage for x >= -lo', and every exponent <= 0 is some
-  g(1/z).  So with W = max(0, -lo' - 1) and P the projection onto the
-  overlap exponents [1, W], H^1 = O_[1,W] / P(A f).  A z^e e_j has exponents
-  >= lo + e (lo the least exponent of A), so chart-0 chains of degree
-  <= W + max(0, -lo) reach the whole window.  W = 0 gives H^1 = 0.  The
-  cokernel elimination stops at the forward pass: the cokernel is spanned by
-  the non-pivot columns.
+* Cokernel: with lo'_i the least exponent of column i of A^-1,
+  z^x e_i = A (A^-1 z^x e_i) has a polynomial preimage for x >= -lo'_i, and
+  every exponent <= 0 is some g(1/z).  So with W_i = max(0, -lo'_i - 1) and
+  P the projection onto the overlap exponents (i, x), x in [1, W_i],
+  H^1 = O_window / P(A f).  A z^e e_j has exponents >= lo + e (lo the least
+  exponent of A), so chart-0 chains of degree <= max_i W_i + max(0, -lo)
+  reach the whole window.  Every W_i = 0 gives H^1 = 0.  The cokernel
+  elimination stops at the forward pass: the cokernel is spanned by the
+  non-pivot columns.
 
 The Euler identity h0 - h1 = degree + rank stays armed: a failure raises
 InvariantViolation.
@@ -259,26 +260,27 @@ def h0_character(E: EquivariantBundle) -> Character:
 # -- truncated overlap (Cech) complex ---------------------------------------
 
 
-def _cech_bounds(E: EquivariantBundle) -> tuple[list[int], int]:
+def _cech_bounds(E: EquivariantBundle) -> tuple[list[int], list[int]]:
     """The exact truncation of E's complex (module docstring).
 
-    Returns ([hi'_j], W): the kernel's f[j] has degree at most hi'_j, the
-    greatest exponent of row j of A^-1, and the cokernel lives on the
-    overlap exponents [1, W], W = max(0, -lo' - 1) with lo' the least
-    exponent of A^-1.
+    Returns ([hi'_j], [W_i]): the kernel's f[j] has degree at most hi'_j,
+    the greatest exponent of row j of A^-1, and the cokernel's component i
+    lives on the overlap exponents [1, W_i], W_i = max(0, -lo'_i - 1) with
+    lo'_i the least exponent of column i of A^-1.
     """
     if E.A.exponent_range() is None:
         raise ValueError("invalid bundle: zero transition matrix")
-    ranges = _row_ranges(E.inverse_transition())
-    return [hi for _, hi in ranges], max(0, -min(lo for lo, _ in ranges) - 1)
+    inv = E.inverse_transition()
+    f_degrees = [hi for _, hi in _row_ranges(inv)]
+    return f_degrees, [max(0, -lo - 1) for lo, _ in _row_ranges(inv.transpose())]
 
 
-def _cech_once(E: EquivariantBundle, f_degrees: list[int], W: int) -> tuple[int, Character]:
+def _cech_once(E: EquivariantBundle, f_degrees: list[int], windows: list[int]) -> tuple[int, Character]:
     """(kernel dimension, cokernel character) of the truncated complex.
 
     The kernel's unknowns are f[j][e] for e in [0, f_degrees[j]]; g is not
-    truncated, as it absorbs every overlap exponent <= 0.  The cokernel is
-    taken on the overlap exponents [1, W].
+    truncated, as it absorbs every overlap exponent <= 0.  The cokernel's
+    component i is taken on the overlap exponents [1, windows[i]].
     """
     m = E.rank
     lo, _ = E.A.exponent_range()
@@ -302,25 +304,23 @@ def _cech_once(E: EquivariantBundle, f_degrees: list[int], W: int) -> tuple[int,
                     frows.setdefault((i, d + e), {})[offset[j] + e] = c
     kernel_dim = ncols - rank_sparse(frows.values(), ncols)
 
-    # cokernel inside exponents [1, W]: the g-side image covers everything
-    # below, so only chart-0 generators projected to the window remain.
-    def ocol(i: int, d: int) -> int:
-        return (d - 1) * m + i
-
+    # cokernel on the overlap exponents (i, d), d in [1, windows[i]],
+    # ordered by (d, i): the g-side image and the preimages of z^d e_i for
+    # larger d cover everything else, so only chart-0 generators projected
+    # to the window remain
+    top = max(windows, default=0)
+    ocols = [(i, d) for d in range(1, top + 1) for i in range(m) if d <= windows[i]]
+    ocol = {ic: k for k, ic in enumerate(ocols)}
     gen_rows = []
     for j in range(m):
         base = [(i, d, c) for i in range(m) for d, c in A[i][j].monomials()]
-        for e in range(W + max(0, -lo) + 1):
-            row = {ocol(i, d + e): c for i, d, c in base if 1 <= d + e <= W}
+        for e in range(top + max(0, -lo) + 1):
+            row = {ocol[i, d + e]: c for i, d, c in base if 1 <= d + e <= windows[i]}
             if row:
                 gen_rows.append(row)
-    pivots, _ = echelon_sparse(gen_rows, m * W)
+    pivots, _ = echelon_sparse(gen_rows, len(ocols))
     pivot_set = set(pivots)
-    weights = []
-    for cidx in range(m * W):
-        if cidx not in pivot_set:
-            d, i = divmod(cidx, m)
-            weights.append(monomial_weight(E, "inf", i, -(d + 1)))
+    weights = [monomial_weight(E, "inf", i, -d) for k, (i, d) in enumerate(ocols) if k not in pivot_set]
     return kernel_dim, Character.from_weights(weights)
 
 
@@ -330,20 +330,20 @@ def cech_cohomology(E: EquivariantBundle) -> tuple[int, Character]:
     Every section has deg f_j <= hi'_j (hi'_j the greatest exponent of row j
     of A^-1) and (A f)_i = g_i(1/z) supported on [lo_i, 0], so the kernel
     over those f unknowns, with g absorbing every overlap exponent <= 0, is
-    all of H^0.  Every overlap monomial of exponent <= 0 or >= -lo' (lo' the
-    least exponent of A^-1) is a coboundary, so H^1 lives on [1, W] with
-    W = max(0, -lo' - 1).  Raises InvariantViolation if
-    h0 - h1 = degree + rank fails there.
+    all of H^0.  Every overlap monomial z^d e_i with d <= 0 or d >= -lo'_i
+    (lo'_i the least exponent of column i of A^-1) is a coboundary, so the
+    component i of H^1 lives on [1, W_i] with W_i = max(0, -lo'_i - 1).
+    Raises InvariantViolation if h0 - h1 = degree + rank fails there.
     """
     m = E.rank
     if m == 0:
         return 0, Character()
-    f_degrees, W = _cech_bounds(E)
-    h0, h1 = _cech_once(E, f_degrees, W)
+    f_degrees, windows = _cech_bounds(E)
+    h0, h1 = _cech_once(E, f_degrees, windows)
     deg = degree(E)
     if h0 - h1.total() != deg + m:
         raise InvariantViolation(
-            f"Euler identity fails at Cech window {W}: "
+            f"Euler identity fails at Cech window {windows}: "
             f"h0 - h1 = {h0} - {h1.total()} != degree + rank = {deg} + {m}"
         )
     return h0, h1

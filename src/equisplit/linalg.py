@@ -5,7 +5,10 @@ Two small engines live here:
 * ``LaurentMatrix`` — rectangular matrices over the Laurent ring, with the
   exact adjugate and determinant from one Faddeev–LeVerrier pass of matrix
   products (``mat_adjugate``), the inverse ``mat_inverse`` of a matrix with
-  monomial determinant, and Kronecker products.  The matrix product is
+  monomial determinant, and Kronecker products.  ``mat_det_inverse`` takes
+  det M and M^-1 together by Gauss–Jordan elimination pivoting on monomial
+  entries, the units of the ring, and runs the adjugate pass only on the
+  square core left with no unit entry, which is often empty.  The matrix product is
   fused: each output entry is one coefficient dict accumulated over the
   inner index straight from the operands' terms, with no intermediate
   polynomial per product.  Results are wrapped by the private constructor
@@ -255,6 +258,118 @@ def mat_inverse(adj: LaurentMatrix, det: LaurentPoly) -> LaurentMatrix:
     ((e, c),) = det.terms.items()
     inv = scalar_div(1, c)
     return adj.map(lambda p: LaurentPoly.from_sums({d - e: inv * v for d, v in p.terms.items()}))
+
+
+def _submul(a: LaurentPoly, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """a - f*g, accumulated in one dict."""
+    sums = dict(a.terms)
+    get = sums.get
+    gitems = g.terms.items()
+    for e1, c1 in f.terms.items():
+        for e2, c2 in gitems:
+            e = e1 + e2
+            s = get(e)
+            sums[e] = -(c1 * c2) if s is None else s - c1 * c2
+    return LaurentPoly.from_sums(sums)
+
+
+def _divide_by_unit(p: LaurentPoly, e: int, inv: Scalar) -> LaurentPoly:
+    """p / (k z^e), given inv = 1/k: an exponent shift, and a scaling unless k = 1."""
+    if inv == 1:
+        return p.shift(-e)
+    return LaurentPoly.from_sums({d - e: inv * v for d, v in p.terms.items()})
+
+
+def mat_det_inverse(M: LaurentMatrix) -> tuple[LaurentPoly, LaurentMatrix | None]:
+    """(det M, M^-1), or (det M, None) when det M is not a nonzero monomial.
+
+    The units of the Laurent ring are its monomials, so Gauss–Jordan
+    elimination on [M | I] may pivot on any monomial entry exactly: the
+    pivot row is divided by it and its column cleared from every other row.
+    Pivots are taken while an unused row and column still meet in a
+    monomial, each time the one with the fewest other nonzeros in its unused
+    row and column (Markowitz, Management Sci. 3, 1957), ties broken by
+    (row, column).  Every entry is then a minor of M divided by a unit, so
+    entries stay small.  The unused rows and columns leave a unit-free core
+    S, often empty; only a nonempty core takes a Faddeev–LeVerrier pass
+    (``mat_adjugate``).  With sigma pairing each pivot row with its column
+    and the unused rows with the unused columns in order, det M is
+    sgn(sigma) times the product of the pivots times det S.  When det S is a
+    monomial, the unused rows of the right half are multiplied by S^-1 and
+    B times them is taken off the pivot rows, B being the pivot rows'
+    entries in the unused columns; row sigma(r) of M^-1 is then row r of
+    the right half.  det M and M^-1 are unique, so they equal what
+    ``mat_adjugate`` and ``mat_inverse`` give for M.
+    """
+    if not M.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    m = M.rows
+    # entries are replaced, never mutated, so M's polynomials are shared
+    W = [list(row) for row in M.entries]
+    V = LaurentMatrix.identity(m).entries
+    rows, cols = list(range(m)), list(range(m))  # unused
+    pivot_col: dict[int, int] = {}
+    unit_e, unit_k = 0, 1  # the product of the pivots, unit_k * z^unit_e
+    while True:
+        units = [(r, c) for r in rows for c in cols if len(W[r][c].terms) == 1]
+        if not units:
+            break
+        if len(units) > 1:
+            # ties keep the first, the least (r, c)
+            units.sort(key=lambda rc: sum(1 for c in cols if W[rc[0]][c].terms)
+                       + sum(1 for r in rows if W[r][rc[1]].terms))
+        r, c = units[0]
+        rows.remove(r)
+        cols.remove(c)
+        pivot_col[r] = c
+        ((e, k),) = W[r][c].terms.items()
+        unit_e += e
+        unit_k *= k
+        Wr, Vr = W[r], V[r]
+        if (e, k) != (0, 1):
+            inv = scalar_div(1, k)
+            for j in cols:
+                if Wr[j].terms:
+                    Wr[j] = _divide_by_unit(Wr[j], e, inv)
+            V[r] = Vr = [_divide_by_unit(p, e, inv) if p.terms else p for p in Vr]
+        for t in range(m):
+            f = W[t][c]
+            if t == r or not f.terms:
+                continue
+            Wt, Vt = W[t], V[t]
+            for j in cols:
+                if Wr[j].terms:
+                    Wt[j] = _submul(Wt[j], f, Wr[j])
+            for j, g in enumerate(Vr):
+                if g.terms:
+                    Vt[j] = _submul(Vt[j], f, g)
+
+    # sigma: pivot row r -> pivot_col[r], the k-th unused row -> the k-th unused column
+    sigma = dict(pivot_col)
+    sigma.update(zip(rows, cols))
+    if sum(sigma[i] > sigma[j] for i in range(m) for j in range(i + 1, m)) % 2:
+        unit_k = -unit_k
+    s = len(rows)
+    if s:
+        adj, det_core = mat_adjugate(LaurentMatrix._adopt([[W[r][c] for c in cols] for r in rows], s, s))
+        det = det_core.shift(unit_e).scale(unit_k)
+        if not det_core.is_monomial():
+            return det, None
+        VU = mat_inverse(adj, det_core) @ LaurentMatrix._adopt([V[r] for r in rows], s, m)
+        for r, row in zip(rows, VU.entries):
+            V[r] = row
+        if pivot_col:
+            pivots = list(pivot_col)
+            B = LaurentMatrix._adopt([[W[r][c] for c in cols] for r in pivots], len(pivots), s)
+            VP = LaurentMatrix._adopt([V[r] for r in pivots], len(pivots), m) - B @ VU
+            for r, row in zip(pivots, VP.entries):
+                V[r] = row
+    else:
+        det = LaurentPoly.monomial(unit_e, unit_k)
+    inverse: list[list[LaurentPoly]] = [[]] * m
+    for r, row in enumerate(V):
+        inverse[sigma[r]] = row
+    return det, LaurentMatrix._adopt(inverse, m, m)
 
 
 # -- fraction-free row reduction ------------------------------------------

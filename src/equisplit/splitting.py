@@ -16,9 +16,10 @@ clearing factor are all built from elementary operations, and each
 operation's inverse is applied alongside it.  The producer therefore forms
 no determinant or adjugate of a frame.  The H^0 route needs the inverse
 transition of every bundle it peels: the input's validation takes the
-split's one Faddeev–LeVerrier pass, for det A and A^-1, and each quotient
-inherits its inverse (a block of U A^-1 V(1/z)^-1) and degree from its peel,
-as the twists do.  The certificate identity MInf(1/z) A M0 = D hands out
+split's one det pass, for det A and A^-1 (``mat_det_inverse``: Gauss–Jordan
+on unit pivots, then a Faddeev–LeVerrier pass only on a nonempty unit-free
+core), and each quotient inherits its inverse (a block of
+U A^-1 V(1/z)^-1) and degree from its peel, as the twists do.  The certificate identity MInf(1/z) A M0 = D hands out
 both frame inverses as products (M0^-1 = D^-1 MInf(1/z) A, MInf(1/z)^-1 =
 A M0 D^-1), so the verifier takes no determinant or adjugate, and it hands
 the inverses it read to ``splitting_hom``, which forms no product of its

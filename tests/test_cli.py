@@ -1,9 +1,10 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from equisplit import cli, cohomology
+from equisplit import cli, cohomology, linalg
 from equisplit.bundle import EquivariantBundle, LineSummand, TorusAction, random_instance, random_reframe
 from equisplit.cli import main
 from equisplit.equivariant import Character
@@ -327,3 +328,39 @@ class TestSelftest:
         slow = CriterionResult(1, "round trip", True, "", 50.0).to_json()
         assert fast == slow
         assert "seconds" not in fast
+
+
+def test_cohomology_work_counters(capsys, monkeypatch, tmp_path):
+    # the first 20 instances of the benchmark's cohomology-dense pool (run
+    # seed 0), through the CLI.  The det pass of each input pivots on
+    # monomial entries; only a nonempty unit-free core takes a
+    # Faddeev–LeVerrier pass (mat_adjugate) and two finishing products.
+    # With a pass for every input this was 20 adjugate passes and 80 matrix
+    # products
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    from instances import write_pool
+    from workloads import WORKLOADS
+
+    keys = write_pool(WORKLOADS["cohomology-dense"], 0, tmp_path, count=20)
+    calls = {"adjugate": [], "matmul": 0}
+    adjugate = linalg.mat_adjugate
+    matmul = LaurentMatrix.__matmul__
+
+    def counted_adjugate(M):
+        calls["adjugate"].append(M.rows)
+        return adjugate(M)
+
+    def counted_matmul(self, other):
+        calls["matmul"] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(linalg, "mat_adjugate", counted_adjugate)
+    monkeypatch.setattr(LaurentMatrix, "__matmul__", counted_matmul)
+    for key in keys:
+        code, out, _ = run(capsys, "cohomology", key.path)
+        assert code == 0, key.seed
+        assert json.loads(out) == key.cohomology_doc(), key.seed
+    # one input leaves a 2x2 core: its pass is the fused det product, and
+    # S^-1 and the pivot rows' correction take one product each
+    assert calls == {"adjugate": [2], "matmul": 3}

@@ -363,28 +363,32 @@ class TestEuler:
             assert report.ok, (seed, report.to_json())
 
 
-def enlarged(f_degrees, W):
-    """Every way the tests enlarge the Cech bounds: each f bound alone, all, W, and both.
+def enlarged(f_degrees, windows):
+    """Every way the tests enlarge the Cech bounds.
 
-    A negative f bound leaves no unknown, so doubling it enlarges nothing
-    and is skipped.
+    Each f bound alone, all of them, each cokernel window W_i alone, all of
+    them, and every bound at once.  A negative f bound leaves no unknown and
+    a zero window no column, so doubling either enlarges nothing and is
+    skipped.
     """
     grows = (lambda b: b + 1, lambda b: max(b, 2 * b))
+
+    def one(bounds, j, grow):
+        return [grow(b) if k == j else b for k, b in enumerate(bounds)]
+
     out = []
     for grow in grows:
-        out += [
-            ([grow(b) if k == j else b for k, b in enumerate(f_degrees)], W)
-            for j in range(len(f_degrees))
-        ]
-        out += [([grow(b) for b in f_degrees], W), (f_degrees, grow(W))]
-        out.append(([grow(b) for b in f_degrees], grow(W)))
+        out += [(one(f_degrees, j, grow), windows) for j in range(len(f_degrees))]
+        out += [(f_degrees, one(windows, i, grow)) for i in range(len(windows))]
+        all_f, all_w = [grow(b) for b in f_degrees], [grow(w) for w in windows]
+        out += [(all_f, windows), (f_degrees, all_w), (all_f, all_w)]
     return out
 
 
 def uniform_reference(E):
-    """The bounds of the uniform reference window: every f at W + margin, the cokernel at W."""
+    """The bounds of the uniform reference window: every f at W + margin, every cokernel window at W."""
     W = reference_cech_window(E)
-    return [W + max(0, -E.A.exponent_range()[0])] * E.rank, W
+    return [W + max(0, -E.A.exponent_range()[0])] * E.rank, [W] * E.rank
 
 
 class TestStabilization:
@@ -397,19 +401,19 @@ class TestStabilization:
         for seed in range(150):
             E, _, torus = sample_case(seed, max_rank=4, max_ops=8)
             kinds.add(torus.rank and ("fixed" if torus.base_is_fixed() else "moving"))
-            f_degrees, W = _cech_bounds(E)
-            want = _cech_once(E, f_degrees, W)
+            f_degrees, windows = _cech_bounds(E)
+            want = _cech_once(E, f_degrees, windows)
             assert cech_cohomology(E) == want, seed
-            for bounds in enlarged(f_degrees, W):
+            for bounds in enlarged(f_degrees, windows):
                 assert _cech_once(E, *bounds) == want, (seed, bounds)
             assert _cech_once(E, *uniform_reference(E)) == want, seed
         assert kinds == {0, "fixed", "moving"}
 
     def test_larger_windows_agree_on_per_row_cases(self):
         for k, E in enumerate(per_row_cases()):
-            f_degrees, W = _cech_bounds(E)
-            want = _cech_once(E, f_degrees, W)
-            for bounds in enlarged(f_degrees, W)[-1:] + [uniform_reference(E)]:
+            f_degrees, windows = _cech_bounds(E)
+            want = _cech_once(E, f_degrees, windows)
+            for bounds in enlarged(f_degrees, windows)[-1:] + [uniform_reference(E)]:
                 assert _cech_once(E, *bounds) == want, (k, bounds)
 
     def test_one_window_per_bundle(self, monkeypatch):
@@ -486,17 +490,17 @@ def test_cech_kernel_dim_matches_full_system_rank():
     truncated_smaller = 0
     for seed in range(12):
         E, _, _ = sample_case(seed, max_rank=3, max_ops=6)
-        f_degrees, W = _cech_bounds(E)
+        f_degrees, windows = _cech_bounds(E)
         g_degree = max(0, -E.A.exponent_range()[0])
-        h0, _ = _cech_once(E, f_degrees, W)
+        h0, _ = _cech_once(E, f_degrees, windows)
         assert h0 == full_cech_kernel_dim(E, f_degrees, g_degree), seed
         truncated = [b - 1 for b in f_degrees]
-        got = _cech_once(E, truncated, W)[0]
+        got = _cech_once(E, truncated, windows)[0]
         assert got == full_cech_kernel_dim(E, truncated, g_degree), seed
         truncated_smaller += got < h0
         # the uniform reference window, f and g both truncated by it
-        f_ref, W_ref = uniform_reference(E)
-        assert cech_cohomology(E)[0] == full_cech_kernel_dim(E, f_ref, W_ref), seed
+        f_ref, _ = uniform_reference(E)
+        assert cech_cohomology(E)[0] == full_cech_kernel_dim(E, f_ref, reference_cech_window(E)), seed
     assert truncated_smaller > 0
 
 
@@ -535,14 +539,21 @@ class TestSizeGate:
 
     def test_unknowns_per_component(self, calls):
         names = []
+        narrower = 0
         for name, E in self.bundles():
             names.append(name)
             h0_cols = sum(max(0, 1 - lo) for lo, _ in self.row_bounds(E.A))
             h0_dim(E)
             assert calls == ([("echelon_sparse", h0_cols)] if h0_cols else []), name
             calls.clear()
-            f_cols = sum(max(0, hi + 1) for _, hi in self.row_bounds(E.inverse_transition()))
+            inv = E.inverse_transition()
+            f_cols = sum(max(0, hi + 1) for _, hi in self.row_bounds(inv))
+            # cokernel component i on [1, W_i], W_i from column i of A^-1
+            windows = [max(0, -lo - 1) for lo, _ in self.row_bounds(inv.transpose())]
             cech_cohomology(E)
-            assert [c for c in calls if c[0] == "rank_sparse"] == [("rank_sparse", f_cols)], name
+            assert calls == [("rank_sparse", f_cols), ("echelon_sparse", sum(windows))], name
             calls.clear()
+            narrower += sum(windows) < E.rank * max(windows)
         assert len(names) == len(FIXTURE_NAMES) + 1
+        # some window is narrower than the widest one, as the uniform window was
+        assert narrower > 0

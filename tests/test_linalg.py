@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equisplit import linalg
+from equisplit.bundle import LineSummand, TorusAction, random_instance
 from equisplit.laurent import LaurentPoly, poly_ext_gcd
 from equisplit.linalg import (
     LaurentMatrix,
     echelon_sparse,
     mat_adjugate,
     mat_det,
+    mat_det_inverse,
     mat_inverse,
     rank_sparse,
     rref_sparse,
 )
+from equisplit.selftest import sample_case
 from oracles import dense_rank, dense_rref, is_normal, kernel_sparse, naive_det, naive_matmul, naive_mul
 
 P = LaurentPoly
@@ -131,6 +135,96 @@ class TestAdjugate:
         M = lm([[{0: 1, 1: 1}]])
         with pytest.raises(ValueError, match="not a nonzero monomial"):
             mat_inverse(*mat_adjugate(M))
+
+
+def faddeev_leverrier(M):
+    """(det M, M^-1 or None) from the adjugate pass, the reference for ``mat_det_inverse``."""
+    adj, det = mat_adjugate(M)
+    return det, mat_inverse(adj, det) if det.is_monomial() else None
+
+
+def assert_det_inverse(M):
+    """mat_det_inverse(M) equals the adjugate route, with every coefficient in normal form."""
+    det, inv = got = mat_det_inverse(M)
+    assert got == faddeev_leverrier(M)
+    assert all(is_normal(c) for c in det.terms.values())
+    if inv is not None:
+        _assert_normal(inv)
+    return got
+
+
+def count_adjugates(monkeypatch):
+    sizes = []
+    original = linalg.mat_adjugate
+
+    def counted(M):
+        sizes.append(M.rows)
+        return original(M)
+
+    monkeypatch.setattr(linalg, "mat_adjugate", counted)
+    return sizes
+
+
+class TestDetInverse:
+    def test_sample_cases(self, monkeypatch):
+        sizes = count_adjugates(monkeypatch)
+        for seed in range(3000):
+            E, _, _ = sample_case(seed)
+            assert assert_det_inverse(E.A)[1] is not None, seed
+        # some inputs leave a unit-free core, and every core is a proper block
+        assert sizes and max(sizes) < 5
+
+    @pytest.mark.parametrize("m", [6, 8, 12, 16])
+    @pytest.mark.parametrize("a", [(), (0,), (1,)], ids=["none", "fixed", "moving"])
+    def test_dense(self, m, a):
+        torus = TorusAction(len(a), a)
+        rng = random.Random(1)
+        summands = [LineSummand(rng.randint(-3, 3), tuple(rng.randint(-2, 2) for _ in a)) for _ in range(m)]
+        E, hidden = random_instance(1, summands, 10 * m, torus)
+        det, _ = assert_det_inverse(E.A)
+        assert det.is_monomial() and -det.deg == sum(s.n for s in hidden)
+
+    def test_empty_and_1x1(self, monkeypatch):
+        sizes = count_adjugates(monkeypatch)
+        assert mat_det_inverse(LaurentMatrix.zeros(0, 0)) == (P.one(), LaurentMatrix.zeros(0, 0))
+        M = lm([[{-2: Fraction(2, 3)}]])
+        assert assert_det_inverse(M) == (P.monomial(-2, Fraction(2, 3)), lm([[{2: Fraction(3, 2)}]]))
+        assert sizes == []  # a monomial is a unit: no core
+        assert assert_det_inverse(lm([[{0: 1, 1: 1}]])) == (P({0: 1, 1: 1}), None)
+        assert assert_det_inverse(lm([[{}]])) == (P.zero(), None)
+        assert sizes == [1, 1]
+
+    def test_singular(self):
+        # row 1 is z times row 0
+        M = lm([[{-1: 1}, {0: 1, 1: 2}, {0: 3}], [{0: 1}, {1: 1, 2: 2}, {1: 3}], [{0: 2}, {}, {0: 1, 2: 1}]])
+        assert assert_det_inverse(M) == (P.zero(), None)
+
+    def test_non_unimodular(self):
+        M = lm([[{0: 1}, {0: 1}], [{0: -1}, {1: 1}]])
+        assert assert_det_inverse(M) == (P({0: 1, 1: 1}), None)
+
+    def test_unit_free_core_is_the_whole_matrix(self, monkeypatch):
+        # no entry is a monomial, yet det = 1
+        M = lm([[{0: 2, 1: 2, 2: 1}, {0: 3, 1: 5, 2: 3, 3: 1}], [{0: 1, 1: 1}, {0: 2, 1: 2, 2: 1}]])
+        sizes = count_adjugates(monkeypatch)
+        det, inv = assert_det_inverse(M)
+        assert det == P.one()
+        assert sizes == [2]
+        assert M @ inv == inv @ M == LaurentMatrix.identity(2)
+
+    def test_fractional_pivots(self):
+        # the pivot z/2 scales its row by 2/z, and a 1x1 core is left; the
+        # second matrix has no core, and its integral results come back as int
+        M = lm([[{1: Fraction(1, 2)}, {0: 1, 1: 1}], [{0: 1, 2: 1}, {0: Fraction(-2, 3)}]])
+        assert_det_inverse(M)
+        M = lm([[{1: Fraction(1, 2)}, {0: 1}], [{}, {-1: 2}]])
+        det, inv = assert_det_inverse(M)
+        assert det == P.one() and inv == lm([[{-1: 2}, {0: -1}], [{}, {1: Fraction(1, 2)}]])
+        assert type(inv.entries[0][1].terms[0]) is int
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            mat_det_inverse(LaurentMatrix.zeros(2, 3))
 
 
 def dense_kernel(M, ncols):
@@ -433,6 +527,16 @@ class TestExactNormalForm:
         assert all(is_normal(c) for c in det.terms.values())
         assert det == naive_det(M)
         assert _terms(adj) == _naive_adjugate(M)
+
+    @pytest.mark.parametrize("integral", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_det_inverse_matches_adjugate(self, integral, data):
+        # singular and non-unimodular draws come back as (det, None)
+        assert_det_inverse(data.draw(_square_matrices(integral)))
+        coeffs, laurents = (_INT_COEFFS, _INT_LAURENTS) if integral else (_COEFFS, _LAURENTS)
+        M = data.draw(_invertible_matrices(0, 4, coeffs, laurents, shifts=True))
+        assert assert_det_inverse(M)[1] is not None
 
     @pytest.mark.parametrize("integral", [True, False])
     @settings(max_examples=60, deadline=None)

@@ -622,15 +622,18 @@ def test_certificates_are_byte_identical(torus, hashes):
 
 
 @pytest.mark.parametrize("torus", [TorusAction(0, ()), TorusAction(1, (0,)), TorusAction(1, (1,))])
-def test_one_adjugate_per_split(monkeypatch, torus):
-    # validating the input takes the split's one adjugate pass, which yields
+def test_one_det_pass_per_split(monkeypatch, torus):
+    # validating the input takes the split's one det pass, which yields
     # det A and A^-1; each peel's quotient inherits its inverse from the
     # peel's frames and its degree from the bundle it was peeled from, and
-    # the twists of the max_twist search shift both, so ranks 4..1 take none
+    # the twists of the max_twist search shift both, so ranks 4..1 take none.
+    # Unit pivots use up each of these inputs, so no core takes an
+    # adjugate pass (a core would add one mat_adjugate and one mat_inverse)
+    cases = [dense_case(seed, torus) for seed in range(1000, 1005)]
     calls = count_inverse_helpers(monkeypatch)
-    for seed in range(1000, 1005):
-        equivariant_split(dense_case(seed, torus))
-    assert calls == [("mat_adjugate", 5), ("mat_inverse", 5)] * 5
+    for E in cases:
+        equivariant_split(E)
+    assert calls == [("mat_det_inverse", 5)] * 5
 
 
 def test_rank_6_split_h0_solves(monkeypatch):
@@ -658,10 +661,11 @@ def test_rank_5_split_products(monkeypatch):
     # the first peel's frames seed the accumulated frames, each of the five
     # built sections is one fused product (A^-1 h), the triangular form is
     # read off the peels' top rows in the products that update Uinv_tot, the
-    # input's adjugate pass takes three products and det as one fused
-    # row-times-column product, and each of the four quotients inherits its
-    # inverse in two restricted products, so a dense rank-5 split takes 40
-    # matrix products (39 when every quotient took its own pass); scalar
+    # input's det pass pivots on units only, with no core and so no product,
+    # and each of the four quotients inherits its inverse in two restricted
+    # products, so a dense rank-5 split takes 36 matrix products (40 when the
+    # input took a Faddeev–LeVerrier pass of three products and a fused
+    # row-times-column det, 39 when every quotient took its own pass); scalar
     # scalings scale coefficients, each Bezout update is a single product
     # with a nonzero entry, and the bottom-up clear updates one column per
     # entry with nonzero factors only, which leaves 72 Laurent products
@@ -680,7 +684,7 @@ def test_rank_5_split_products(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", mul)
     monkeypatch.setattr(LaurentPoly, "__rmul__", mul)
     equivariant_split(E)
-    assert calls == {"matmul": 40, "mul": 72}
+    assert calls == {"matmul": 36, "mul": 72}
 
 
 def dense_moving(m, a):
@@ -919,10 +923,14 @@ def test_splitting_hom_takes_the_verifier_inverses(monkeypatch, torus):
 
 
 def count_inverse_helpers(monkeypatch):
-    """Record (name, size) of each mat_det, mat_adjugate and mat_inverse call at every equisplit binding."""
+    """Record (name, size) of each mat_det, mat_det_inverse, mat_adjugate and mat_inverse call.
+
+    Every equisplit binding of each is wrapped, linalg's own included, so
+    the calls mat_det_inverse makes for a core are recorded too.
+    """
     calls = []
     modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "equisplit"]
-    for attr in ("mat_det", "mat_adjugate", "mat_inverse"):
+    for attr in ("mat_det", "mat_det_inverse", "mat_adjugate", "mat_inverse"):
         original = getattr(linalg, attr)
 
         def counted(*args, _attr=attr, _original=original):
@@ -951,7 +959,12 @@ def test_verifier_and_splitting_hom_take_no_determinant(monkeypatch):
         s, p = splitting_hom(E, cert)
         assert (p.F0, s.FInf) == (M0inv, MInfinv)
     assert calls == []
-    # the counter is live: validating a fresh bundle takes its adjugate pass,
-    # which also yields the inverse transition
-    validate(EquivariantBundle(E.A, E.lambda0, E.lambdaInf, E.torus))
-    assert calls == [("mat_adjugate", E.rank), ("mat_inverse", E.rank)]
+    # the counter is live: validating a fresh bundle takes its det pass,
+    # which also yields the inverse transition.  Unit pivots use up the
+    # rank-2 seed 14; the rank-3 seed 12 leaves a 2x2 unit-free core, which
+    # takes one adjugate pass and its inverse
+    for E, *_ in (cases[14], cases[12]):
+        validate(EquivariantBundle(E.A, E.lambda0, E.lambdaInf, E.torus))
+    assert calls == [
+        ("mat_det_inverse", 2), ("mat_det_inverse", 3), ("mat_adjugate", 2), ("mat_inverse", 2)
+    ]

@@ -17,6 +17,9 @@ linear system, graded by the weight lambdaInf[i] - e*a of the unknown
 h[i][e].  One forward elimination per bundle solves it, and its result is
 cached on the bundle.  The free unknowns are the non-pivot columns, so
 dim H^0 and the character are read off the pivots with no back-substitution.
+The unknowns are ordered by exponent, then component, so those with e <= -s
+form a prefix: the unknowns of E(-s), with the same rows, and
+dim H^0(E(-s)) is the number of free unknowns among them, for every s >= 0.
 Only a caller that needs sections gets the canonical kernel, reduced once
 from the cached echelon rows: no row meets two weight classes, so every
 canonical kernel vector is homogeneous.  Sections (f, g) are built from it
@@ -138,7 +141,7 @@ def _h0_basis(E: EquivariantBundle) -> _H0System:
     """The one H^0 solve of E: the section system, forward-eliminated.
 
     The unknowns are h[i][e] for e in [lo_i, 0], lo_i the least exponent of
-    row i of A, ordered by (component i, exponent e ascending); a component
+    row i of A, ordered by (exponent e ascending, component i); a component
     with lo_i > 0 has none.  Every section lies inside these bounds, so the
     unknowns left out are zero in every kernel vector.  The elimination
     stops after the forward pass, whose pivots are those of the canonical
@@ -152,15 +155,14 @@ def _h0_basis(E: EquivariantBundle) -> _H0System:
     if not any(ranges):
         raise ValueError("invalid bundle: zero transition matrix")
 
-    # h_i = (A f)_i has exponents in [lo_i, 0]; column offset[i] + e is h[i][e]
+    # h_i = (A f)_i has exponents in [lo_i, 0]; h[i][e] is column[i, e]
     windows = [range(r[0], 1) if r else range(0) for r in ranges]
-    offset, n = [], 0
-    for w in windows:
-        offset.append(n - w.start)
-        n += len(w)
+    lo = min(r[0] for r in ranges if r)
+    unknowns = [(i, e) for e in range(lo, 1) for i, w in enumerate(windows) if e in w]
+    n = len(unknowns)
     if n == 0:
         return _H0System([], [], [], [])
-    unknowns = [(i, e) for i, w in enumerate(windows) for e in w]
+    column = {ie: c for c, ie in enumerate(unknowns)}
     a = E.torus.a
     col_weight: list[Weight] = [weight_sub(E.lambdaInf[i], weight_scale(e, a)) for i, e in unknowns]
 
@@ -174,7 +176,7 @@ def _h0_basis(E: EquivariantBundle) -> _H0System:
         for j, w in enumerate(windows):
             for d, c in inv[i][j].monomials():
                 for e in range(w.start, min(w.stop, -d)):
-                    rows.setdefault((i, d + e), {})[offset[j] + e] = c
+                    rows.setdefault((i, d + e), {})[column[j, e]] = c
 
     # a graded system never mixes classes within a row, so straddling rows
     # mean the input was not actually equivariant

@@ -2,11 +2,12 @@
 
 The engine peels off a maximal-degree equivariant line subbundle (spanned by
 an eigenvector of the global sections of a suitable twist), passes to the
-quotient, and recurses; the accumulated chart-local frames leave an
-upper-triangular transition with monomial diagonal, whose rows are the
-peels' reframed top rows carried through the later chart-0 frames (no
-product forms it), and which a final bottom-up triangular-clearing pass
-(one column update per entry) makes diagonal.  The output is the summand
+quotient, and recurses (one twist and one H^0 solve per peel); the
+accumulated chart-local frames leave an upper-triangular transition with
+monomial diagonal, whose rows are the peels' reframed top rows carried
+through the later chart-0 frames (no product forms it), and which a final
+bottom-up triangular-clearing pass (one column update per entry) makes
+diagonal.  The output is the summand
 list together with the two invertible frame matrices whose product identity
 is machine-checkable, plus an independent verifier for that certificate.
 
@@ -49,49 +50,44 @@ from .bundle import (
     weight_scale,
     weight_sub,
 )
-from .cohomology import Section, _h0_records, _section_from_h, h0_character, h0_dim
+from .cohomology import Section, _h0_records, _h0_system, _section_from_h, h0_character, h0_dim
 from .equivariant import HomElement, derive_target_weights
 from .laurent import LaurentPoly, poly_ext_gcd
 from .linalg import LaurentMatrix, rank_sparse
 
 
-def max_twist(E: EquivariantBundle, bound: int | None = None) -> tuple[int, EquivariantBundle]:
+def max_twist(E: EquivariantBundle) -> tuple[int, EquivariantBundle, int]:
     """The largest k with nonzero global sections after twisting by -k.
 
-    Searches downward from -o (o the minimum exponent in A), where the
-    section window is empty, or from ``bound`` when that is lower: the caller
-    passes a bound only when it knows k <= bound, as the splitting induction
-    does with the degree it peeled last.  Theory guarantees a hit at or
-    before ceil(degree/rank), so running past it is an internal error.  Each
-    step counts sections through the cached H^0 kernel and builds none.
-    Returns k together with the twist E(-k), whose kernel is already solved
-    for ``eigen_section``.
+    k is the top summand's degree, at least the mean, so k >= f =
+    ceil(degree/rank).  A section of E(-k) is a section of E(-f) whose g
+    vanishes to order k - f at infinity, and the H^0 unknowns h[i][e] of
+    E(-f) with e <= f - k are those of E(-k), so k = f - e0 for h[i0][e0]
+    the first free unknown: one twist and one H^0 solve.  Returns k, E(-f),
+    whose kernel ``eigen_section`` reads, and s = k - f.
     """
     if E.rank == 0:
         raise ValueError("max_twist of a rank-0 bundle")
-    rng = E.A.exponent_range()
-    if rng is None:
-        raise ValueError("invalid bundle: zero transition matrix")
-    hi = -rng[0] if bound is None else min(-rng[0], bound)
-    floor = -(-degree(E) // E.rank)  # ceil; the twists inherit A^-1 along with the degree
-    zero = E.torus.zero_weight
-    for k in range(hi, floor - 1, -1):
-        Et = twist(E, -k, zero)
-        if h0_dim(Et) > 0:
-            return k, Et
-    raise InvariantViolation(
-        f"twist search found no sections in [{floor}, {hi}]; "
-        "the instance cannot be a valid bundle"
-    )
+    f = -(-degree(E) // E.rank)  # ceil; the twist inherits A^-1 along with the degree
+    Et = twist(E, -f, E.torus.zero_weight)
+    if h0_dim(Et) == 0:
+        raise InvariantViolation(
+            f"max_twist: E(-{f}) has no sections; the instance cannot be a valid bundle"
+        )
+    system = _h0_system(Et)
+    e0 = system.unknowns[system.free_columns()[0]][1]
+    return f - e0, Et, -e0
 
 
 def eigen_section(E: EquivariantBundle) -> Section:
     """A nonzero global section spanning a torus-stable line.
 
     Deterministic choice: the first vector of the canonical echelon kernel
-    basis (unknowns ordered by component, then exponent).  Kernel vectors of
-    the graded section system are weight-homogeneous, so this is always an
-    eigenvector; with a nontrivial base action its entries are monomials.
+    basis (unknowns ordered by exponent, then component).  It belongs to the
+    first free unknown h[i0][e0] and lies on the unknowns up to it, so its g
+    is divisible by w^-e0.  Kernel vectors of the graded section system are
+    weight-homogeneous, so this is always an eigenvector; with a nontrivial
+    base action its entries are monomials.
     """
     records = _h0_records(E)
     if not records:
@@ -143,28 +139,29 @@ def _frame_completion(entries: list[LaurentPoly]) -> tuple[LaurentMatrix, Lauren
     return LaurentMatrix(U), LaurentMatrix(Uinv)
 
 
-def peel(E: EquivariantBundle, bound: int | None = None) -> PeelStep:
+def peel(E: EquivariantBundle) -> PeelStep:
     """Split off the top-degree equivariant line subbundle.
 
-    ``bound`` is an upper bound on that degree, handed to ``max_twist``.
-    Twists so the subbundle has degree 0, takes the deterministic
-    eigen-section, completes it to chart-local frames via unimodular
-    completion, and reads off the block-triangular transition.  A section
-    that vanishes somewhere (a nonconstant gcd on either chart) cannot be
-    completed to e_1, which raises InvariantViolation; theory rules it out
-    for valid input.  The quotient inherits its degree and inverse transition
-    (a block of U A^-1 V(1/z)^-1), so its validation takes no det pass.
+    Takes the deterministic eigen-section of the twist from ``max_twist`` and
+    divides its g by w^s, so that it is a section of the twist where the
+    subbundle has degree 0, completes it to chart-local frames via
+    unimodular completion, and reads off the block-triangular transition.
+    A section that vanishes somewhere (a nonconstant gcd on either chart)
+    cannot be completed to e_1, which raises InvariantViolation; theory
+    rules it out for valid input.  The quotient inherits its degree and
+    inverse transition (a block of U A^-1 V(1/z)^-1), so its validation
+    takes no det pass.
     """
     if E.rank == 0:
         raise ValueError("peel of a rank-0 bundle")
     m = E.rank
     torus = E.torus
-    n1, Et = max_twist(E, bound)
+    n1, Et, s = max_twist(E)
     sigma = eigen_section(Et)
     chi = sigma.weight
 
     U, Uinv = _frame_completion(list(sigma.f))
-    V, Vinv = _frame_completion(list(sigma.g))
+    V, Vinv = _frame_completion([p.shift(-s) for p in sigma.g])
     # the chart-inf law of V is the chart-0 law of V(1/z)
     Vz = V.invert_variable()
 
@@ -291,8 +288,8 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
 
     Repeatedly peels the top-degree line subbundle, accumulating the frame
     changes into a global triangularization, then clears the upper part.
-    A peel of degree n leaves the sum of the other summands, so the next
-    peel is bounded by n and the degrees come out non-increasing.
+    A peel of degree n leaves the sum of the other summands, so the degrees
+    come out non-increasing.
     Only the chart-0 inverse Uinv_tot = U_1^-1 ... U_k^-1 and the chart-inf
     frame Vtot = V_k ... V_1 are accumulated; the first peel's frames seed
     them, and peel k > 1 acts on coordinates t.. (t = k - 1), so it updates
@@ -315,7 +312,7 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
     summands: list[LineSummand] = []
     current = E
     while current.rank > 0:
-        step = peel(current, summands[-1].n if summands else None)
+        step = peel(current)
         summands.append(step.summand)
         t = m - step.U.rows
         if t == 0:

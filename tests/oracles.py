@@ -215,7 +215,7 @@ def per_class_h0_kernel(E) -> list[tuple[tuple, tuple[LaurentPoly, ...]]]:
     section needs A^-1 h free of negative exponents.  The unknowns of each
     weight class lambdaInf[i] - e*a are eliminated densely, apart from every
     other class; the vectors of all classes are then listed by their free
-    column (component, then exponent), as one echelon kernel would list them.
+    column (exponent, then component), as one echelon kernel would list them.
     """
     m = E.rank
     rng = E.A.exponent_range() if m else None
@@ -223,7 +223,7 @@ def per_class_h0_kernel(E) -> list[tuple[tuple, tuple[LaurentPoly, ...]]]:
         return []
     lo = rng[0]
     inv = E.inverse_transition()
-    cols = [(i, e) for i in range(m) for e in range(lo, 1)]
+    cols = [(i, e) for e in range(lo, 1) for i in range(m)]
     weight = {
         (i, e): tuple(w - e * x for w, x in zip(E.lambdaInf[i], E.torus.a)) for i, e in cols
     }

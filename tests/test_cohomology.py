@@ -198,6 +198,20 @@ class TestOneElimination:
             assert got, k
             assert got == per_class_h0_kernel(E), k
 
+    def test_exponent_prefix_is_the_twist(self):
+        # unknowns are ordered by exponent, so those with e <= -s are the
+        # unknowns of E(-s), and their free count is its dimension
+        for seed in range(60):
+            E, _, torus = sample_case(seed, max_rank=4, max_ops=8)
+            for k in (0, 1, 2):
+                Et = twist(E, k, torus.zero_weight)
+                system = cohomology._h0_system(Et)
+                assert [e for _, e in system.unknowns] == sorted(e for _, e in system.unknowns)
+                exps = [system.unknowns[c][1] for c in system.free_columns()]
+                for s in range(1 - Et.A.exponent_range()[0]):
+                    want = h0_dim(twist(Et, -s, torus.zero_weight))
+                    assert sum(e <= -s for e in exps) == want, (seed, k, s)
+
     def test_straddling_row_rejected(self):
         # weights that break the law of the entry z^-1: the row of z^-1 in
         # (A^-1 h)_0 meets h[0] at z^-1 (weight 1) and h[1] at z^0 (weight 0)
@@ -226,7 +240,7 @@ class TestOneElimination:
             E = twist(E, seed % 3, E.torus.zero_weight)
             h0_dim(E)
             h0_character(E)
-            _, Et = max_twist(E)
+            _, Et, _ = max_twist(E)
             assert section_builds == [], seed
             read += len(h0_sections(E))
             assert len(section_builds) == h0_dim(E), seed

@@ -81,8 +81,8 @@ def canon(summands):
 
 class TestMaxTwist:
     def test_line_bundle(self):
-        k, Et = max_twist(line_bundle(3))
-        assert k == 3
+        k, Et, s = max_twist(line_bundle(3))
+        assert (k, s) == (3, 0)
         assert Et == twist_by(line_bundle(3), -3)
 
     def test_jump(self):
@@ -97,19 +97,36 @@ class TestMaxTwist:
     def test_post_conditions(self):
         for seed in range(20):
             E, _, torus = sample(seed)
-            n1, Et = max_twist(E)
-            assert Et == twist_by(E, -n1)
+            n1, Et, s = max_twist(E)
+            f = -(-degree(E) // E.rank)
+            assert Et == twist_by(E, -f)
+            assert s == n1 - f >= 0
             assert h0_dim(twist_by(E, -n1)) > 0
             assert h0_dim(twist_by(E, -n1 - 1)) == 0
             assert n1 * E.rank >= degree(E)
 
-    def test_bound_at_or_above_the_answer(self):
-        # a bound the answer does not exceed only shortens the search
-        for seed in range(20):
-            E, _, _ = sample(seed)
-            k, Et = max_twist(E)
-            for bound in (k, k + 1, k + 5):
-                assert max_twist(E, bound) == (k, Et), (seed, bound)
+    def test_no_sections_at_the_mean_raises(self, monkeypatch):
+        # a degree above the true one puts f past the top summand
+        monkeypatch.setattr(splitting, "degree", lambda E: 10)
+        with pytest.raises(InvariantViolation, match=r"max_twist: E\(-10\) has no sections"):
+            max_twist(line_bundle(3))
+
+    @pytest.mark.parametrize("m, a", [(m, a) for m in (6, 8) for a in ((), (0,), (1,))])
+    def test_dense_is_the_top_degree(self, m, a):
+        assert_top_degree(*dense_moving(m, a))
+
+    def test_sample_cases_are_the_top_degree(self):
+        for seed in range(300):
+            E, hidden, _ = sample_case(seed)
+            assert_top_degree(E, hidden, seed)
+
+
+def assert_top_degree(E, hidden, label=None):
+    # the definition, checked on fresh twists that share no H^0 solve with max_twist
+    k = max_twist(E)[0]
+    assert h0_dim(twist_by(E, -k)) > 0, label
+    assert h0_dim(twist_by(E, -k - 1)) == 0, label
+    assert k == max(s.n for s in hidden), label
 
 
 def twist_by(E, k):
@@ -553,26 +570,26 @@ class TestProjectionSurjectivity:
 
 
 # sha256 of the canonical certificate JSON for dense rank-5, 10-op scrambles
-# with seeds 1000..1009, pinned from the adjugate-based producer: frames that
-# carry their inverses must reproduce M0 and MInf byte for byte
+# with seeds 1000..1009.  The H^0 unknowns' order (exponent, then component)
+# fixes each peel's eigen-section, and so M0 and MInf byte for byte
 CERT_SHA_NO_TORUS = [
-    "a26d5fdb7b0a2f96052186dde36f629bb66d36f89ce47e014ef52d235c387e91",
+    "4ed1d74b20a9ed73dd7231b4a64a44f450741d3aea5a15b8f8af6f8789dd5ffa",
     "e526f9754aa9eab1dce58117d2aee49bf9c82759458bdde3885c6f94f52dc6e8",
     "08413b1b25477dc9618fe1737c87a5bc139a1371dc8078a60a1e90dbafde78e7",
     "c29f332897dfda71ff04a33107facf36107870a3738d4dbaf46bcc0199a841ce",
     "dbc158b72aa01830d40485321ed69c379066abaad724d588c6e90540994a9c49",
     "6d4e47ec6064024bd164c147a5cc63e223bcb10128f8f29fc2ae78405142a7db",
     "15f371a08e058da134829e61c9bef33cc538886c9cc2d7498a5f491e68af296e",
-    "5dea436ccedecb0ca87d49519759000e1db89a5f555018ccfcc3821e9af2e0c1",
+    "6baf420cfeebae367b524749debbd6007d22650e4ed152fffd15f09034a63ddc",
     "73e36cbd1493e28a4fa35f9d6d91b9ddaefd27bb1e63e25d2e91dae8b3cc368d",
-    "314b7d7f93abfa6d3079277ef02787b7565a69e0a7fbc85a8c56fd27b76f32bd",
+    "3d58c1670255781066d23b301b9a05ca427db288a33766c5488c229a9e0a3323",
 ]
 CERT_SHA_FIXED_BASE = [
     "37d86576b2da5a332495f872f6d2f9bf934dc8de5d40b870f6878545c22795e3",
     "b1f125efbced41d8ef9eb95da3316640e3f022dcd052376663b8675dd7e00039",
     "50d250fa378d49992701421cadb3af99a5e9cc51f578e3fc0acc7a216922b271",
-    "6e5d6a1f9e37fbf188e83d0bc0c297c3b7ea13be3ff20884c6112d3db94d2a49",
-    "5fc1ef1946314ca245e2e9aa7529b66021ba892330f3206a27eff72bd552750a",
+    "b505eddc625652bb5c709b84b276cdb2a95d59a90526719c806538f24b97e803",
+    "a9de635835d1422d543e2bc6624faa1c862d72afaee5f2ef00a455d48ed4d29e",
     "892c2c1a8cf298a542d05155e9d01e31c08d9d0511e0e78d116472f81d5a9fed",
     "9997008736c89d7e0e0d4a8e20c75c675b4f80282b5a6b13183d7e21bd32547b",
     "67682d12112452f0dbe958de42ab3905712bb8206507a41be08300278f666cfb",
@@ -584,12 +601,12 @@ CERT_SHA_FIXED_BASE = [
 CERT_SHA_MOVING_BASE = [
     "69e352231979988cc14c92d9227e99972a46888f67f7191424d1e74b58f78364",
     "af93b88dcbd476283efdcdb9fad700075703dbeb7ac5e3e6a10592b23c73c1e9",
-    "23803a58efe8a7d370ea9503b741f13ac36342f88cf4dd24d88f751197bec4ab",
+    "2e5426e0b7a6f8ab0796635103b152515b717331431e3f97f59332bf83920986",
     "a3fd04ef661cf59f3fe63e0a6d6752dee62c27fae1248b438e792b83e958eb77",
-    "54264eb0e838abadee2da3e40b72cb3c81b967aa8567b329c1973b521ce5fe9c",
+    "3f292bdc919b081eca92f3466e912925e6c37868dc19af3631e716c7a7e85c5b",
     "a858ee020f41f602ae02523c3a921fc3f23ae2b66fc06a7c176cebbf182a04cf",
     "b9b5fb1d7ec73534e4ed1d6dc831369fde88ca7b4f4f439e298bdc88b4e35610",
-    "f2af95e608ec8b34980991543eb2377fe713e9e0b1c3b47a073fb234bb23e2f8",
+    "ec25077ca5c7d710dbc1a5d724d468e464b5d1ec478e3aa22bfee59d78237c8d",
     "875ff22a515864886cf9863622c61d670fde16dea0d652667be428a843a09fb7",
     "44e1faa877b8fc081e37bb003bb06b191c888f832356479dbf51a920718db5e5",
 ]
@@ -626,7 +643,7 @@ def test_one_det_pass_per_split(monkeypatch, torus):
     # validating the input takes the split's one det pass, which yields
     # det A and A^-1; each peel's quotient inherits its inverse from the
     # peel's frames and its degree from the bundle it was peeled from, and
-    # the twists of the max_twist search shift both, so ranks 4..1 take none.
+    # each peel's one twist shifts both, so ranks 4..1 take none.
     # Unit pivots use up each of these inputs, so no core takes an
     # adjugate pass (a core would add one mat_adjugate and one mat_inverse)
     cases = [dense_case(seed, torus) for seed in range(1000, 1005)]
@@ -637,24 +654,28 @@ def test_one_det_pass_per_split(monkeypatch, torus):
 
 
 def test_rank_6_split_h0_solves(monkeypatch):
-    # each peel searches its twist down from the degree peeled before it,
-    # so the dense rank-6 split takes 20 H^0 eliminations (102 when every
-    # search started at the top of the quotient's exponent range)
+    # each peel twists once, to ceil(degree/rank), and reads its degree off
+    # that twist's one H^0 elimination, so the dense rank-6 split takes 6
+    # twists and 6 eliminations (20 of each when each peel searched its
+    # twist down from the degree peeled before it)
     rng = random.Random(1)
     summands = [LineSummand(rng.randint(-3, 3), ()) for _ in range(6)]
     E, hidden = random_instance(1, summands, 60)
-    calls = []
-    echelon = cohomology.echelon_sparse
+    calls = {"echelon": 0, "twist": 0}
 
-    def counted(*args):
-        calls.append(1)
-        return echelon(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(cohomology, "echelon_sparse", counted)
+        return wrapper
+
+    monkeypatch.setattr(cohomology, "echelon_sparse", counted("echelon", cohomology.echelon_sparse))
+    monkeypatch.setattr(splitting, "twist", counted("twist", splitting.twist))
     got, cert = equivariant_split(E)
     assert got == hidden
     assert verify_certificate(E, cert).ok
-    assert len(calls) == 20
+    assert calls == {"echelon": 6, "twist": 6}
 
 
 def test_rank_5_split_products(monkeypatch):
@@ -698,13 +719,13 @@ def dense_moving(m, a):
 
 
 # sha256 of the canonical certificate JSON for the dense_moving scrambles
-# past rank 5, pinned from the producer that multiplied R out
+# past rank 5
 CERT_SHA_DENSE_MOVING = {
-    ((0,), 8): "7148957bf9d29638db64e6ead4a3d64cc3407e7ec0195be0fac0ff72fc2ec32d",
-    ((1,), 8): "e1b81ddd2a8b8dbfdba2d1b9d2868de5875edf6a1fe809583da54fdad5d273f4",
-    ((1,), 12): "def3700b0313b1df6dd0def77527a402a9117c7e872f4d2a538b453bd09e333f",
-    ((1, 0), 8): "6acda36ef88c2305d5336d47fb4557b7d8fd8efa1937534a1b4432f65caede52",
-    ((1, 0), 12): "572d30d2dc639cd0ee7a51755a3cefb0d4eb034d476d504f368c0a64b8b434e4",
+    ((0,), 8): "918d7f2198db701cb26527666e615bfb29d6f52d0280a320ec4c9b504f337b37",
+    ((1,), 8): "725022a9155c3fa6a0b54dd19c2290a53da8c3e9e43a0e211c7e0a1fac3d4ddc",
+    ((1,), 12): "c7d9e0c1bab33bebc793116c82ff4d093c0d3cc54c78f089592a8644288d3f77",
+    ((1, 0), 8): "00ebe8e8bac08c77d4cf73ad0e317758535c9c1a0a88ed25305a8e73f2b39a70",
+    ((1, 0), 12): "5f056285a40318778990a1c793bba249fcefff22576b9fa2eeaf4d141a61a4f8",
 }
 
 

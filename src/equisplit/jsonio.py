@@ -16,9 +16,17 @@ Certificate schema::
     {"summands": [{"n": .., "lam": [..]}, ...], "M0": matrix, "MInf": matrix}
 
 Matrix entries use the same monomial-list encoding; M0 exponents are powers
-of z, MInf exponents are powers of w.  Parse failures raise ParseError with
-a JSON-pointer to the first offending location.  All output is produced with
-sorted keys and sorted monomials, so equal values serialize byte-identically.
+of z, MInf exponents are powers of w.
+
+Decoding checks every value and raises ParseError at the first offending
+one, with its JSON pointer; integers may be any ``int`` but ``bool``, lists
+any ``list``, and polynomial coefficients come out in normal form.
+``load_json_file`` maps every way a file can fail to parse as JSON, nesting
+too deep and integer literals over Python's digit limit included, to
+ParseError as well.  Encoding is canonical: ``dumps_canonical`` returns
+exactly the text of ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
+newline, and monomials are listed by ascending exponent, so equal values
+serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -32,6 +40,10 @@ from .laurent import LaurentPoly
 from .linalg import LaurentMatrix
 from .splitting import SplittingCertificate
 
+# json's own string escaper (its C version where built), as json.dumps uses
+# it with the default ensure_ascii=True
+_escape = json.encoder.encode_basestring_ascii
+
 
 class ParseError(ValueError):
     """Malformed document; ``pointer`` locates the first offending value."""
@@ -42,55 +54,91 @@ class ParseError(ValueError):
         super().__init__(f"{self.pointer}: {message}")
 
 
-def _want(cond: bool, ptr: str, message: str) -> None:
-    if not cond:
-        raise ParseError(ptr, message)
+# Decoders name a location as a tuple of pointer parts, (ptr, key, ...), and
+# join it into a JSON pointer only when they raise.
 
 
-def _get(obj: dict, key: str, ptr: str) -> Any:
-    _want(isinstance(obj, dict), ptr, "expected an object")
-    _want(key in obj, ptr, f"missing key {key!r}")
+def _error(where: tuple, message: str) -> ParseError:
+    return ParseError("/".join(map(str, where)), message)
+
+
+def _bad_int(x: Any) -> bool:
+    """True unless x is an int other than a bool: the test behind a failed exact-class check."""
+    return not isinstance(x, int) or isinstance(x, bool)
+
+
+def _get(obj: Any, key: str, where: tuple) -> Any:
+    if obj.__class__ is not dict and not isinstance(obj, dict):
+        raise _error(where, "expected an object")
+    if key not in obj:
+        raise _error(where, f"missing key {key!r}")
     return obj[key]
 
 
-def _int(x: Any, ptr: str) -> int:
-    _want(isinstance(x, int) and not isinstance(x, bool), ptr, "expected an integer")
+def _int(x: Any, where: tuple) -> int:
+    if x.__class__ is not int and _bad_int(x):
+        raise _error(where, "expected an integer")
     return x
 
 
-def _int_list(x: Any, ptr: str) -> list[int]:
-    _want(isinstance(x, list), ptr, "expected a list")
-    return [_int(v, f"{ptr}/{i}") for i, v in enumerate(x)]
+def _int_list(x: Any, where: tuple) -> list[int]:
+    if x.__class__ is not list and not isinstance(x, list):
+        raise _error(where, "expected a list")
+    for i, v in enumerate(x):
+        if v.__class__ is not int and _bad_int(v):
+            raise _error((*where, i), "expected an integer")
+    return list(x)
+
+
+def _poly(data: Any, where: tuple) -> LaurentPoly:
+    if data.__class__ is not list and not isinstance(data, list):
+        raise _error(where, "expected a list of monomials")
+    terms: dict[int, int | Fraction] = {}
+    for k, mono in enumerate(data):
+        if (mono.__class__ is not list and not isinstance(mono, list)) or len(mono) != 3:
+            raise _error((*where, k), "expected [exp, num, den]")
+        e, num, den = mono
+        # an int subclass passes and is stored as a plain int
+        if e.__class__ is not int:
+            if _bad_int(e):
+                raise _error((*where, k, 0), "expected an integer")
+            e = int(e)
+        if num.__class__ is not int:
+            if _bad_int(num):
+                raise _error((*where, k, 1), "expected an integer")
+            num = int(num)
+        if den.__class__ is not int:
+            if _bad_int(den):
+                raise _error((*where, k, 2), "expected an integer")
+            den = int(den)
+        if den <= 0:
+            raise _error((*where, k, 2), "denominator must be positive")
+        if not num:
+            raise _error((*where, k, 1), "zero coefficients must not be stored")
+        if e in terms:
+            raise _error((*where, k, 0), f"duplicate exponent {e}")
+        terms[e] = num if den == 1 else Fraction(num, den)
+    # nonzero ints and Fractions: from_sums only turns integral Fractions into ints
+    return LaurentPoly.from_sums(terms) if terms else LaurentPoly()
 
 
 def poly_from_json(data: Any, ptr: str) -> LaurentPoly:
-    _want(isinstance(data, list), ptr, "expected a list of monomials")
-    terms: dict[int, int | Fraction] = {}
-    for k, mono in enumerate(data):
-        mptr = f"{ptr}/{k}"
-        _want(isinstance(mono, list) and len(mono) == 3, mptr, "expected [exp, num, den]")
-        e = _int(mono[0], f"{mptr}/0")
-        num = _int(mono[1], f"{mptr}/1")
-        den = _int(mono[2], f"{mptr}/2")
-        _want(den > 0, f"{mptr}/2", "denominator must be positive")
-        _want(num != 0, f"{mptr}/1", "zero coefficients must not be stored")
-        _want(e not in terms, f"{mptr}/0", f"duplicate exponent {e}")
-        terms[e] = num if den == 1 else Fraction(num, den)
-    return LaurentPoly(terms)
+    return _poly(data, (ptr,))
 
 
 def poly_to_json(p: LaurentPoly) -> list[list[int]]:
-    return [[e, c.numerator, c.denominator] for e, c in p.monomials()]
+    return [[e, c.numerator, c.denominator] for e, c in sorted(p.terms.items())]
 
 
 def matrix_from_json(data: Any, rows: int, cols: int, ptr: str) -> LaurentMatrix:
-    _want(isinstance(data, list) and len(data) == rows, ptr, f"expected {rows} rows")
+    if (data.__class__ is not list and not isinstance(data, list)) or len(data) != rows:
+        raise ParseError(ptr, f"expected {rows} rows")
     entries = []
     for i, row in enumerate(data):
-        rptr = f"{ptr}/{i}"
-        _want(isinstance(row, list) and len(row) == cols, rptr, f"expected {cols} entries")
-        entries.append([poly_from_json(cell, f"{rptr}/{j}") for j, cell in enumerate(row)])
-    return LaurentMatrix(entries, rows, cols)
+        if (row.__class__ is not list and not isinstance(row, list)) or len(row) != cols:
+            raise _error((ptr, i), f"expected {cols} entries")
+        entries.append([_poly(cell, (ptr, i, j)) for j, cell in enumerate(row)])
+    return LaurentMatrix._adopt(entries, rows, cols)
 
 
 def matrix_to_json(M: LaurentMatrix) -> list[list[list[list[int]]]]:
@@ -98,24 +146,26 @@ def matrix_to_json(M: LaurentMatrix) -> list[list[list[list[int]]]]:
 
 
 def _weights_from_json(data: Any, m: int, r: int, ptr: str) -> tuple[tuple[int, ...], ...]:
-    _want(isinstance(data, list) and len(data) == m, ptr, f"expected {m} weight vectors")
+    if (data.__class__ is not list and not isinstance(data, list)) or len(data) != m:
+        raise ParseError(ptr, f"expected {m} weight vectors")
     out = []
     for i, w in enumerate(data):
-        wptr = f"{ptr}/{i}"
-        vals = _int_list(w, wptr)
-        _want(len(vals) == r, wptr, f"weight vector must have length {r}")
+        vals = _int_list(w, (ptr, i))
+        if len(vals) != r:
+            raise _error((ptr, i), f"weight vector must have length {r}")
         out.append(tuple(vals))
     return tuple(out)
 
 
 def summands_from_json(data: Any, r: int, ptr: str) -> list[LineSummand]:
-    _want(isinstance(data, list), ptr, "expected a list of summands")
+    if data.__class__ is not list and not isinstance(data, list):
+        raise ParseError(ptr, "expected a list of summands")
     out = []
     for i, s in enumerate(data):
-        sptr = f"{ptr}/{i}"
-        n = _int(_get(s, "n", sptr), f"{sptr}/n")
-        lam = _int_list(_get(s, "lam", sptr), f"{sptr}/lam")
-        _want(len(lam) == r, f"{sptr}/lam", f"weight must have length {r}")
+        n = _int(_get(s, "n", (ptr, i)), (ptr, i, "n"))
+        lam = _int_list(_get(s, "lam", (ptr, i)), (ptr, i, "lam"))
+        if len(lam) != r:
+            raise _error((ptr, i, "lam"), f"weight must have length {r}")
         out.append(LineSummand(n, tuple(lam)))
     return out
 
@@ -126,22 +176,26 @@ def summands_to_json(summands: list[LineSummand]) -> list[dict]:
 
 def instance_from_json(doc: Any) -> tuple[EquivariantBundle, list[LineSummand] | None]:
     """Decode an instance document; returns (bundle, expected summands or None)."""
-    _want(isinstance(doc, dict), "", "instance must be an object")
-    m = _int(_get(doc, "rank", ""), "/rank")
-    _want(m >= 0, "/rank", "rank must be nonnegative")
-    tor = _get(doc, "torus", "")
-    r = _int(_get(tor, "rank", "/torus"), "/torus/rank")
-    _want(r >= 0, "/torus/rank", "torus rank must be nonnegative")
-    a = _int_list(_get(tor, "a", "/torus"), "/torus/a")
-    _want(len(a) == r, "/torus/a", f"base character must have length {r}")
+    if not isinstance(doc, dict):
+        raise ParseError("", "instance must be an object")
+    m = _int(_get(doc, "rank", ("",)), ("/rank",))
+    if m < 0:
+        raise ParseError("/rank", "rank must be nonnegative")
+    tor = _get(doc, "torus", ("",))
+    r = _int(_get(tor, "rank", ("/torus",)), ("/torus/rank",))
+    if r < 0:
+        raise ParseError("/torus/rank", "torus rank must be nonnegative")
+    a = _int_list(_get(tor, "a", ("/torus",)), ("/torus/a",))
+    if len(a) != r:
+        raise ParseError("/torus/a", f"base character must have length {r}")
     torus = TorusAction(r, tuple(a))
-    lam0 = _weights_from_json(_get(doc, "lambda0", ""), m, r, "/lambda0")
-    lamInf = _weights_from_json(_get(doc, "lambdaInf", ""), m, r, "/lambdaInf")
-    A = matrix_from_json(_get(doc, "A", ""), m, m, "/A")
+    lam0 = _weights_from_json(_get(doc, "lambda0", ("",)), m, r, "/lambda0")
+    lamInf = _weights_from_json(_get(doc, "lambdaInf", ("",)), m, r, "/lambdaInf")
+    A = matrix_from_json(_get(doc, "A", ("",)), m, m, "/A")
     expected = None
     if "expected" in doc:
         expected = summands_from_json(
-            _get(doc["expected"], "summands", "/expected"), r, "/expected/summands"
+            _get(doc["expected"], "summands", ("/expected",)), r, "/expected/summands"
         )
     return EquivariantBundle(A, lam0, lamInf, torus), expected
 
@@ -160,11 +214,12 @@ def instance_to_json(E: EquivariantBundle, expected: list[LineSummand] | None = 
 
 
 def certificate_from_json(doc: Any, r: int) -> SplittingCertificate:
-    _want(isinstance(doc, dict), "", "certificate must be an object")
-    summands = summands_from_json(_get(doc, "summands", ""), r, "/summands")
+    if not isinstance(doc, dict):
+        raise ParseError("", "certificate must be an object")
+    summands = summands_from_json(_get(doc, "summands", ("",)), r, "/summands")
     m = len(summands)
-    M0 = matrix_from_json(_get(doc, "M0", ""), m, m, "/M0")
-    MInf = matrix_from_json(_get(doc, "MInf", ""), m, m, "/MInf")
+    M0 = matrix_from_json(_get(doc, "M0", ("",)), m, m, "/M0")
+    MInf = matrix_from_json(_get(doc, "MInf", ("",)), m, m, "/MInf")
     return SplittingCertificate(summands, M0, MInf)
 
 
@@ -176,12 +231,82 @@ def certificate_to_json(cert: SplittingCertificate) -> dict:
     }
 
 
+def _render(o: Any, nl: str, append) -> None:
+    """Append the text of ``json.dumps(o, sort_keys=True, indent=2)``, nested at line break nl.
+
+    Exact classes are tested first; subclasses then take json's own tests,
+    in its order (str, None, True, False, int, list or tuple, dict), so
+    they render as json renders them.  Dict keys must be strings.
+    """
+    cls = o.__class__
+    if cls is list or cls is tuple:
+        if not o:
+            append("[]")
+            return
+        inner = nl + "  "
+        lead = "[" + inner
+        sep = "," + inner
+        for v in o:
+            append(lead)
+            lead = sep
+            if v.__class__ is int:
+                append(int.__repr__(v))
+            else:
+                _render(v, inner, append)
+        append(nl + "]")
+    elif cls is dict:
+        if not o:
+            append("{}")
+            return
+        inner = nl + "  "
+        lead = "{" + inner
+        sep = "," + inner
+        for k, v in sorted(o.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+            append(lead)
+            lead = sep
+            append(_escape(k))
+            append(": ")
+            if v.__class__ is int:
+                append(int.__repr__(v))
+            else:
+                _render(v, inner, append)
+        append(nl + "}")
+    elif cls is str or isinstance(o, str):
+        append(_escape(o))
+    elif cls is int:
+        append(int.__repr__(o))
+    elif o is None:
+        append("null")
+    elif o is True:
+        append("true")
+    elif o is False:
+        append("false")
+    elif isinstance(o, int):
+        append(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        _render(list(o), nl, append)
+    elif isinstance(o, dict):
+        _render(dict(o.items()), nl, append)
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+
 def dumps_canonical(doc: Any) -> str:
-    """Deterministic rendering: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Deterministic rendering: ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline.
+
+    Takes dicts with string keys, lists, tuples, strings, ints, bools and
+    None; anything else raises TypeError.
+    """
+    out: list[str] = []
+    _render(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
 
 
 def load_json_file(path: str) -> Any:
+    """Parse a UTF-8 JSON file; any text that does not parse raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -189,3 +314,7 @@ def load_json_file(path: str) -> Any:
             raise ParseError(f"(line {exc.lineno}, column {exc.colno})", exc.msg) from exc
         except UnicodeDecodeError as exc:
             raise ParseError(f"(byte {exc.start})", f"not UTF-8 text: {exc.reason}") from exc
+        except RecursionError as exc:
+            raise ParseError("(document)", "nested too deeply to parse") from exc
+        except ValueError as exc:  # an integer literal over sys.get_int_max_str_digits()
+            raise ParseError("(document)", f"integer literal too long: {exc}") from exc

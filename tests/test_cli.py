@@ -232,6 +232,29 @@ class TestErrors:
         assert code == 2
         assert "UTF-8" in json.loads(out)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"rank": 1, "A": [[[[0, ' + b"7" * 5000 + b', 1]]]]}',
+            b'{"rank": 1, "A": "\xff\xfe"}',
+        ],
+        ids=["deep-nesting", "5000-digit-integer", "non-utf8"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "cohomology", "split", "verify-instance", "verify-certificate"])
+    def test_unparsable_file_is_one_json_document(self, capsys, tmp_path, content, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = {
+            "verify-instance": ["verify", str(bad), fixture_path("o_3")],
+            "verify-certificate": ["verify", fixture_path("o_3"), str(bad)],
+        }.get(command, [command, str(bad)])
+        code, out, err = run(capsys, *argv)
+        assert code in (1, 2)
+        doc = json.loads(out)  # exactly one document: trailing text would not parse
+        assert list(doc) == ["error"] and doc["error"]["message"]
+        assert "Traceback" not in err
+
     def test_negative_op_count(self, capsys):
         code, out, err = run(capsys, "random", "--seed", "1", "--summands", "1,0", "--ops", "-3")
         assert code == 2

@@ -122,6 +122,48 @@ class TestCanonicalDump:
         assert a.endswith("\n")
         assert json.loads(a)["rank"] == E.rank
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.deferred(lambda: canonical_docs))
+    def test_bytes_match_json_dumps(self, doc):
+        assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_subclasses_render_as_json_renders_them(self):
+        class Str(str):
+            pass
+
+        class Dict(dict):
+            pass
+
+        doc = Dict(
+            {Str("k\u00e9"): (IntSub(1), IntSub(0), True, Str('q"'), ListSub([IntSub(2**70), None])), "e": Dict()}
+        )
+        assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [1.5, [float("nan")], {"x": {1, 2}}, {1: "int key"}, {None: 0}, b"bytes"])
+    def test_anything_else_is_a_type_error(self, doc):
+        with pytest.raises(TypeError):
+            dumps_canonical(doc)
+
+
+# Strings that stress the escaper: quotes, backslashes, control and
+# non-ASCII characters, astral-plane characters and a lone surrogate.
+json_text = st.text(
+    st.characters() | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\U0001f600"]),
+    max_size=8,
+)
+canonical_docs = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63)
+    | st.integers(max_value=-(2**63))
+    | json_text,
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(json_text, children, max_size=4),
+    max_leaves=24,
+)
+
 
 # arbitrary JSON values, as json.load can return them
 json_values = st.recursive(
@@ -174,3 +216,174 @@ class TestParseFuzz:
         except ParseError:
             return
         assert E.rank == E.A.rows == E.A.cols
+
+
+# Two small documents that parse; each golden case below edits one value of
+# one of them (DROP deletes the key or row) and names the ParseError the
+# decoder must raise: its JSON pointer and its message, exactly.
+GOLDEN_INSTANCE = {
+    "rank": 2,
+    "torus": {"rank": 1, "a": [1]},
+    "lambda0": [[0], [1]],
+    "lambdaInf": [[-1], [0]],
+    "A": [[[[-1, 1, 1]], []], [[[0, 2, 3]], [[1, 1, 1]]]],
+    "expected": {"summands": [{"n": 1, "lam": [0]}, {"n": -1, "lam": [1]}]},
+}
+GOLDEN_CERTIFICATE = {
+    "summands": [{"n": 1, "lam": [0]}, {"n": -1, "lam": [1]}],
+    "M0": [[[[0, 1, 1]], []], [[], [[0, 1, 1]]]],
+    "MInf": [[[[0, 1, 1]], [[2, -1, 2]]], [[], [[0, 1, 1]]]],
+}
+DROP = object()
+
+GOLDEN_ERRORS = [
+    ("instance", (), [], "/", "instance must be an object"),
+    ("instance", (), "doc", "/", "instance must be an object"),
+    ("instance", ("rank",), DROP, "/", "missing key 'rank'"),
+    ("instance", ("rank",), "2", "/rank", "expected an integer"),
+    ("instance", ("rank",), True, "/rank", "expected an integer"),
+    ("instance", ("rank",), 2.0, "/rank", "expected an integer"),
+    ("instance", ("rank",), -1, "/rank", "rank must be nonnegative"),
+    ("instance", ("torus",), DROP, "/", "missing key 'torus'"),
+    ("instance", ("torus",), [], "/torus", "expected an object"),
+    ("instance", ("torus", "rank"), DROP, "/torus", "missing key 'rank'"),
+    ("instance", ("torus", "rank"), None, "/torus/rank", "expected an integer"),
+    ("instance", ("torus", "rank"), -1, "/torus/rank", "torus rank must be nonnegative"),
+    ("instance", ("torus", "a"), DROP, "/torus", "missing key 'a'"),
+    ("instance", ("torus", "a"), {}, "/torus/a", "expected a list"),
+    ("instance", ("torus", "a"), ["x"], "/torus/a/0", "expected an integer"),
+    ("instance", ("torus", "a"), [True], "/torus/a/0", "expected an integer"),
+    ("instance", ("torus", "a"), [1, 2], "/torus/a", "base character must have length 1"),
+    ("instance", ("lambda0",), DROP, "/", "missing key 'lambda0'"),
+    ("instance", ("lambda0",), {}, "/lambda0", "expected 2 weight vectors"),
+    ("instance", ("lambda0",), [[0]], "/lambda0", "expected 2 weight vectors"),
+    ("instance", ("lambda0", 0), 5, "/lambda0/0", "expected a list"),
+    ("instance", ("lambda0", 1), [0.5], "/lambda0/1/0", "expected an integer"),
+    ("instance", ("lambda0", 1), [0, 1], "/lambda0/1", "weight vector must have length 1"),
+    ("instance", ("lambdaInf",), DROP, "/", "missing key 'lambdaInf'"),
+    ("instance", ("lambdaInf", 0), [], "/lambdaInf/0", "weight vector must have length 1"),
+    ("instance", ("lambdaInf", 1, 0), False, "/lambdaInf/1/0", "expected an integer"),
+    ("instance", ("A",), DROP, "/", "missing key 'A'"),
+    ("instance", ("A",), "x", "/A", "expected 2 rows"),
+    ("instance", ("A", 1), DROP, "/A", "expected 2 rows"),
+    ("instance", ("A", 1), "row", "/A/1", "expected 2 entries"),
+    ("instance", ("A", 1, 1), DROP, "/A/1", "expected 2 entries"),
+    ("instance", ("A", 0, 0), {}, "/A/0/0", "expected a list of monomials"),
+    ("instance", ("A", 0, 0, 0), [1, 1], "/A/0/0/0", "expected [exp, num, den]"),
+    ("instance", ("A", 0, 0, 0), "m", "/A/0/0/0", "expected [exp, num, den]"),
+    ("instance", ("A", 0, 0, 0), [1, 1, 1, 1], "/A/0/0/0", "expected [exp, num, den]"),
+    ("instance", ("A", 1, 0, 0), [0.5, 1, 1], "/A/1/0/0/0", "expected an integer"),
+    ("instance", ("A", 1, 0, 0), [0, "1", 1], "/A/1/0/0/1", "expected an integer"),
+    ("instance", ("A", 1, 0, 0), [0, 1, None], "/A/1/0/0/2", "expected an integer"),
+    ("instance", ("A", 1, 0, 0), [0, 1, 0], "/A/1/0/0/2", "denominator must be positive"),
+    ("instance", ("A", 1, 0, 0), [0, 1, -3], "/A/1/0/0/2", "denominator must be positive"),
+    ("instance", ("A", 1, 0, 0), [0, 0, 1], "/A/1/0/0/1", "zero coefficients must not be stored"),
+    ("instance", ("A", 1, 0, 0), [0, 0, 0], "/A/1/0/0/2", "denominator must be positive"),
+    ("instance", ("A", 1, 0, 0), [True, 1, 1], "/A/1/0/0/0", "expected an integer"),
+    ("instance", ("A", 1, 0, 0), [0.5, "x", 0], "/A/1/0/0/0", "expected an integer"),
+    ("instance", ("A", 1, 1), [[1, 1, 1], [1, 2, 1]], "/A/1/1/1/0", "duplicate exponent 1"),
+    ("instance", ("A", 1, 1), [[1, 0, 1], [1, 1, 1]], "/A/1/1/0/1", "zero coefficients must not be stored"),
+    ("instance", ("A", 1, 1), [[5, 1, 1], [2, 1, 1], [5, 3, 4]], "/A/1/1/2/0", "duplicate exponent 5"),
+    ("instance", ("expected",), "x", "/expected", "expected an object"),
+    ("instance", ("expected",), {}, "/expected", "missing key 'summands'"),
+    ("instance", ("expected", "summands"), {}, "/expected/summands", "expected a list of summands"),
+    ("instance", ("expected", "summands"), [3], "/expected/summands/0", "expected an object"),
+    ("instance", ("expected", "summands"), [{"lam": [0]}], "/expected/summands/0", "missing key 'n'"),
+    ("instance", ("expected", "summands"), [{"n": 1}], "/expected/summands/0", "missing key 'lam'"),
+    ("instance", ("expected", "summands", 1, "n"), "1", "/expected/summands/1/n", "expected an integer"),
+    ("instance", ("expected", "summands", 1, "n"), 1.5, "/expected/summands/1/n", "expected an integer"),
+    ("instance", ("expected", "summands", 1, "lam"), 0, "/expected/summands/1/lam", "expected a list"),
+    ("instance", ("expected", "summands", 1, "lam"), ["a"], "/expected/summands/1/lam/0", "expected an integer"),
+    ("instance", ("expected", "summands", 1, "lam"), [0, 0], "/expected/summands/1/lam", "weight must have length 1"),
+    ("instance", ("expected", "summands", 1, "lam"), [False], "/expected/summands/1/lam/0", "expected an integer"),
+    ("certificate", (), "x", "/", "certificate must be an object"),
+    ("certificate", ("summands",), DROP, "/", "missing key 'summands'"),
+    ("certificate", ("M0",), DROP, "/", "missing key 'M0'"),
+    ("certificate", ("MInf",), DROP, "/", "missing key 'MInf'"),
+    ("certificate", ("summands",), [], "/M0", "expected 0 rows"),
+    ("certificate", ("summands", 0), [], "/summands/0", "expected an object"),
+    ("certificate", ("summands", 1, "lam"), [1, 2], "/summands/1/lam", "weight must have length 1"),
+    ("certificate", ("M0", 0), [[]], "/M0/0", "expected 2 entries"),
+    ("certificate", ("MInf", 1, 1), [[0, 1, 2], [0, 1, 1]], "/MInf/1/1/1/0", "duplicate exponent 0"),
+    ("certificate", ("MInf", 0, 1, 0), [2, -1, 0], "/MInf/0/1/0/2", "denominator must be positive"),
+]
+
+
+def _edited(kind, path, value):
+    doc = copy.deepcopy(GOLDEN_INSTANCE if kind == "instance" else GOLDEN_CERTIFICATE)
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def _decode(kind, doc):
+    return instance_from_json(doc) if kind == "instance" else certificate_from_json(doc, 1)
+
+
+class IntSub(int):
+    pass
+
+
+class ListSub(list):
+    pass
+
+
+class TestGoldenErrors:
+    """Every check site reports the same pointer and message, case by case."""
+
+    def test_base_documents_parse(self):
+        E, expected = instance_from_json(copy.deepcopy(GOLDEN_INSTANCE))
+        assert E.rank == 2 and E.A.entries[1][0] == P({0: Fraction(2, 3)})
+        assert expected == [LineSummand(1, (0,)), LineSummand(-1, (1,))]
+        cert = certificate_from_json(copy.deepcopy(GOLDEN_CERTIFICATE), 1)
+        assert cert.MInf.entries[0][1] == P({2: Fraction(-1, 2)})
+
+    @pytest.mark.parametrize(
+        "kind, path, value, pointer, message",
+        GOLDEN_ERRORS,
+        ids=[f"{k}{list(p)}" for k, p, *_ in GOLDEN_ERRORS],
+    )
+    def test_pointer_and_message(self, kind, path, value, pointer, message):
+        with pytest.raises(ParseError) as exc:
+            _decode(kind, _edited(kind, path, value))
+        assert (exc.value.pointer, exc.value.message) == (pointer, message)
+        assert str(exc.value) == f"{pointer}: {message}"
+
+    def test_subclasses_parse_to_normal_form(self):
+        # int and list subclasses pass every check; coefficients and
+        # exponents come out as plain ints or reduced Fractions
+        doc = copy.deepcopy(GOLDEN_INSTANCE)
+        doc["rank"] = IntSub(2)
+        doc["torus"]["a"] = ListSub([IntSub(1)])
+        doc["lambda0"] = ListSub([ListSub([IntSub(0)]), [1]])
+        doc["A"] = ListSub(
+            [
+                ListSub([ListSub([ListSub([IntSub(-1), IntSub(4), IntSub(2)])]), ListSub()]),
+                [[[IntSub(0), IntSub(6), IntSub(4)], [IntSub(3), 5, IntSub(1)]], [[1, 1, 1]]],
+            ]
+        )
+        doc["expected"]["summands"] = ListSub([{"n": IntSub(1), "lam": ListSub([0])}, {"n": -1, "lam": [1]}])
+        E, expected = instance_from_json(doc)
+        assert E.rank == 2 and E.lambda0 == ((0,), (1,)) and E.torus.a == (1,)
+        assert expected == [LineSummand(1, (0,)), LineSummand(-1, (1,))]
+        want = [[{-1: 2}, {}], [{0: Fraction(3, 2), 3: 5}, {1: 1}]]
+        assert [[p.terms for p in row] for row in E.A.entries] == want
+        for row in E.A.entries:
+            for p in row:
+                for e, c in p.terms.items():
+                    assert type(e) is int
+                    assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+    def test_subclass_errors_keep_their_pointer(self):
+        doc = copy.deepcopy(GOLDEN_INSTANCE)
+        doc["A"][0][0] = ListSub([ListSub([IntSub(0), IntSub(0), IntSub(1)])])
+        with pytest.raises(ParseError) as exc:
+            instance_from_json(doc)
+        assert (exc.value.pointer, exc.value.message) == ("/A/0/0/0/1", "zero coefficients must not be stored")

@@ -224,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         _emit({"error": {"message": "internal invariant failed", "invariant": str(exc)}})
         return EXIT_CHECK_FAILED
+    except MemoryError:  # the work an input needs can exceed the process's memory limit
+        _emit({"error": {"message": "out of memory"}})
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

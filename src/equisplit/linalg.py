@@ -249,15 +249,15 @@ def mat_det(M: LaurentMatrix) -> LaurentPoly:
 def mat_inverse(adj: LaurentMatrix, det: LaurentPoly) -> LaurentMatrix:
     """Exact inverse adj / det over the Laurent ring, given det = c*z^e.
 
-    Takes the pair ``mat_adjugate`` returns and shifts the adjugate by -e
-    and scales it by 1/c, both in one dict per entry; a bundle's det pass
+    Takes the pair ``mat_adjugate`` returns and divides each entry of the
+    adjugate by the unit det (``_divide_by_unit``); a bundle's det pass
     inverts its transition here.
     """
     if not det.is_monomial():
         raise ValueError(f"determinant {det!r} is not a nonzero monomial")
     ((e, c),) = det.terms.items()
     inv = scalar_div(1, c)
-    return adj.map(lambda p: LaurentPoly.from_sums({d - e: inv * v for d, v in p.terms.items()}))
+    return adj.map(lambda p: _divide_by_unit(p, e, inv))
 
 
 def _submul(a: LaurentPoly, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

@@ -1,30 +1,30 @@
 """Constructive equivariant splitting of bundles on the projective line.
 
-The engine peels off a maximal-degree equivariant line subbundle (spanned by
-an eigenvector of the global sections of a suitable twist), passes to the
-quotient, and recurses (one twist and one H^0 solve per peel); the
-accumulated chart-local frames leave an upper-triangular transition with
-monomial diagonal, whose rows are the peels' reframed top rows carried
-through the later chart-0 frames (no product forms it), and which a final
-bottom-up triangular-clearing pass (one column update per entry) makes
-diagonal.  The output is the summand
-list together with the two invertible frame matrices whose product identity
-is machine-checkable, plus an independent verifier for that certificate.
+The engine follows Grothendieck's induction on the rank.  It peels off a
+maximal-degree equivariant line subbundle (spanned by an eigenvector of the
+global sections of a suitable twist; one twist and one H^0 solve per peel)
+and passes to the quotient, down to rank 0.  It then folds the peels' frames
+from the last quotient up: each peel's extension row, carried through the
+frames that split its quotient, is cleared in one row by a unipotent factor
+on each chart (``triangular_clear``), since the peeled degree is at least
+every degree below it.  The output is the summand list together with the
+two invertible frame matrices whose product identity is machine-checkable,
+plus an independent verifier for that certificate.
 
 Every chart-0 frame carries its inverse: the Bezout completion (one
-completion for every torus), the accumulated peel frames and the unipotent
-clearing factor are all built from elementary operations, and each
-operation's inverse is applied alongside it.  The producer therefore forms
-no determinant or adjugate of a frame.  The H^0 route needs the inverse
-transition of every bundle it peels: the input's validation takes the
-split's one det pass, for det A and A^-1 (``mat_det_inverse``: Gauss–Jordan
-on unit pivots, then a Faddeev–LeVerrier pass only on a nonempty unit-free
-core), and each quotient inherits its inverse (a block of
-U A^-1 V(1/z)^-1) and degree from its peel, as the twists do.  The certificate identity MInf(1/z) A M0 = D hands out
-both frame inverses as products (M0^-1 = D^-1 MInf(1/z) A, MInf(1/z)^-1 =
-A M0 D^-1), so the verifier takes no determinant or adjugate, and it hands
-the inverses it read to ``splitting_hom``, which forms no product of its
-own to get them.
+completion for every torus) is built from elementary operations, each
+operation's inverse applied alongside it, and the clearing factors are
+unipotent.  The producer therefore forms no determinant or adjugate of a
+frame.  The H^0 route needs the inverse transition of every bundle it
+peels: the input's validation takes the split's one det pass, for det A and
+A^-1 (``mat_det_inverse``: Gauss–Jordan on unit pivots, then a
+Faddeev–LeVerrier pass only on a nonempty unit-free core), and each
+quotient inherits its inverse (a block of U A^-1 V(1/z)^-1) and degree
+from its peel, as the twists do.  The certificate identity
+MInf(1/z) A M0 = D hands out both frame inverses as products (M0^-1 =
+D^-1 MInf(1/z) A, MInf(1/z)^-1 = A M0 D^-1), so the verifier takes no
+determinant or adjugate, and it hands the inverses it read to
+``splitting_hom``, which forms no product of its own to get them.
 
 With no torus (rank-0 action) the same pipeline is a constructive splitting
 of an arbitrary bundle into line bundles.
@@ -39,7 +39,6 @@ from .bundle import (
     InvariantViolation,
     LineSummand,
     TorusAction,
-    Weight,
     degree,
     direct_sum,
     hom_bundle,
@@ -201,72 +200,50 @@ def peel(E: EquivariantBundle) -> PeelStep:
 
 
 def triangular_clear(
-    R: LaurentMatrix,
-    lam0: tuple[Weight, ...],
-    lamInf: tuple[Weight, ...],
+    top: LineSummand,
+    beta: list[LaurentPoly],
+    below: list[LineSummand],
     torus: TorusAction,
-) -> tuple[LaurentMatrix, LaurentMatrix]:
-    """Clear the strictly-upper part of an equivariant triangular transition.
+) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
+    """Clear the extension row of [[z^-n, beta], [0, diag(z^-n_j)]].
 
-    R must be upper triangular with diagonal z^(-n_i), n_1 >= ... >= n_m.
-    Each entry beta at (i, j) is split as beta = delta z^(-n_j) - gamma
-    z^(-n_i) with gamma in k[z] and delta in k[w]; monomials with exponent
-    >= -n_i go to gamma, the rest to delta (the two ranges cover all
-    exponents because n_i >= n_j).  Rows are cleared bottom-up, so the rows
-    below i are diagonal: "row i -= delta(1/z) row j" only cancels the delta
-    part of (i, j), and "col j += gamma col i" its gamma part, otherwise
-    reaching only rows above i; each step is one column update of R.
-    Returns unipotent (WInf over k[w], W0inv over k[z]) with WInf @ R @ W0inv
-    diagonal; W0inv is accumulated from the column operations directly, and
-    its chart-0 frame W0 is never formed.
+    n is the degree of ``top`` and n_j that of below[j]; n >= n_j, so
+    Ext^1 of the lower summands by the top one vanishes.  Each beta_j is
+    split as beta_j = delta_j(1/z) z^(-n_j) - gamma_j z^(-n) with gamma_j in
+    k[z] and delta_j in k[w]; monomials with exponent >= -n go to gamma, the
+    rest to delta (the two ranges cover all exponents because n >= n_j).
+    Returns (gamma, -delta), the off-diagonal rows of the unipotent factors:
+    [[1, -delta(1/z)], [0, I]] [[z^-n, beta], [0, D]] [[1, gamma], [0, I]]
+    is diagonal.  Both factors are checked against the weight law.
     """
-    m = R.rows
-    degrees = []
-    for i in range(m):
-        d = R.entries[i][i]
-        if not d.is_monomial() or d.leading_coeff() != 1:
-            raise ValueError(f"diagonal entry {i} is not a unit monomial: {d!r}")
-        degrees.append(-d.deg)
-        for j in range(i):
-            if not R.entries[i][j].is_zero():
-                raise ValueError("matrix is not upper triangular")
-    if any(degrees[i] < degrees[i + 1] for i in range(m - 1)):
-        raise ValueError(f"diagonal degrees {degrees} are not non-increasing")
-
-    rc = [row[:] for row in R.entries]
-    W0inv = LaurentMatrix.identity(m)
-    WInf = LaurentMatrix.identity(m)
-    w0, wi = W0inv.entries, WInf.entries
-    for i in range(m - 2, -1, -1):
-        ni = degrees[i]
-        for j in range(i + 1, m):
-            beta = rc[i][j]
-            if beta.is_zero():
-                continue
-            gamma = LaurentPoly({d + ni: -c for d, c in beta.terms.items() if d >= -ni})
-            delta_w = LaurentPoly({-(d + degrees[j]): c for d, c in beta.terms.items() if d < -ni})
-            if gamma.terms:
-                # col j += gamma col i, in R and in W0inv (the chart-0 frame
-                # would gain row i -= gamma row j); row i of W0inv is still e_i
-                for t in range(i):
-                    if rc[t][i].terms:
-                        rc[t][j] = rc[t][j] + gamma * rc[t][i]
-                    if w0[t][i].terms:
-                        w0[t][j] = w0[t][j] + gamma * w0[t][i]
-                w0[i][j] = gamma
-            if delta_w.terms:
-                # row i -= delta row j in WInf; row j is final and zero left of j
-                for t in range(j, m):
-                    if wi[j][t].terms:
-                        wi[i][t] = wi[i][t] - delta_w * wi[j][t]
-
-    # a unipotent frame and its inverse obey the same lam0 -> lam0 law
-    bad = transition_law_violations(W0inv, lam0, lam0, torus, "W0inv") + transition_law_violations(
-        WInf.invert_variable(), lamInf, lamInf, torus, "WInf(1/z)"
+    n = top.n
+    if any(s.n > n for s in below):
+        raise ValueError(f"degrees {[n] + [s.n for s in below]} increase below the top row")
+    gamma = [LaurentPoly({d + n: -c for d, c in b.terms.items() if d >= -n}) for b in beta]
+    neg_delta = [
+        LaurentPoly({-(d + s.n): -c for d, c in b.terms.items() if d < -n}) for b, s in zip(beta, below)
+    ]
+    k = len(below)
+    # a unipotent frame and its inverse obey the same law
+    bad = transition_law_violations(
+        LaurentMatrix._adopt([gamma], 1, k), (top.lam,), tuple(s.lam for s in below), torus, "gamma"
+    ) + transition_law_violations(
+        LaurentMatrix._adopt([neg_delta], 1, k).invert_variable(),
+        (top.chart_inf_weight(torus),),
+        tuple(s.chart_inf_weight(torus) for s in below),
+        torus,
+        "delta(1/z)",
     )
     if bad:
         raise InvariantViolation("clearing factors broke equivariance: " + "; ".join(bad))
-    return WInf, W0inv
+    return gamma, neg_delta
+
+
+def _bordered(row: list[LaurentPoly], M: LaurentMatrix) -> LaurentMatrix:
+    """[[1, row], [0, M]]."""
+    zero = LaurentPoly.zero()
+    k = M.rows + 1
+    return LaurentMatrix._adopt([[LaurentPoly.one(), *row]] + [[zero, *r] for r in M.entries], k, k)
 
 
 @dataclass
@@ -286,57 +263,44 @@ class SplittingCertificate:
 def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], SplittingCertificate]:
     """Decompose into equivariant line bundles with a verifiable certificate.
 
-    Repeatedly peels the top-degree line subbundle, accumulating the frame
-    changes into a global triangularization, then clears the upper part.
-    A peel of degree n leaves the sum of the other summands, so the degrees
-    come out non-increasing.
-    Only the chart-0 inverse Uinv_tot = U_1^-1 ... U_k^-1 and the chart-inf
-    frame Vtot = V_k ... V_1 are accumulated; the first peel's frames seed
-    them, and peel k > 1 acts on coordinates t.. (t = k - 1), so it updates
-    columns t.. of Uinv_tot and rows t.. of Vtot in place.  The triangular
-    form R = Vtot(1/z) A Uinv_tot is never multiplied out: later peels leave
-    rows <= t of it alone on the left and change only its columns t.. on the
-    right, so row t is peel t's top row (z^-n, beta) of ``reframed.A``
-    carried through the later Uinv's, in the product that updates Uinv_tot.
-    Summands come out in canonical ``LineSummand.sort_key`` order
-    (non-increasing degree, then weight).  With a rank-0 torus this is a
-    constructive splitting-type computation.
+    Induction on the rank: peel the top-degree line subbundle L, split the
+    quotient Q, then split 0 -> L -> E -> Q -> 0, which Ext^1(Q, L) = 0
+    allows because the degree n of L is at least every degree of Q.  The
+    peels run first, down to rank 0, so their degrees come out
+    non-increasing; the frames are then folded from the last peel up,
+    starting from the empty frames of rank 0.  With (M0', MInf') splitting
+    the quotient of a peel V(1/z) A Uinv = [[z^-n, beta], [0, Q.A]], the
+    row beta' = beta M0' is cleared by ``triangular_clear`` into (gamma,
+    -delta), and M0 = Uinv [[1, gamma], [0, M0']] and MInf = [[1, -delta
+    MInf'], [0, MInf']] V split E.  Summands come out in canonical
+    ``LineSummand.sort_key`` order (non-increasing degree, then weight).
+    With a rank-0 torus this is a constructive splitting-type computation.
     """
     report = validate(E)
     if not report.ok:
         raise ValueError("cannot split an invalid bundle: " + "; ".join(report.violations))
-    m = E.rank
-    torus = E.torus
-    Uinv_tot = Vtot = LaurentMatrix.zeros(0, 0)  # the first peel replaces both when m > 0
-    top: list[list[LaurentPoly]] = []  # rows 0..t-1 of R, final in columns < t
-    summands: list[LineSummand] = []
+    # each peel's summand, frames and extension row beta; the reframed
+    # bundles and quotients are dropped as the peels go
+    steps: list[tuple[LineSummand, LaurentMatrix, LaurentMatrix, list[LaurentPoly]]] = []
     current = E
     while current.rank > 0:
         step = peel(current)
-        summands.append(step.summand)
-        t = m - step.U.rows
-        if t == 0:
-            # the constructor copies the rows, which later peels update in place
-            Uinv_tot = LaurentMatrix(step.Uinv.entries, m, m)
-            Vtot = LaurentMatrix(step.V.entries, m, m)
-        else:
-            # columns t.. of Uinv_tot and of R's rows so far, in one product
-            rows = Uinv_tot.entries + top
-            cols = LaurentMatrix._adopt([row[t:] for row in rows], m + t, m - t) @ step.Uinv
-            for row, new in zip(rows, cols.entries):
-                row[t:] = new
-            Vtot.entries[t:] = (step.V @ Vtot.submatrix(range(t, m), range(m))).entries
-        top.append([LaurentPoly.zero()] * t + step.reframed.A.entries[0])
+        steps.append((step.summand, step.Uinv, step.V, step.reframed.A.entries[0][1:]))
         current = step.quotient
 
-    R = LaurentMatrix._adopt(top, m, m)
-    lam0 = tuple(s.lam for s in summands)
-    lamInf = tuple(s.chart_inf_weight(torus) for s in summands)
-    WInf, W0inv = triangular_clear(R, lam0, lamInf, torus)
-    M0 = Uinv_tot @ W0inv
-    MInf = WInf @ Vtot
+    summands: list[LineSummand] = []  # the current quotient's, in peel order
+    M0 = MInf = LaurentMatrix.zeros(0, 0)
+    for summand, Uinv, V, beta in reversed(steps):
+        k = M0.rows
+        carried = (LaurentMatrix._adopt([beta], 1, k) @ M0).entries[0]  # beta' = beta M0'
+        gamma, neg_delta = triangular_clear(summand, carried, summands, E.torus)
+        M0 = Uinv @ _bordered(gamma, M0)
+        MInf = _bordered((LaurentMatrix._adopt([neg_delta], 1, k) @ MInf).entries[0], MInf) @ V
+        summands.insert(0, summand)
+
     # peel order breaks degree ties by frame; emit the canonical order instead,
     # permuting the columns of M0 and the rows of MInf to match
+    m = E.rank
     order = sorted(range(m), key=lambda k: summands[k].sort_key())
     summands = [summands[k] for k in order]
     M0 = M0.submatrix(range(m), order)

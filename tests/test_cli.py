@@ -328,6 +328,17 @@ class TestErrors:
         assert code == 1
         assert json.loads(out)["error"]["invariant"] == "peel degrees out of order: 2 after 1"
 
+    def test_memory_error_is_one_json_document(self, capsys, monkeypatch):
+        # an H^1 window past the process's memory limit
+        def exhausted(E):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cech_cohomology", exhausted)
+        code, out, err = run(capsys, "cohomology", fixture_path("o_3"))
+        assert code == 1
+        assert json.loads(out) == {"error": {"message": "out of memory"}}
+        assert "Traceback" not in err
+
     def _assert_invariant_document(self, capsys, phrase):
         code, out, err = run(capsys, "cohomology", fixture_path("jump_type_0_0"))
         assert code == 1

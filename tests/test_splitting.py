@@ -215,63 +215,70 @@ class TestPeel:
                 assert d.is_constant() and not d.is_zero()
 
 
+def cleared(n, beta, below, gamma, neg_delta):
+    """[[1, -delta(1/z)], [0, I]] [[z^-n, beta], [0, D]] [[1, gamma], [0, I]], D = diag(z^-n_j)."""
+
+    def block(corner, row, diag):
+        M = LaurentMatrix.diagonal([corner, *diag])
+        M.entries[0][1:] = row
+        return M
+
+    k = len(below)
+    R = block(P.monomial(-n), beta, [P.monomial(-nj) for nj in below])
+    WInf = block(P.one(), neg_delta, [P.one()] * k)
+    return (WInf.invert_variable() @ R) @ block(P.one(), gamma, [P.one()] * k)
+
+
 class TestTriangularClear:
     def test_worked_example(self):
-        R = lm([[{-1: 1}, {0: 1}], [{}, {-1: 1}]])
-        WInf, W0inv = triangular_clear(R, ((0,), (-1,)), ((-1,), (-2,)), T1)
-        assert WInf == LaurentMatrix.identity(2)
+        # [[z^-1, 1], [0, z^-1]]
+        gamma, neg_delta = triangular_clear(LineSummand(1, (0,)), [P.one()], [LineSummand(1, (-1,))], T1)
         # gamma = -z moves into the chart-0 frame W0 = [[1, z], [0, 1]]
-        assert W0inv == lm([[{0: 1}, {1: -1}], [{}, {0: 1}]])
-        diag = (WInf.invert_variable() @ R) @ W0inv
-        assert diag == lm([[{-1: 1}, {}], [{}, {-1: 1}]])
+        assert gamma == [P({1: -1})]
+        assert neg_delta == [P()]
+        assert cleared(1, [P.one()], [1], gamma, neg_delta) == lm([[{-1: 1}, {}], [{}, {-1: 1}]])
 
     def test_already_diagonal(self):
-        R = lm([[{-2: 1}, {}], [{}, {1: 1}]])
-        WInf, W0inv = triangular_clear(R, ((), ()), ((), ()), TorusAction(0, ()))
-        assert W0inv == LaurentMatrix.identity(2)
-        assert WInf == LaurentMatrix.identity(2)
+        T0 = TorusAction(0, ())
+        gamma, neg_delta = triangular_clear(LineSummand(2, ()), [P()], [LineSummand(-1, ())], T0)
+        assert gamma == neg_delta == [P()]
 
     def test_low_monomial_goes_to_chart_inf(self):
-        # entry z^-3 with degrees (0, -2): exponent -3 < -n_1 = 0, so the
+        # entry z^-3 with degrees (0, -2): exponent -3 < -n = 0, so the
         # whole entry is cleared from the chart-inf side
-        R = lm([[{0: 1}, {-3: 1}], [{}, {2: 1}]])
-        WInf, W0inv = triangular_clear(R, ((), ()), ((), ()), TorusAction(0, ()))
-        assert W0inv == LaurentMatrix.identity(2)
-        assert WInf == lm([[{0: 1}, {5: -1}], [{}, {0: 1}]])
+        beta = [P({-3: 1})]
+        T0 = TorusAction(0, ())
+        gamma, neg_delta = triangular_clear(LineSummand(0, ()), beta, [LineSummand(-2, ())], T0)
+        assert gamma == [P()]
+        assert neg_delta == [P({5: -1})]
+        assert cleared(0, beta, [-2], gamma, neg_delta) == lm([[{0: 1}, {}], [{}, {2: 1}]])
 
     def test_unsorted_degrees_rejected(self):
-        R = lm([[{1: 1}, {0: 1}], [{}, {-1: 1}]])
         with pytest.raises(ValueError):
-            triangular_clear(R, ((), ()), ((), ()), TorusAction(0, ()))
+            triangular_clear(LineSummand(-1, ()), [P.one()], [LineSummand(1, ())], TorusAction(0, ()))
 
-    def test_non_triangular_rejected(self):
-        R = lm([[{0: 1}, {}], [{0: 1}, {0: 1}]])
-        with pytest.raises(ValueError):
-            triangular_clear(R, ((), ()), ((), ()), TorusAction(0, ()))
+    @pytest.mark.parametrize("beta", [P.one(), P({-2: 1})])
+    def test_weight_law_broken_row_rejected(self, beta):
+        # weights 0 and 1 at degree 0 admit only z^-1 in the row; 1 goes to
+        # gamma and z^-2 to delta
+        with pytest.raises(InvariantViolation, match="clearing factors broke equivariance"):
+            triangular_clear(LineSummand(0, (0,)), [beta], [LineSummand(0, (1,))], T1)
 
     @given(
         st.lists(st.integers(-3, 3), min_size=1, max_size=5),
-        st.lists(st.dictionaries(st.integers(-6, 4), coeffs, max_size=3), min_size=10, max_size=10),
+        st.lists(st.dictionaries(st.integers(-6, 4), coeffs, max_size=3), min_size=4, max_size=4),
     )
     @settings(max_examples=60, deadline=None)
     def test_inverse_on_random_upper_triangular(self, degrees, uppers):
-        m = len(degrees)
-        degrees = sorted(degrees, reverse=True)
-        R = LaurentMatrix.zeros(m, m)
-        cells = iter(uppers)
-        for i in range(m):
-            R.entries[i][i] = P.monomial(-degrees[i])
-            for j in range(i + 1, m):
-                R.entries[i][j] = P(next(cells))
-        WInf, W0inv = triangular_clear(R, ((),) * m, ((),) * m, TorusAction(0, ()))
-        # W0inv is a chart-0 frame: polynomial, upper triangular and unipotent
-        for i in range(m):
-            assert all(p.is_polynomial() for p in W0inv.entries[i])
-            assert W0inv.entries[i][i] == P.one()
-            assert all(W0inv.entries[i][j].is_zero() for j in range(i))
-        assert mat_det(W0inv) == P.one()
-        diag = (WInf.invert_variable() @ R) @ W0inv
-        assert diag == LaurentMatrix.diagonal([P.monomial(-n) for n in degrees])
+        n, *below = sorted(degrees, reverse=True)
+        beta = [P(cell) for cell in uppers[: len(below)]]
+        gamma, neg_delta = triangular_clear(
+            LineSummand(n, ()), beta, [LineSummand(nj, ()) for nj in below], TorusAction(0, ())
+        )
+        # gamma is a row of a chart-0 frame and delta of a chart-inf frame
+        assert all(p.is_polynomial() for p in gamma + neg_delta)
+        diag = cleared(n, beta, below, gamma, neg_delta)
+        assert diag == LaurentMatrix.diagonal([P.monomial(-d) for d in (n, *below)])
 
 
 class TestFrameCompletion:
@@ -340,6 +347,22 @@ class TestEquivariantSplit:
         summands, cert = equivariant_split(jump_bundle())
         assert [s.n for s in summands] == [0, 0]
         assert verify_certificate(jump_bundle(), cert).ok
+
+    def test_rank_0(self):
+        # the fold's empty case: no peel, and 0x0 frames
+        E = EquivariantBundle(LaurentMatrix.zeros(0, 0), (), (), T1)
+        summands, cert = equivariant_split(E)
+        assert summands == []
+        assert cert.M0 == cert.MInf == LaurentMatrix.zeros(0, 0)
+        assert verify_certificate(E, cert).ok
+
+    def test_rank_1(self):
+        # the fold's single step, which clears an empty row: 3 z^2 is O(-2)
+        E = EquivariantBundle(lm([[{2: 3}]]), ((1,),), ((3,),), T1)
+        summands, cert = equivariant_split(E)
+        assert summands == [LineSummand(-2, (1,))]
+        assert cert.M0.rows == cert.MInf.rows == 1
+        assert verify_certificate(E, cert).ok
 
     def test_invalid_input_rejected(self):
         E = EquivariantBundle(lm([[{0: 1, 1: 1}]]), ((),), ((),))
@@ -679,17 +702,17 @@ def test_rank_6_split_h0_solves(monkeypatch):
 
 
 def test_rank_5_split_products(monkeypatch):
-    # the first peel's frames seed the accumulated frames, each of the five
-    # built sections is one fused product (A^-1 h), the triangular form is
-    # read off the peels' top rows in the products that update Uinv_tot, the
+    # each of the five built sections is one fused product (A^-1 h), the
     # input's det pass pivots on units only, with no core and so no product,
     # and each of the four quotients inherits its inverse in two restricted
-    # products, so a dense rank-5 split takes 36 matrix products (40 when the
-    # input took a Faddeev–LeVerrier pass of three products and a fused
-    # row-times-column det, 39 when every quotient took its own pass); scalar
-    # scalings scale coefficients, each Bezout update is a single product
-    # with a nonzero entry, and the bottom-up clear updates one column per
-    # entry with nonzero factors only, which leaves 72 Laurent products
+    # products; the fold takes four products per peel, the last peel's
+    # included (beta M0', -delta MInf', Uinv [[1, gamma], [0, M0']] and
+    # [[1, -delta MInf'], [0, MInf']] V), so a dense rank-5 split takes 46
+    # matrix products (50 when the input took a Faddeev–LeVerrier pass of
+    # three products and a fused row-times-column det); scalar scalings
+    # scale coefficients, each Bezout update is a single product with a
+    # nonzero entry, and the one-row clear reads gamma and delta off the
+    # row with no product, which leaves 63 Laurent products
     E = dense_case(1000, TorusAction(0, ()))
     calls = {"matmul": 0, "mul": 0}
 
@@ -705,7 +728,7 @@ def test_rank_5_split_products(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", mul)
     monkeypatch.setattr(LaurentPoly, "__rmul__", mul)
     equivariant_split(E)
-    assert calls == {"matmul": 36, "mul": 72}
+    assert calls == {"matmul": 46, "mul": 63}
 
 
 def dense_moving(m, a):

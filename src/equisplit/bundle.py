@@ -5,9 +5,10 @@ coordinates into chart-infinity coordinates on the overlap; invertibility
 over the Laurent ring means det A is a nonzero monomial.  ``validate`` and
 ``degree`` take det A and A^-1 from one ``mat_det_inverse`` per bundle,
 which pivots on the monomial entries of A and runs a Faddeev–LeVerrier pass
-only on the unit-free core left, if any; derived bundles inherit both.  A
-torus action is recorded by a base character exponent vector ``a`` together
-with one integer weight vector per frame vector on each chart.
+on each connected block of the unit-free core left, if any; derived bundles
+inherit both.  A torus action is recorded by a base character exponent
+vector ``a`` together with one integer weight vector per frame vector on
+each chart.
 
 Conventions (fixed here, cited everywhere else):
 
@@ -106,10 +107,10 @@ class EquivariantBundle:
     # _degree and A^-1 (_inv) are set together or not at all: twist, dual,
     # hom_bundle and a peel's quotient inherit both, any other bundle takes
     # one det pass (_det_pass): unit-pivot Gauss–Jordan, plus one adjugate
-    # pass on the unit-free core when that is nonempty.  _h0 caches the
-    # forward-eliminated H^0 system (cohomology._H0System): column weights,
-    # pivots and echelon rows, plus the canonical kernel once a caller asks
-    # for sections
+    # pass per block of the unit-free core when that is nonempty.  _h0
+    # caches the forward-eliminated H^0 system (cohomology._H0System):
+    # column weights, pivots and echelon rows, plus the canonical kernel once
+    # a caller asks for sections
     __slots__ = ("A", "lambda0", "lambdaInf", "torus", "_degree", "_inv", "_h0")
 
     def __init__(
@@ -192,15 +193,16 @@ def transition_law_violations(
         return []
     out = []
     a = torus.a
-    for i in range(A.rows):
-        for j in range(A.cols):
-            need = weight_sub(lambda_rows[i], lambda_cols[j])
-            for d, _ in A.entries[i][j].monomials():
-                if weight_scale(d, a) != need:
-                    out.append(
-                        f"{label}[{i}][{j}]: monomial z^{d} has d*a={weight_scale(d, a)}, "
-                        f"law requires {need}"
-                    )
+    for i, row in enumerate(A.entries):
+        lam = lambda_rows[i]
+        for j, p in enumerate(row):
+            if not p.terms:
+                continue
+            need = weight_sub(lam, lambda_cols[j])
+            for d in sorted(p.terms):
+                got = tuple([d * x for x in a])
+                if got != need:
+                    out.append(f"{label}[{i}][{j}]: monomial z^{d} has d*a={got}, law requires {need}")
     return out
 
 

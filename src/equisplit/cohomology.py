@@ -45,6 +45,14 @@ truncated by the same bounds.
   elimination stops at the forward pass: the cokernel is spanned by the
   non-pivot columns.
 
+Every system is built in one pass over the nonzero entries of A or A^-1,
+each entry's terms sorted once: an entry's monomial z^d fills the rows it
+meets directly, so building costs what the system's nonzero terms cost.
+The bounds hi'_j and lo'_i come from one pass over A^-1, and weights are
+plain tuple arithmetic.  Rows are created in a fixed order (by component,
+then at their first term; generators by column, then degree), so every
+elimination, and with it every pivot, is the same on every run.
+
 The Euler identity h0 - h1 = degree + rank stays armed: a failure raises
 InvariantViolation.
 """
@@ -60,8 +68,6 @@ from .bundle import (
     degree,
     dual,
     twist,
-    weight_scale,
-    weight_sub,
 )
 from .equivariant import Character, monomial_weight
 from .laurent import LaurentPoly, Scalar
@@ -107,15 +113,6 @@ class Section:
         return None
 
 
-def _row_ranges(M: LaurentMatrix) -> list[tuple[int, int] | None]:
-    """(least, greatest) exponent of each row of M; None for a zero row."""
-    ranges = []
-    for row in M.entries:
-        terms = [p.terms for p in row if p.terms]
-        ranges.append((min(min(t) for t in terms), max(max(t) for t in terms)) if terms else None)
-    return ranges
-
-
 @dataclass(slots=True)
 class _H0System:
     """The forward-eliminated section system of one bundle, cached as ``E._h0``.
@@ -151,43 +148,59 @@ def _h0_basis(E: EquivariantBundle) -> _H0System:
     m = E.rank
     if m == 0:
         return _H0System([], [], [], [])
-    ranges = _row_ranges(E.A)
-    if not any(ranges):
+    # h_i = (A f)_i has exponents in [lo_i, 0], lo_i the least exponent of
+    # row i of A; component i's unknowns are e in [start_i, 0], start_i = 1
+    # (none) for a zero row or lo_i > 0, and columns[i][e - start_i] is the
+    # column of h[i][e]
+    starts = []
+    for row in E.A.entries:
+        lows = [min(p.terms) for p in row if p.terms]
+        starts.append(min(1, *lows) if lows else None)
+    if all(start is None for start in starts):
         raise ValueError("invalid bundle: zero transition matrix")
-
-    # h_i = (A f)_i has exponents in [lo_i, 0]; h[i][e] is column[i, e]
-    windows = [range(r[0], 1) if r else range(0) for r in ranges]
-    lo = min(r[0] for r in ranges if r)
-    unknowns = [(i, e) for e in range(lo, 1) for i, w in enumerate(windows) if e in w]
+    starts = [1 if start is None else start for start in starts]
+    unknowns = [(i, e) for e in range(min(starts), 1) for i, start in enumerate(starts) if start <= e]
     n = len(unknowns)
     if n == 0:
         return _H0System([], [], [], [])
-    column = {ie: c for c, ie in enumerate(unknowns)}
+    columns: list[list[int]] = [[] for _ in range(m)]
+    for c, (i, _) in enumerate(unknowns):
+        columns[i].append(c)
     a = E.torus.a
-    col_weight: list[Weight] = [weight_sub(E.lambdaInf[i], weight_scale(e, a)) for i, e in unknowns]
+    lam = E.lambdaInf
+    col_weight: list[Weight] = [tuple([x - e * y for x, y in zip(lam[i], a)]) for i, e in unknowns]
 
     # constraint rows: coefficient of z^x in (A^-1 h)_i must vanish for
     # x < 0; column (j, e) meets row (i, x) through the one monomial of
     # exponent x - e.  Rows keep A^-1's coefficients; the elimination clears
-    # their denominators.
-    rows: dict[tuple[int, int], dict[int, Scalar]] = {}
-    inv = E.inverse_transition().entries
-    for i in range(m):
-        for j, w in enumerate(windows):
-            for d, c in inv[i][j].monomials():
-                for e in range(w.start, min(w.stop, -d)):
-                    rows.setdefault((i, d + e), {})[column[j, e]] = c
+    # their denominators.  Row (i, x) is created at its first term, rows of
+    # component i before those of i + 1.
+    rows: list[dict[int, Scalar]] = []
+    for inv_row in E.inverse_transition().entries:
+        by_x: dict[int, dict[int, Scalar]] = {}
+        for j, p in enumerate(inv_row):
+            start = starts[j]
+            if start > 0 or not p.terms:
+                continue
+            cols_j = columns[j]
+            for d, c in sorted(p.terms.items()):
+                for e in range(start, min(1, -d)):
+                    row = by_x.get(d + e)
+                    if row is None:
+                        row = by_x[d + e] = {}
+                    row[cols_j[e - start]] = c
+        rows.extend(by_x.values())
 
     # a graded system never mixes classes within a row, so straddling rows
     # mean the input was not actually equivariant
     if E.torus.rank:
-        for row in rows.values():
+        for row in rows:
             if len({col_weight[c] for c in row}) > 1:
                 raise ValueError(
                     "section system mixes weight classes; the bundle is not equivariant"
                 )
 
-    return _H0System(unknowns, col_weight, *echelon_sparse(rows.values(), n))
+    return _H0System(unknowns, col_weight, *echelon_sparse(rows, n))
 
 
 def _section_from_h(E: EquivariantBundle, h: tuple[LaurentPoly, ...], chi: Weight) -> Section:
@@ -270,11 +283,22 @@ def _cech_bounds(E: EquivariantBundle) -> tuple[list[int], list[int]]:
     lives on the overlap exponents [1, W_i], W_i = max(0, -lo'_i - 1) with
     lo'_i the least exponent of column i of A^-1.
     """
-    if E.A.exponent_range() is None:
+    if not any(p.terms for row in E.A.entries for p in row):
         raise ValueError("invalid bundle: zero transition matrix")
-    inv = E.inverse_transition()
-    f_degrees = [hi for _, hi in _row_ranges(inv)]
-    return f_degrees, [max(0, -lo - 1) for lo, _ in _row_ranges(inv.transpose())]
+    # one pass over A^-1: each row's greatest exponent, each column's least
+    f_degrees: list[int] = []
+    col_lo: list[int | None] = [None] * E.rank
+    for row in E.inverse_transition().entries:
+        hi = None
+        for j, p in enumerate(row):
+            if p.terms:
+                lo_p, hi_p = min(p.terms), max(p.terms)
+                if hi is None or hi_p > hi:
+                    hi = hi_p
+                if col_lo[j] is None or lo_p < col_lo[j]:
+                    col_lo[j] = lo_p
+        f_degrees.append(hi)
+    return f_degrees, [max(0, -lo - 1) for lo in col_lo]
 
 
 def _cech_once(E: EquivariantBundle, f_degrees: list[int], windows: list[int]) -> tuple[int, Character]:
@@ -282,48 +306,83 @@ def _cech_once(E: EquivariantBundle, f_degrees: list[int], windows: list[int]) -
 
     The kernel's unknowns are f[j][e] for e in [0, f_degrees[j]]; g is not
     truncated, as it absorbs every overlap exponent <= 0.  The cokernel's
-    component i is taken on the overlap exponents [1, windows[i]].
+    component i is taken on the overlap exponents [1, windows[i]].  Both
+    systems are built from one sorted copy of the terms of each nonzero
+    entry of A, listed by row and by column.
     """
     m = E.rank
-    lo, _ = E.A.exponent_range()
-    A = E.A.entries
+    by_row: list[list[tuple[int, list[tuple[int, Scalar]]]]] = [[] for _ in range(m)]
+    by_col: list[list[tuple[int, list[tuple[int, Scalar]]]]] = [[] for _ in range(m)]
+    lo = 0  # the least exponent of A, where it is negative
+    for i, row in enumerate(E.A.entries):
+        for j, p in enumerate(row):
+            if p.terms:
+                terms = sorted(p.terms.items())
+                by_row[i].append((j, terms))
+                by_col[j].append((i, terms))
+                if terms[0][0] < lo:
+                    lo = terms[0][0]
 
     # kernel: column offset[j] + e is f[j][e].  Rows of A f with exponent
     # x >= 1, with A's coefficients; column (j, e) meets row (i, x) through
     # the one monomial of exponent x - e.  Each row with x <= 0 holds a
     # g-chain column of its own, which no other row meets, so those rows are
     # independent of everything else: the kernel dimension is the number of
-    # f columns minus the rank of the remaining rows.
+    # f columns minus the rank of the remaining rows.  Row (i, x) is created
+    # at its first term, rows of component i before those of i + 1.
     offset, ncols = [], 0
     for b in f_degrees:
         offset.append(ncols)
         ncols += max(0, b + 1)
-    frows: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for i in range(m):
-        for j, b in enumerate(f_degrees):
-            for d, c in A[i][j].monomials():
+    frows: list[dict[int, Scalar]] = []
+    for entries in by_row:
+        by_x: dict[int, dict[int, Scalar]] = {}
+        for j, terms in entries:
+            b, off = f_degrees[j], offset[j]
+            for d, c in terms:
                 for e in range(max(0, 1 - d), b + 1):
-                    frows.setdefault((i, d + e), {})[offset[j] + e] = c
-    kernel_dim = ncols - rank_sparse(frows.values(), ncols)
+                    row = by_x.get(d + e)
+                    if row is None:
+                        row = by_x[d + e] = {}
+                    row[off + e] = c
+        frows.extend(by_x.values())
+    kernel_dim = ncols - rank_sparse(frows, ncols)
 
-    # cokernel on the overlap exponents (i, d), d in [1, windows[i]],
-    # ordered by (d, i): the g-side image and the preimages of z^d e_i for
-    # larger d cover everything else, so only chart-0 generators projected
-    # to the window remain
+    # cokernel on the overlap exponents (i, x), x in [1, windows[i]],
+    # ordered by (x, i): the g-side image and the preimages of z^x e_i for
+    # larger x cover everything else, so only chart-0 generators projected
+    # to the window remain.  columns[i][x - 1] is the column of (i, x); the
+    # generator z^e e_j, e in [0, emax], is row e of column j of A shifted
+    # by e, its terms in (i, d) order, and rows go by (j, e)
     top = max(windows, default=0)
-    ocols = [(i, d) for d in range(1, top + 1) for i in range(m) if d <= windows[i]]
-    ocol = {ic: k for k, ic in enumerate(ocols)}
-    gen_rows = []
-    for j in range(m):
-        base = [(i, d, c) for i in range(m) for d, c in A[i][j].monomials()]
-        for e in range(top + max(0, -lo) + 1):
-            row = {ocol[i, d + e]: c for i, d, c in base if 1 <= d + e <= windows[i]}
-            if row:
-                gen_rows.append(row)
+    ocols = [(i, x) for x in range(1, top + 1) for i in range(m) if x <= windows[i]]
+    columns: list[list[int]] = [[] for _ in range(m)]
+    for k, (i, _) in enumerate(ocols):
+        columns[i].append(k)
+    emax = top - lo
+    gen_rows: list[dict[int, Scalar]] = []
+    for entries in by_col:
+        by_e: dict[int, dict[int, Scalar]] = {}
+        for i, terms in entries:
+            w, cols_i = windows[i], columns[i]
+            for d, c in terms:
+                for e in range(max(0, 1 - d), min(emax, w - d) + 1):
+                    row = by_e.get(e)
+                    if row is None:
+                        row = by_e[e] = {}
+                    row[cols_i[d + e - 1]] = c
+        gen_rows.extend(by_e[e] for e in sorted(by_e))
     pivots, _ = echelon_sparse(gen_rows, len(ocols))
+
+    # the free column (i, x) is the class of w^-x e_i, of weight lambdaInf[i] - x*a
     pivot_set = set(pivots)
-    weights = [monomial_weight(E, "inf", i, -d) for k, (i, d) in enumerate(ocols) if k not in pivot_set]
-    return kernel_dim, Character.from_weights(weights)
+    a, lam = E.torus.a, E.lambdaInf
+    mult: dict[Weight, int] = {}
+    for k, (i, x) in enumerate(ocols):
+        if k not in pivot_set:
+            w = tuple([l - x * y for l, y in zip(lam[i], a)])
+            mult[w] = mult.get(w, 0) + 1
+    return kernel_dim, Character(mult)
 
 
 def cech_cohomology(E: EquivariantBundle) -> tuple[int, Character]:

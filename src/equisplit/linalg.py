@@ -7,15 +7,18 @@ Two small engines live here:
   products (``mat_adjugate``), the inverse ``mat_inverse`` of a matrix with
   monomial determinant, and Kronecker products.  ``mat_det_inverse`` takes
   det M and M^-1 together by Gauss–Jordan elimination pivoting on monomial
-  entries, the units of the ring, and runs the adjugate pass only on the
-  square core left with no unit entry, which is often empty.  The matrix product is
-  fused: each output entry is one coefficient dict accumulated over the
-  inner index straight from the operands' terms, with no intermediate
-  polynomial per product.  Results are wrapped by the private constructor
-  ``LaurentMatrix._adopt``, which takes only freshly built rows of a known
-  shape and so skips the copy and the ragged check.  Scalar scalings (by the
-  coefficient lcm, by a sign, by an inverse determinant) scale coefficients
-  and never go through the Laurent product.
+  entries, the units of the ring.  It runs on the entries' raw term dicts,
+  so its cost follows their nonzero terms, and wraps polynomials only for
+  its results; the adjugate pass runs only on the core left with no unit
+  entry, which is often empty, once per connected block of the core's
+  nonzero pattern.  The matrix product is fused: each output entry is one
+  coefficient dict accumulated over the inner index straight from the
+  operands' terms, with no intermediate polynomial per product.  Results
+  are wrapped by the private constructor ``LaurentMatrix._adopt``, which
+  takes only freshly built rows of a known shape and so skips the copy and
+  the ragged check.  Scalar scalings (by the coefficient lcm, by a sign, by
+  an inverse determinant) scale coefficients and never go through the
+  Laurent product.
 * rational row reduction — one sparse, fraction-free elimination routine
   over Python integers, used by every cohomology computation.  Rows enter
   with their denominators cleared, are combined by integer
@@ -250,34 +253,91 @@ def mat_inverse(adj: LaurentMatrix, det: LaurentPoly) -> LaurentMatrix:
     """Exact inverse adj / det over the Laurent ring, given det = c*z^e.
 
     Takes the pair ``mat_adjugate`` returns and divides each entry of the
-    adjugate by the unit det (``_divide_by_unit``); a bundle's det pass
-    inverts its transition here.
+    adjugate by the unit det (``_unit_quotient``); a bundle's det pass
+    inverts each block of its unit-free core here.
     """
     if not det.is_monomial():
         raise ValueError(f"determinant {det!r} is not a nonzero monomial")
     ((e, c),) = det.terms.items()
     inv = scalar_div(1, c)
-    return adj.map(lambda p: _divide_by_unit(p, e, inv))
+    return adj.map(lambda p: _adopt_terms(_unit_quotient(p.terms, e, inv)))
 
 
-def _submul(a: LaurentPoly, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """a - f*g, accumulated in one dict."""
-    sums = dict(a.terms)
+# -- the det pass on raw term dicts -----------------------------------------
+# Entries are dicts {exponent: coefficient} in normal form, a zero entry
+# being absent or empty.  Helpers return fresh dicts and never mutate their
+# arguments, so a matrix's own term dicts can be shared.
+
+
+def _adopt_terms(terms: dict[int, Scalar]) -> LaurentPoly:
+    """Wrap normal-form terms as a LaurentPoly: no copy, no check."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = terms
+    return out
+
+
+def _submul(a: dict[int, Scalar] | None, f: dict[int, Scalar], g: dict[int, Scalar]) -> dict[int, Scalar]:
+    """The terms of a - f*g, accumulated in one dict; a is None for zero."""
+    sums = dict(a) if a else {}
     get = sums.get
-    gitems = g.terms.items()
-    for e1, c1 in f.terms.items():
+    gitems = g.items()
+    for e1, c1 in f.items():
         for e2, c2 in gitems:
             e = e1 + e2
             s = get(e)
             sums[e] = -(c1 * c2) if s is None else s - c1 * c2
-    return LaurentPoly.from_sums(sums)
+    return LaurentPoly.from_sums(sums).terms
 
 
-def _divide_by_unit(p: LaurentPoly, e: int, inv: Scalar) -> LaurentPoly:
-    """p / (k z^e), given inv = 1/k: an exponent shift, and a scaling unless k = 1."""
+def _unit_quotient(p: dict[int, Scalar], e: int, inv: Scalar) -> dict[int, Scalar]:
+    """The terms of p / (k z^e), given inv = 1/k: an exponent shift, and a scaling unless k = 1."""
     if inv == 1:
-        return p.shift(-e)
-    return LaurentPoly.from_sums({d - e: inv * v for d, v in p.terms.items()})
+        return {d - e: v for d, v in p.items()}
+    return LaurentPoly.from_sums({d - e: inv * v for d, v in p.items()}).terms
+
+
+def _dense_row(row: dict[int, dict[int, Scalar]], m: int) -> list[LaurentPoly]:
+    """A sparse row {column: terms} as m LaurentPoly entries."""
+    return [_adopt_terms(row[j]) if j in row else _adopt_terms({}) for j in range(m)]
+
+
+def _core_blocks(W: list[dict[int, dict]], rows: list[int], cols: list[int]) -> list[tuple[list[int], list[int]]]:
+    """The connected components of the core's nonzero pattern, as square (rows, cols) blocks.
+
+    Rows and columns are ascending within a block, and blocks are ordered by
+    their least row.  A pattern with a non-square component (an empty row
+    or column among them) has det 0; it is returned as the one whole block,
+    whose pass finds that determinant.
+    """
+    col_rows: dict[int, list[int]] = {c: [] for c in cols}
+    for r in rows:
+        for c in W[r]:
+            col_rows[c].append(r)
+    seen_rows: set[int] = set()
+    seen_cols: set[int] = set()
+    blocks = []
+    for r0 in rows:
+        if r0 in seen_rows:
+            continue
+        seen_rows.add(r0)
+        block_rows, block_cols, stack = [], [], [r0]
+        while stack:
+            r = stack.pop()
+            block_rows.append(r)
+            for c in W[r]:
+                if c not in seen_cols:
+                    seen_cols.add(c)
+                    block_cols.append(c)
+                    for t in col_rows[c]:
+                        if t not in seen_rows:
+                            seen_rows.add(t)
+                            stack.append(t)
+        if len(block_rows) != len(block_cols):
+            return [(rows, cols)]
+        blocks.append((sorted(block_rows), sorted(block_cols)))
+    if len(seen_cols) != len(cols):
+        return [(rows, cols)]
+    return blocks
 
 
 def mat_det_inverse(M: LaurentMatrix) -> tuple[LaurentPoly, LaurentMatrix | None]:
@@ -289,86 +349,111 @@ def mat_det_inverse(M: LaurentMatrix) -> tuple[LaurentPoly, LaurentMatrix | None
     Pivots are taken while an unused row and column still meet in a
     monomial, each time the one with the fewest other nonzeros in its unused
     row and column (Markowitz, Management Sci. 3, 1957), ties broken by
-    (row, column).  Every entry is then a minor of M divided by a unit, so
-    entries stay small.  The unused rows and columns leave a unit-free core
-    S, often empty; only a nonempty core takes a Faddeev–LeVerrier pass
+    (row, column); the row and column counts are taken once per step.  Every
+    entry is then a minor of M divided by a unit, so entries stay small.
+    The elimination runs on the entries' raw term dicts, kept sparse by
+    column, and forms no LaurentPoly until the results are wrapped.
+
+    The unused rows and columns leave a unit-free core S, often empty.  S is
+    split into the connected components of its nonzero pattern, square
+    blocks S_b, and each block takes one Faddeev–LeVerrier pass
     (``mat_adjugate``).  With sigma pairing each pivot row with its column
-    and the unused rows with the unused columns in order, det M is
-    sgn(sigma) times the product of the pivots times det S.  When det S is a
-    monomial, the unused rows of the right half are multiplied by S^-1 and
-    B times them is taken off the pivot rows, B being the pivot rows'
-    entries in the unused columns; row sigma(r) of M^-1 is then row r of
-    the right half.  det M and M^-1 are unique, so they equal what
-    ``mat_adjugate`` and ``mat_inverse`` give for M.
+    and the k-th row of each block with its k-th column, det M is sgn(sigma)
+    times the product of the pivots times the product of the det S_b.  When
+    every det S_b is a monomial, the block's rows of the right half are
+    multiplied by S_b^-1, and B times them is taken off the pivot rows, B
+    being the pivot rows' entries in the unused columns; row sigma(r) of
+    M^-1 is then row r of the right half.  det M and M^-1 are unique, so
+    they equal what ``mat_adjugate`` and ``mat_inverse`` give for M.
     """
     if not M.is_square():
         raise ValueError("determinant of a non-square matrix")
     m = M.rows
-    # entries are replaced, never mutated, so M's polynomials are shared
-    W = [list(row) for row in M.entries]
-    V = LaurentMatrix.identity(m).entries
-    rows, cols = list(range(m)), list(range(m))  # unused
+    # row t of W and of V maps each column to the terms of its nonzero
+    # entry; W keeps the unused columns only, and shares M's term dicts
+    W = [{j: p.terms for j, p in enumerate(row) if p.terms} for row in M.entries]
+    V: list[dict[int, dict[int, Scalar]]] = [{i: {0: 1}} for i in range(m)]
+    rows = list(range(m))  # unused
     pivot_col: dict[int, int] = {}
     unit_e, unit_k = 0, 1  # the product of the pivots, unit_k * z^unit_e
     while True:
-        units = [(r, c) for r in rows for c in cols if len(W[r][c].terms) == 1]
+        # one sweep of the unused rows: the monomial entries, with their
+        # rows' nonzero counts, and every unused column's nonzero count
+        units = []
+        col_count: dict[int, int] = {}
+        for r in rows:
+            Wr = W[r]
+            n = len(Wr)
+            for c, t in Wr.items():
+                col_count[c] = col_count.get(c, 0) + 1
+                if len(t) == 1:
+                    units.append((n, r, c))
         if not units:
             break
-        if len(units) > 1:
-            # ties keep the first, the least (r, c)
-            units.sort(key=lambda rc: sum(1 for c in cols if W[rc[0]][c].terms)
-                       + sum(1 for r in rows if W[r][rc[1]].terms))
-        r, c = units[0]
+        _, r, c = min((n + col_count[c], r, c) for n, r, c in units) if len(units) > 1 else units[0]
         rows.remove(r)
-        cols.remove(c)
         pivot_col[r] = c
-        ((e, k),) = W[r][c].terms.items()
+        Wr, Vr = W[r], V[r]
+        ((e, k),) = Wr.pop(c).items()
         unit_e += e
         unit_k *= k
-        Wr, Vr = W[r], V[r]
-        if (e, k) != (0, 1):
+        if e or k != 1:
             inv = scalar_div(1, k)
-            for j in cols:
-                if Wr[j].terms:
-                    Wr[j] = _divide_by_unit(Wr[j], e, inv)
-            V[r] = Vr = [_divide_by_unit(p, e, inv) if p.terms else p for p in Vr]
-        for t in range(m):
-            f = W[t][c]
-            if t == r or not f.terms:
+            W[r] = Wr = {j: _unit_quotient(t, e, inv) for j, t in Wr.items()}
+            V[r] = Vr = {j: _unit_quotient(t, e, inv) for j, t in Vr.items()}
+        for Wt, Vt in zip(W, V):
+            f = Wt.pop(c, None)  # the pivot row holds c no longer
+            if f is None:
                 continue
-            Wt, Vt = W[t], V[t]
-            for j in cols:
-                if Wr[j].terms:
-                    Wt[j] = _submul(Wt[j], f, Wr[j])
-            for j, g in enumerate(Vr):
-                if g.terms:
-                    Vt[j] = _submul(Vt[j], f, g)
+            for row, pivot_row in ((Wt, Wr), (Vt, Vr)):
+                for j, g in pivot_row.items():
+                    t = _submul(row.get(j), f, g)
+                    if t:
+                        row[j] = t
+                    else:
+                        del row[j]
 
-    # sigma: pivot row r -> pivot_col[r], the k-th unused row -> the k-th unused column
+    used = set(pivot_col.values())
+    cols = [c for c in range(m) if c not in used]
+    blocks = _core_blocks(W, rows, cols) if rows else []
+    # sigma: pivot row r -> pivot_col[r], a block's k-th row -> its k-th column
     sigma = dict(pivot_col)
-    sigma.update(zip(rows, cols))
+    for block_rows, block_cols in blocks:
+        sigma.update(zip(block_rows, block_cols))
     if sum(sigma[i] > sigma[j] for i in range(m) for j in range(i + 1, m)) % 2:
         unit_k = -unit_k
-    s = len(rows)
-    if s:
-        adj, det_core = mat_adjugate(LaurentMatrix._adopt([[W[r][c] for c in cols] for r in rows], s, s))
-        det = det_core.shift(unit_e).scale(unit_k)
-        if not det_core.is_monomial():
-            return det, None
-        VU = mat_inverse(adj, det_core) @ LaurentMatrix._adopt([V[r] for r in rows], s, m)
-        for r, row in zip(rows, VU.entries):
-            V[r] = row
-        if pivot_col:
-            pivots = list(pivot_col)
-            B = LaurentMatrix._adopt([[W[r][c] for c in cols] for r in pivots], len(pivots), s)
-            VP = LaurentMatrix._adopt([V[r] for r in pivots], len(pivots), m) - B @ VU
-            for r, row in zip(pivots, VP.entries):
-                V[r] = row
-    else:
-        det = LaurentPoly.monomial(unit_e, unit_k)
     inverse: list[list[LaurentPoly]] = [[]] * m
-    for r, row in enumerate(V):
-        inverse[sigma[r]] = row
+    if not blocks:
+        for r, row in enumerate(V):
+            inverse[sigma[r]] = _dense_row(row, m)
+        return LaurentPoly.monomial(unit_e, unit_k), LaurentMatrix._adopt(inverse, m, m)
+
+    det_core = None
+    passes = []
+    for block_rows, block_cols in blocks:
+        n = len(block_rows)
+        S = [[_adopt_terms(W[r].get(c) or {}) for c in block_cols] for r in block_rows]
+        adj, det_block = mat_adjugate(LaurentMatrix._adopt(S, n, n))
+        det_core = det_block if det_core is None else det_core * det_block
+        passes.append((adj, det_block))
+    det = det_core.shift(unit_e).scale(unit_k)
+    if not det_core.is_monomial():
+        return det, None
+    # core column c -> row c of M^-1: the block's S_b^-1 times its rows of the right half
+    solved: dict[int, list[LaurentPoly]] = {}
+    for (block_rows, block_cols), (adj, det_block) in zip(blocks, passes):
+        right = LaurentMatrix._adopt([_dense_row(V[r], m) for r in block_rows], len(block_rows), m)
+        solved.update(zip(block_cols, (mat_inverse(adj, det_block) @ right).entries))
+    if pivot_col:
+        pivots = list(pivot_col)
+        B = [[_adopt_terms(W[p].get(c) or {}) for c in cols] for p in pivots]
+        VU = LaurentMatrix._adopt([solved[c] for c in cols], len(cols), m)
+        VP = LaurentMatrix._adopt([_dense_row(V[p], m) for p in pivots], len(pivots), m)
+        VP = VP - LaurentMatrix._adopt(B, len(pivots), len(cols)) @ VU
+        for p, row in zip(pivots, VP.entries):
+            inverse[sigma[p]] = row
+    for c, row in solved.items():
+        inverse[c] = row
     return det, LaurentMatrix._adopt(inverse, m, m)
 
 

@@ -4,10 +4,11 @@ The engine follows Grothendieck's induction on the rank.  It peels off a
 maximal-degree equivariant line subbundle (spanned by an eigenvector of the
 global sections of a suitable twist; one twist and one H^0 solve per peel)
 and passes to the quotient, down to rank 0.  It then folds the peels' frames
-from the last quotient up: each peel's extension row, carried through the
-frames that split its quotient, is cleared in one row by a unipotent factor
-on each chart (``triangular_clear``), since the peeled degree is at least
-every degree below it.  The output is the summand list together with the
+from the last quotient up, starting from the frames of the last peel, which
+split its rank-1 bundle: each earlier peel's extension row, carried through
+the frames that split its quotient, is cleared in one row by a unipotent
+factor on each chart (``triangular_clear``), since the peeled degree is at
+least every degree below it.  The output is the summand list together with the
 two invertible frame matrices whose product identity is machine-checkable,
 plus an independent verifier for that certificate.
 
@@ -18,7 +19,7 @@ unipotent.  The producer therefore forms no determinant or adjugate of a
 frame.  The H^0 route needs the inverse transition of every bundle it
 peels: the input's validation takes the split's one det pass, for det A and
 A^-1 (``mat_det_inverse``: Gauss–Jordan on unit pivots, then a
-Faddeev–LeVerrier pass only on a nonempty unit-free core), and each
+Faddeev–LeVerrier pass per block of a nonempty unit-free core), and each
 quotient inherits its inverse (a block of U A^-1 V(1/z)^-1) and degree
 from its peel, as the twists do.  The certificate identity
 MInf(1/z) A M0 = D hands out both frame inverses as products (M0^-1 =
@@ -268,11 +269,11 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
     allows because the degree n of L is at least every degree of Q.  The
     peels run first, down to rank 0, so their degrees come out
     non-increasing; the frames are then folded from the last peel up,
-    starting from the empty frames of rank 0.  With (M0', MInf') splitting
-    the quotient of a peel V(1/z) A Uinv = [[z^-n, beta], [0, Q.A]], the
-    row beta' = beta M0' is cleared by ``triangular_clear`` into (gamma,
-    -delta), and M0 = Uinv [[1, gamma], [0, M0']] and MInf = [[1, -delta
-    MInf'], [0, MInf']] V split E.  Summands come out in canonical
+    starting from that peel's own frames (Uinv, V), which split its rank-1
+    bundle.  With (M0', MInf') splitting the quotient of a peel V(1/z) A
+    Uinv = [[z^-n, beta], [0, Q.A]], the row beta' = beta M0' is cleared
+    by ``triangular_clear`` into (gamma, -delta), and M0 = Uinv [[1, gamma],
+    [0, M0']] and MInf = [[1, -delta MInf'], [0, MInf']] V split E.  Summands come out in canonical
     ``LineSummand.sort_key`` order (non-increasing degree, then weight).
     With a rank-0 torus this is a constructive splitting-type computation.
     """
@@ -288,8 +289,12 @@ def equivariant_split(E: EquivariantBundle) -> tuple[list[LineSummand], Splittin
         steps.append((step.summand, step.Uinv, step.V, step.reframed.A.entries[0][1:]))
         current = step.quotient
 
+    # the last peel leaves rank 0, so its own frames split its rank-1 bundle
     summands: list[LineSummand] = []  # the current quotient's, in peel order
     M0 = MInf = LaurentMatrix.zeros(0, 0)
+    if steps:
+        summand, M0, MInf, _ = steps.pop()
+        summands.append(summand)
     for summand, Uinv, V, beta in reversed(steps):
         k = M0.rows
         carried = (LaurentMatrix._adopt([beta], 1, k) @ M0).entries[0]  # beta' = beta M0'

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -398,3 +399,50 @@ def test_cohomology_work_counters(capsys, monkeypatch, tmp_path):
     # one input leaves a 2x2 core: its pass is the fused det product, and
     # S^-1 and the pivot rows' correction take one product each
     assert calls == {"adjugate": [2], "matmul": 3}
+
+
+def test_cohomology_pool_document_is_byte_identical(capsys, monkeypatch, tmp_path):
+    # sha256 of the concatenated cohomology stdout over the benchmark's whole
+    # cohomology-dense pool (run seed 0), the digest its traced runs report
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    from instances import write_pool
+    from workloads import WORKLOADS
+
+    digest = hashlib.sha256()
+    for key in write_pool(WORKLOADS["cohomology-dense"], 0, tmp_path):
+        code, out, _ = run(capsys, "cohomology", key.path)
+        assert code == 0, key.seed
+        digest.update(out.encode())
+    assert digest.hexdigest() == "2be755bacd1690d03d9ebd7ee21d59f9914e8f3da091678c57aad68dcbeb5ddc"
+
+
+# sha256 of the cohomology stdout of the dense rank-m scramble with 10*m ops
+# under the torus acting through a, as in tests/test_splitting.py::dense_moving
+COHOMOLOGY_SHA_DENSE = {
+    (6, ()): "395820f1b21eae7b786874f84147f56660e50665d54d609ada4c660fa0295bc7",
+    (8, ()): "ca22403db6a692fc60fe479332e4ff893d27896008df50d7693b4083dc82a647",
+    (12, ()): "af81d539c2df770299460d5761974aefa3b527dbfb07c6dd4959838ca33ab582",
+    (16, ()): "36304481ea2416de2024ca4f6de81d53b3b92be97759426edb42fdd331f31cf9",
+    (6, (0,)): "d0b868e19f3252fefe4056ed1fbda2399302e1992400373efa5df4b383fb6d63",
+    (8, (0,)): "b6ee836920d88ff0eff463fca9bc6cc7bef97d467ce38299af5e8c333fdc9f6e",
+    (12, (0,)): "4a2986201c112a3d27663dc0e4258a4ca469a52addc030d81266aa1727da7aff",
+    (16, (0,)): "cd899193e417635cbf92a5e8d4d63df24aeae438cd2f2e07834d2930f68ddca5",
+    (6, (1,)): "a687e437f02ed08fb46751ef5997c613eeef1cea780ab2d158c6fc639ca4aaf8",
+    (8, (1,)): "eb9fd870ad0aeafb61c5cb703e7a8967372d1831ce437648aadc81e9174bc556",
+    (12, (1,)): "44892fc74060f651aac9ce0ddd6524aacb633a330963657708bbc2441d89263c",
+    (16, (1,)): "b44e7e4271444b6a7d354674984262b6ae4ca094facca6a7d76a639c2890c8df",
+}
+
+
+@pytest.mark.parametrize("m, a", list(COHOMOLOGY_SHA_DENSE), ids=lambda v: str(v))
+def test_dense_cohomology_document_is_byte_identical(capsys, tmp_path, m, a):
+    torus = TorusAction(len(a), a)
+    rng = random.Random(1)
+    summands = [LineSummand(rng.randint(-3, 3), tuple(rng.randint(-2, 2) for _ in a)) for _ in range(m)]
+    E, _ = random_instance(1, summands, 10 * m, torus)
+    path = tmp_path / "instance.json"
+    path.write_text(dumps_canonical(instance_to_json(E)))
+    code, out, _ = run(capsys, "cohomology", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COHOMOLOGY_SHA_DENSE[m, a]

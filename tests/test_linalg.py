@@ -227,6 +227,104 @@ class TestDetInverse:
             mat_det_inverse(LaurentMatrix.zeros(2, 3))
 
 
+def evaluate(p, z):
+    return sum((c * Fraction(z) ** e for e, c in p.terms.items()), Fraction(0))
+
+
+def det_at(M, z):
+    """det M(z) at a rational point z, by exact Fraction elimination."""
+    rows = [[evaluate(p, z) for p in row] for row in M.entries]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        piv = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / rows[k][k]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return det
+
+
+# a unimodular 2x2 with no monomial entry (det 1), and a singular one
+UNIT_FREE = [[{0: 2, 1: 2, 2: 1}, {0: 3, 1: 5, 2: 3, 3: 1}], [{0: 1, 1: 1}, {0: 2, 1: 2, 2: 1}]]
+SINGULAR = [[{0: 1, 1: 1}, {0: 2, 1: 2}], [{0: 1, 2: 1}, {0: 2, 2: 2}]]
+
+
+def block_diagonal(*blocks):
+    m = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        for row in b:
+            rows.append([{}] * at + row + [{}] * (m - at - len(row)))
+        at += len(b)
+    return rows
+
+
+class TestDetInverseBlocks:
+    """The unit-free core takes one adjugate pass per connected block of its pattern."""
+
+    @pytest.mark.parametrize("m, sizes", [(16, [6, 5]), (24, [7, 3, 4]), (32, [7, 7, 4, 2])])
+    def test_dense_fixed_base(self, monkeypatch, m, sizes):
+        # under a fixed base the weight law makes A block-diagonal by weight
+        # class up to a permutation, so the core falls apart
+        rng = random.Random(1)
+        summands = [LineSummand(rng.randint(-3, 3), (rng.randint(-2, 2),)) for _ in range(m)]
+        E, hidden = random_instance(1, summands, 10 * m, TorusAction(1, (0,)))
+        got = count_adjugates(monkeypatch)
+        det, inv = mat_det_inverse(E.A)
+        assert got == sizes
+        assert det.is_monomial() and -det.deg == sum(s.n for s in hidden)
+        _assert_normal(inv)
+        if m == 16:
+            assert (det, inv) == faddeev_leverrier(E.A)
+        else:
+            # the whole-matrix adjugate pass takes seconds here: M^-1 is
+            # unique, and det M is pinned by its values at two points
+            assert E.A @ inv == inv @ E.A == LaurentMatrix.identity(m)
+            for z in (2, Fraction(-1, 3)):
+                assert evaluate(det, z) == det_at(E.A, z)
+
+    def test_interleaved_blocks(self, monkeypatch):
+        # two unit-free 2x2 blocks of det 1, on rows (0, 2) / (1, 3) and
+        # columns (1, 4) / (0, 2), and the unit pivot 3z^-2 at (4, 3), whose
+        # row also meets column 0: sigma = (0 1)(2 4 3) is odd, so det is
+        # -3z^-2, and the pivot row takes the correction product
+        a, b = UNIT_FREE, [list(col) for col in zip(*UNIT_FREE)]
+        M = [[{}] * 5 for _ in range(5)]
+        for (r, c), cell in [((0, 1), a[0][0]), ((0, 4), a[0][1]), ((2, 1), a[1][0]), ((2, 4), a[1][1]),
+                             ((1, 0), b[0][0]), ((1, 2), b[0][1]), ((3, 0), b[1][0]), ((3, 2), b[1][1]),
+                             ((4, 3), {-2: 3}), ((4, 0), {0: 1, 1: 1})]:
+            M[r][c] = cell
+        sizes = count_adjugates(monkeypatch)
+        det, inv = assert_det_inverse(lm(M))
+        assert sizes == [2, 2]
+        assert det == P.monomial(-2, -3) and inv is not None
+
+    def test_singular_block(self, monkeypatch):
+        sizes = count_adjugates(monkeypatch)
+        assert assert_det_inverse(lm(block_diagonal(UNIT_FREE, SINGULAR))) == (P.zero(), None)
+        assert sizes == [2, 2]
+
+    def test_non_square_component(self, monkeypatch):
+        # column 2 is zero: the core has a 3-row, 2-column component and an
+        # empty column, so det is 0; the whole core takes the one pass
+        M = [[{0: 1, 1: 1}, {0: 1, 2: 1}, {}], [{0: 2, 1: 1}, {0: 1, 1: 1}, {}], [{0: 1, 1: 1}, {0: 3, 1: 1}, {}]]
+        sizes = count_adjugates(monkeypatch)
+        assert assert_det_inverse(lm(M)) == (P.zero(), None)
+        assert sizes == [3]
+
+    def test_non_unit_block(self, monkeypatch):
+        # det M is the product of the block dets, 1 * (1 + z), which is no unit
+        sizes = count_adjugates(monkeypatch)
+        assert assert_det_inverse(lm(block_diagonal(UNIT_FREE, [[{0: 1, 1: 1}]]))) == (P({0: 1, 1: 1}), None)
+        assert sizes == [2, 1]
+
+
 def dense_kernel(M, ncols):
     """kernel_sparse on dense rows, with the basis vectors made dense."""
     _, basis = kernel_sparse([{j: v for j, v in enumerate(row) if v} for row in M], ncols)

@@ -705,11 +705,12 @@ def test_rank_5_split_products(monkeypatch):
     # each of the five built sections is one fused product (A^-1 h), the
     # input's det pass pivots on units only, with no core and so no product,
     # and each of the four quotients inherits its inverse in two restricted
-    # products; the fold takes four products per peel, the last peel's
-    # included (beta M0', -delta MInf', Uinv [[1, gamma], [0, M0']] and
-    # [[1, -delta MInf'], [0, MInf']] V), so a dense rank-5 split takes 46
-    # matrix products (50 when the input took a Faddeev–LeVerrier pass of
-    # three products and a fused row-times-column det); scalar scalings
+    # products; the fold starts from the last peel's own frames and takes
+    # four products per other peel (beta M0', -delta MInf', Uinv [[1,
+    # gamma], [0, M0']] and [[1, -delta MInf'], [0, MInf']] V), so a dense
+    # rank-5 split takes 42 matrix products (four more when the fold started
+    # from 0x0 frames, and four more when the input took a Faddeev–LeVerrier
+    # pass of three products and a fused row-times-column det); scalar scalings
     # scale coefficients, each Bezout update is a single product with a
     # nonzero entry, and the one-row clear reads gamma and delta off the
     # row with no product, which leaves 63 Laurent products
@@ -728,7 +729,7 @@ def test_rank_5_split_products(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", mul)
     monkeypatch.setattr(LaurentPoly, "__rmul__", mul)
     equivariant_split(E)
-    assert calls == {"matmul": 46, "mul": 63}
+    assert calls == {"matmul": 42, "mul": 63}
 
 
 def dense_moving(m, a):

@@ -141,7 +141,10 @@ class EquivariantBundle:
         return det
 
     def inverse_transition(self) -> LaurentMatrix:
-        """A^-1: inherited from the bundle this one was derived from, else from its own det pass."""
+        """A^-1: inherited from the bundle this one was derived from, else from its own det pass.
+
+        Every layer asks here, so a singular A raises this one ValueError.
+        """
         if self._inv is None:
             det = self._det_pass()
             if self._inv is None:
@@ -235,8 +238,8 @@ def validate(E: EquivariantBundle) -> ValidationReport:
 
 def degree(E: EquivariantBundle) -> int:
     """Minus the z-exponent of det(A); additive over direct sums."""
-    if E._degree is None and not E._det_pass().is_monomial():
-        raise ValueError("transition determinant is not a monomial")
+    if E._degree is None:
+        E.inverse_transition()  # sets the degree, or raises
     return E._degree
 
 

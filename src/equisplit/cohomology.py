@@ -53,8 +53,9 @@ plain tuple arithmetic.  Rows are created in a fixed order (by component,
 then at their first term; generators by column, then degree), so every
 elimination, and with it every pivot, is the same on every run.
 
-The Euler identity h0 - h1 = degree + rank stays armed: a failure raises
-InvariantViolation.
+Every entry point takes A^-1 from ``E.inverse_transition()``, so a singular
+transition raises its ValueError.  The Euler identity h0 - h1 = degree +
+rank stays armed: a failure raises InvariantViolation.
 """
 
 from __future__ import annotations
@@ -148,17 +149,12 @@ def _h0_basis(E: EquivariantBundle) -> _H0System:
     m = E.rank
     if m == 0:
         return _H0System([], [], [], [])
+    inv = E.inverse_transition()
     # h_i = (A f)_i has exponents in [lo_i, 0], lo_i the least exponent of
-    # row i of A; component i's unknowns are e in [start_i, 0], start_i = 1
-    # (none) for a zero row or lo_i > 0, and columns[i][e - start_i] is the
-    # column of h[i][e]
-    starts = []
-    for row in E.A.entries:
-        lows = [min(p.terms) for p in row if p.terms]
-        starts.append(min(1, *lows) if lows else None)
-    if all(start is None for start in starts):
-        raise ValueError("invalid bundle: zero transition matrix")
-    starts = [1 if start is None else start for start in starts]
+    # row i of A (A is invertible, so no row is zero); component i's unknowns
+    # are e in [start_i, 0], start_i = 1 (none) for lo_i > 0, and
+    # columns[i][e - start_i] is the column of h[i][e]
+    starts = [min(1, *(min(p.terms) for p in row if p.terms)) for row in E.A.entries]
     unknowns = [(i, e) for e in range(min(starts), 1) for i, start in enumerate(starts) if start <= e]
     n = len(unknowns)
     if n == 0:
@@ -176,7 +172,7 @@ def _h0_basis(E: EquivariantBundle) -> _H0System:
     # their denominators.  Row (i, x) is created at its first term, rows of
     # component i before those of i + 1.
     rows: list[dict[int, Scalar]] = []
-    for inv_row in E.inverse_transition().entries:
+    for inv_row in inv.entries:
         by_x: dict[int, dict[int, Scalar]] = {}
         for j, p in enumerate(inv_row):
             start = starts[j]
@@ -207,7 +203,7 @@ def _section_from_h(E: EquivariantBundle, h: tuple[LaurentPoly, ...], chi: Weigh
     """The section (f, g) = (A^-1 h, h(1/z)) of weight chi."""
     f = _times_column(E.inverse_transition(), h)
     if not all(fi.is_polynomial() for fi in f):
-        raise AssertionError("inverse parametrization produced a non-polynomial f")
+        raise InvariantViolation("inverse parametrization produced a non-polynomial f")
     return Section(f, tuple(hi.invert_variable() for hi in h), chi)
 
 
@@ -283,8 +279,6 @@ def _cech_bounds(E: EquivariantBundle) -> tuple[list[int], list[int]]:
     lives on the overlap exponents [1, W_i], W_i = max(0, -lo'_i - 1) with
     lo'_i the least exponent of column i of A^-1.
     """
-    if not any(p.terms for row in E.A.entries for p in row):
-        raise ValueError("invalid bundle: zero transition matrix")
     # one pass over A^-1: each row's greatest exponent, each column's least
     f_degrees: list[int] = []
     col_lo: list[int | None] = [None] * E.rank

@@ -301,13 +301,14 @@ def _dense_row(row: dict[int, dict[int, Scalar]], m: int) -> list[LaurentPoly]:
     return [_adopt_terms(row[j]) if j in row else _adopt_terms({}) for j in range(m)]
 
 
-def _core_blocks(W: list[dict[int, dict]], rows: list[int], cols: list[int]) -> list[tuple[list[int], list[int]]]:
+def _core_blocks(W: list[dict[int, dict]], rows: list[int], cols: list[int]) -> list[tuple[list[int], list[int]]] | None:
     """The connected components of the core's nonzero pattern, as square (rows, cols) blocks.
 
     Rows and columns are ascending within a block, and blocks are ordered by
-    their least row.  A pattern with a non-square component (an empty row
-    or column among them) has det 0; it is returned as the one whole block,
-    whose pass finds that determinant.
+    their least row.  None when a component is not square: the pattern
+    alone then shows det 0.  The core is square, so when every component
+    is, every column lies in one: an empty column leaves some component
+    with more rows than columns.
     """
     col_rows: dict[int, list[int]] = {c: [] for c in cols}
     for r in rows:
@@ -333,10 +334,8 @@ def _core_blocks(W: list[dict[int, dict]], rows: list[int], cols: list[int]) -> 
                             seen_rows.add(t)
                             stack.append(t)
         if len(block_rows) != len(block_cols):
-            return [(rows, cols)]
+            return None
         blocks.append((sorted(block_rows), sorted(block_cols)))
-    if len(seen_cols) != len(cols):
-        return [(rows, cols)]
     return blocks
 
 
@@ -355,16 +354,17 @@ def mat_det_inverse(M: LaurentMatrix) -> tuple[LaurentPoly, LaurentMatrix | None
     column, and forms no LaurentPoly until the results are wrapped.
 
     The unused rows and columns leave a unit-free core S, often empty.  S is
-    split into the connected components of its nonzero pattern, square
-    blocks S_b, and each block takes one Faddeev–LeVerrier pass
-    (``mat_adjugate``).  With sigma pairing each pivot row with its column
-    and the k-th row of each block with its k-th column, det M is sgn(sigma)
-    times the product of the pivots times the product of the det S_b.  When
-    every det S_b is a monomial, the block's rows of the right half are
-    multiplied by S_b^-1, and B times them is taken off the pivot rows, B
-    being the pivot rows' entries in the unused columns; row sigma(r) of
-    M^-1 is then row r of the right half.  det M and M^-1 are unique, so
-    they equal what ``mat_adjugate`` and ``mat_inverse`` give for M.
+    split into the connected components of its nonzero pattern; if one is
+    not square, det M = 0.  Else each is a square block S_b and takes one
+    Faddeev–LeVerrier pass (``mat_adjugate``), up to the first det S_b = 0.
+    With sigma pairing each pivot row with its column and the k-th row of
+    each block with its k-th column, det M is sgn(sigma) times the product of
+    the pivots times the product of the det S_b.  When every det S_b is a
+    monomial, the block's rows of the right half are multiplied by S_b^-1,
+    and B times them is taken off the pivot rows, B being the pivot rows'
+    entries in the unused columns; row sigma(r) of M^-1 is then row r of the
+    right half.  det M and M^-1 are unique, so they equal what
+    ``mat_adjugate`` and ``mat_inverse`` give for M.
     """
     if not M.is_square():
         raise ValueError("determinant of a non-square matrix")
@@ -415,45 +415,41 @@ def mat_det_inverse(M: LaurentMatrix) -> tuple[LaurentPoly, LaurentMatrix | None
 
     used = set(pivot_col.values())
     cols = [c for c in range(m) if c not in used]
-    blocks = _core_blocks(W, rows, cols) if rows else []
+    blocks = _core_blocks(W, rows, cols)
+    if blocks is None:
+        return LaurentPoly.zero(), None
     # sigma: pivot row r -> pivot_col[r], a block's k-th row -> its k-th column
     sigma = dict(pivot_col)
     for block_rows, block_cols in blocks:
         sigma.update(zip(block_rows, block_cols))
     if sum(sigma[i] > sigma[j] for i in range(m) for j in range(i + 1, m)) % 2:
         unit_k = -unit_k
-    inverse: list[list[LaurentPoly]] = [[]] * m
-    if not blocks:
-        for r, row in enumerate(V):
-            inverse[sigma[r]] = _dense_row(row, m)
-        return LaurentPoly.monomial(unit_e, unit_k), LaurentMatrix._adopt(inverse, m, m)
-
     det_core = None
     passes = []
     for block_rows, block_cols in blocks:
         n = len(block_rows)
         S = [[_adopt_terms(W[r].get(c) or {}) for c in block_cols] for r in block_rows]
         adj, det_block = mat_adjugate(LaurentMatrix._adopt(S, n, n))
+        if not det_block.terms:
+            return LaurentPoly.zero(), None
         det_core = det_block if det_core is None else det_core * det_block
         passes.append((adj, det_block))
-    det = det_core.shift(unit_e).scale(unit_k)
-    if not det_core.is_monomial():
+    det = LaurentPoly.monomial(unit_e, unit_k) if det_core is None else det_core.shift(unit_e).scale(unit_k)
+    if not det.is_monomial():
         return det, None
-    # core column c -> row c of M^-1: the block's S_b^-1 times its rows of the right half
-    solved: dict[int, list[LaurentPoly]] = {}
+    inverse: list[list[LaurentPoly]] = [[]] * m
     for (block_rows, block_cols), (adj, det_block) in zip(blocks, passes):
         right = LaurentMatrix._adopt([_dense_row(V[r], m) for r in block_rows], len(block_rows), m)
-        solved.update(zip(block_cols, (mat_inverse(adj, det_block) @ right).entries))
-    if pivot_col:
-        pivots = list(pivot_col)
+        for c, row in zip(block_cols, (mat_inverse(adj, det_block) @ right).entries):
+            inverse[c] = row
+    pivots = list(pivot_col)
+    VP = LaurentMatrix._adopt([_dense_row(V[p], m) for p in pivots], len(pivots), m)
+    if pivots and cols:
         B = [[_adopt_terms(W[p].get(c) or {}) for c in cols] for p in pivots]
-        VU = LaurentMatrix._adopt([solved[c] for c in cols], len(cols), m)
-        VP = LaurentMatrix._adopt([_dense_row(V[p], m) for p in pivots], len(pivots), m)
+        VU = LaurentMatrix._adopt([inverse[c] for c in cols], len(cols), m)
         VP = VP - LaurentMatrix._adopt(B, len(pivots), len(cols)) @ VU
-        for p, row in zip(pivots, VP.entries):
-            inverse[sigma[p]] = row
-    for c, row in solved.items():
-        inverse[c] = row
+    for p, row in zip(pivots, VP.entries):
+        inverse[sigma[p]] = row
     return det, LaurentMatrix._adopt(inverse, m, m)
 
 

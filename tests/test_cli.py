@@ -41,6 +41,24 @@ class TestValidate:
         assert code == 1
         assert json.loads(out)["valid"] is False
 
+    def test_singular_transition_takes_no_adjugate_pass(self, capsys, monkeypatch, tmp_path):
+        # dense m=32, a=(0,) with its last row zeroed: det 0 is read off the
+        # core's pattern, where a whole-core pass took seconds
+        rng = random.Random(1)
+        summands = [LineSummand(rng.randint(-3, 3), (rng.randint(-2, 2),)) for _ in range(32)]
+        E, _ = random_instance(1, summands, 320, TorusAction(1, (0,)))
+        for k in range(32):
+            E.A.entries[31][k] = LaurentPoly.zero()
+        path = tmp_path / "singular.json"
+        path.write_text(dumps_canonical(instance_to_json(E)))
+        sizes = []
+        adjugate = linalg.mat_adjugate
+        monkeypatch.setattr(linalg, "mat_adjugate", lambda M: sizes.append(M.rows) or adjugate(M))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 1
+        assert json.loads(out) == {"valid": False, "violations": ["det(A) = 0 is not a nonzero monomial"]}
+        assert sizes == []
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         doc = load_json_file(fixture_path("o_3"))
         doc["A"][0][0] = [[0, 1, 0]]
@@ -346,6 +364,16 @@ class TestErrors:
         doc = json.loads(out)  # exactly one document: trailing text would not parse
         assert doc["error"]["message"] == "internal invariant failed"
         assert phrase in doc["error"]["invariant"]
+        assert "Traceback" not in err
+
+    def test_non_polynomial_section_is_an_invariant_failure(self, capsys, monkeypatch):
+        # f = A^-1 h with a negative exponent fails inside the split's eigen-section
+        monkeypatch.setattr(cohomology, "_times_column", lambda M, v: tuple(LaurentPoly.monomial(-1) for _ in v))
+        code, out, err = run(capsys, "split", fixture_path("o_3"))
+        assert code == 1
+        doc = json.loads(out)  # exactly one document
+        assert doc["error"]["message"] == "internal invariant failed"
+        assert "non-polynomial f" in doc["error"]["invariant"]
         assert "Traceback" not in err
 
     def test_oracle_disagreement_is_an_invariant_failure(self, capsys, monkeypatch):

@@ -471,11 +471,23 @@ class TestStabilization:
         assert cech_cohomology(E) == (0, Character())
 
 
-@pytest.mark.parametrize("fn", [cech_cohomology, h0_dim, h1_dim, h1_character])
+# a singular transition: zero, zero but for one entry, and two equal rows
+SINGULAR_TRANSITIONS = [
+    LaurentMatrix.zeros(2, 2),
+    LaurentMatrix([[P.monomial(1), P.zero()], [P.zero(), P.zero()]]),
+    LaurentMatrix([[P.one(), P({0: 1, 1: 2})], [P.one(), P({0: 1, 1: 2})]]),
+]
+
+
+@pytest.mark.parametrize(
+    "fn", [cech_cohomology, h0_dim, h0_character, h0_sections, h1_dim, h1_character, degree]
+)
 def test_zero_transition_matrix_is_one_error(fn):
-    E = EquivariantBundle(LaurentMatrix.zeros(2, 2), ((), ()), ((), ()))
-    with pytest.raises(ValueError, match="invalid bundle: zero transition matrix"):
-        fn(E)
+    # every entry point asks inverse_transition(), whose one error names det
+    for A in SINGULAR_TRANSITIONS:
+        E = EquivariantBundle(A, ((), ()), ((), ()))
+        with pytest.raises(ValueError, match="determinant 0 is not a nonzero monomial"):
+            fn(E)
 
 
 def full_cech_kernel_dim(E, f_degrees, g_degree):

@@ -2,13 +2,13 @@
 
 A rank-m bundle is a transition matrix A(z) that converts chart-0 section
 coordinates into chart-infinity coordinates on the overlap; invertibility
-over the Laurent ring means det A is a nonzero monomial.  ``validate`` and
-``degree`` take det A and A^-1 from one ``mat_det_inverse`` per bundle,
-which pivots on the monomial entries of A and runs a Faddeev–LeVerrier pass
-on each connected block of the unit-free core left, if any; derived bundles
-inherit both.  A torus action is recorded by a base character exponent
-vector ``a`` together with one integer weight vector per frame vector on
-each chart.
+over the Laurent ring means det A is a nonzero monomial.  ``validate``,
+``degree`` and ``inverse_transition`` read one cached det verdict per bundle,
+from one ``mat_det_inverse``, which pivots on the monomial entries of A and
+runs a Faddeev–LeVerrier pass on each connected block of the unit-free core
+left, if any; derived bundles are built with their source's verdict.  A torus
+action is recorded by a base character exponent vector ``a`` together with
+one integer weight vector per frame vector on each chart.
 
 Conventions (fixed here, cited everywhere else):
 
@@ -101,17 +101,19 @@ class LineSummand:
         return (-self.n, self.lam)
 
 
+# the det verdict: (degree, A^-1) when det A is a nonzero monomial, else det A
+_Verdict = tuple[int, LaurentMatrix] | LaurentPoly
+
+
 class EquivariantBundle:
     """Transition matrix plus per-chart frame weights under a torus action."""
 
-    # _degree and A^-1 (_inv) are set together or not at all: twist, dual,
-    # hom_bundle and a peel's quotient inherit both, any other bundle takes
-    # one det pass (_det_pass): unit-pivot Gauss–Jordan, plus one adjugate
-    # pass per block of the unit-free core when that is nonempty.  _h0
-    # caches the forward-eliminated H^0 system (cohomology._H0System):
-    # column weights, pivots and echelon rows, plus the canonical kernel once
-    # a caller asks for sections
-    __slots__ = ("A", "lambda0", "lambdaInf", "torus", "_degree", "_inv", "_h0")
+    # _verdict caches the det verdict (_det_verdict); twist, dual, hom_bundle
+    # and a peel's quotient are built with theirs (_derived).  _h0 caches the
+    # forward-eliminated H^0 system (cohomology._H0System): column weights,
+    # pivots and echelon rows, plus the canonical kernel once a caller asks
+    # for sections
+    __slots__ = ("A", "lambda0", "lambdaInf", "torus", "_verdict", "_h0")
 
     def __init__(
         self,
@@ -124,32 +126,33 @@ class EquivariantBundle:
         self.lambda0 = tuple(tuple(w) for w in lambda0)
         self.lambdaInf = tuple(tuple(w) for w in lambdaInf)
         self.torus = torus
-        self._degree: int | None = None
-        self._inv: LaurentMatrix | None = None
+        self._verdict: _Verdict | None = None
         self._h0 = None
+
+    @classmethod
+    def _derived(cls, A, lambda0, lambdaInf, torus: TorusAction, verdict: _Verdict) -> EquivariantBundle:
+        """A bundle built from another one, with the det verdict its source implies."""
+        out = cls(A, lambda0, lambdaInf, torus)
+        out._verdict = verdict
+        return out
 
     @property
     def rank(self) -> int:
         return self.A.rows
 
-    def _det_pass(self) -> LaurentPoly:
-        """det A from one ``mat_det_inverse``, caching the degree and A^-1 when det A is a monomial."""
-        det, inv = mat_det_inverse(self.A)
-        if inv is not None:
-            self._degree = -det.deg
-            self._inv = inv
-        return det
+    def _det_verdict(self) -> _Verdict:
+        """Set when a derived bundle is built, else one ``mat_det_inverse`` on first use."""
+        if self._verdict is None:
+            det, inv = mat_det_inverse(self.A)
+            self._verdict = det if inv is None else (-det.deg, inv)
+        return self._verdict
 
     def inverse_transition(self) -> LaurentMatrix:
-        """A^-1: inherited from the bundle this one was derived from, else from its own det pass.
-
-        Every layer asks here, so a singular A raises this one ValueError.
-        """
-        if self._inv is None:
-            det = self._det_pass()
-            if self._inv is None:
-                raise ValueError(f"determinant {det!r} is not a nonzero monomial")
-        return self._inv
+        """A^-1: every layer asks here, so a singular A raises this one ValueError."""
+        verdict = self._det_verdict()
+        if isinstance(verdict, LaurentPoly):
+            raise ValueError(f"determinant {verdict!r} is not a nonzero monomial")
+        return verdict[1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EquivariantBundle):
@@ -228,19 +231,17 @@ def validate(E: EquivariantBundle) -> ValidationReport:
                 v.append(f"{name}[{i}] has length {len(w)}, expected torus rank {r}")
     if v:
         return ValidationReport(v)
-    if E._inv is None:
-        det = E._det_pass()
-        if not det.is_monomial():
-            v.append(f"det(A) = {det!r} is not a nonzero monomial")
+    verdict = E._det_verdict()
+    if isinstance(verdict, LaurentPoly):
+        v.append(f"det(A) = {verdict!r} is not a nonzero monomial")
     v.extend(transition_law_violations(E.A, E.lambdaInf, E.lambda0, E.torus))
     return ValidationReport(v)
 
 
 def degree(E: EquivariantBundle) -> int:
     """Minus the z-exponent of det(A); additive over direct sums."""
-    if E._degree is None:
-        E.inverse_transition()  # sets the degree, or raises
-    return E._degree
+    E.inverse_transition()  # raises for a singular A
+    return E._verdict[0]
 
 
 def line_bundle(n: int, lam: Weight = (), torus: TorusAction = NO_TORUS) -> EquivariantBundle:
@@ -256,33 +257,34 @@ def twist(E: EquivariantBundle, n: int, lam: Weight) -> EquivariantBundle:
     """Tensor with the (n, lam)-linearized line bundle.
 
     Transition becomes z^(-n) A; chart-0 weights shift by lam, chart-inf
-    weights by lam - n*a; the degree grows by rank*n.
+    weights by lam - n*a; the degree grows by rank*n, and a singular det
+    is multiplied by z^(-n*rank).
     """
     lam = tuple(lam)
     shift_inf = weight_sub(lam, weight_scale(n, E.torus.a))
-    out = EquivariantBundle(
+    verdict = E._det_verdict()
+    if isinstance(verdict, LaurentPoly):
+        verdict = verdict.shift(-n * E.rank)
+    else:
+        verdict = (verdict[0] + n * E.rank, verdict[1].shift(n))
+    return EquivariantBundle._derived(
         E.A.shift(-n),
         tuple(weight_add(w, lam) for w in E.lambda0),
         tuple(weight_add(w, shift_inf) for w in E.lambdaInf),
         E.torus,
+        verdict,
     )
-    if E._inv is not None:
-        out._degree = E._degree + n * E.rank
-        out._inv = E._inv.shift(n)
-    return out
 
 
 def dual(E: EquivariantBundle) -> EquivariantBundle:
     """Dual bundle: transition transpose(A^-1), weights negated."""
-    out = EquivariantBundle(
+    return EquivariantBundle._derived(
         E.inverse_transition().transpose(),
         tuple(weight_neg(w) for w in E.lambda0),
         tuple(weight_neg(w) for w in E.lambdaInf),
         E.torus,
+        (-degree(E), E.A.transpose()),
     )
-    out._degree = -degree(E)
-    out._inv = E.A.transpose()
-    return out
 
 
 def direct_sum(E: EquivariantBundle, F: EquivariantBundle) -> EquivariantBundle:
@@ -319,10 +321,9 @@ def hom_bundle(E: EquivariantBundle, F: EquivariantBundle) -> EquivariantBundle:
     lamInf = tuple(
         weight_add(dE.lambdaInf[j], F.lambdaInf[i]) for j in range(E.rank) for i in range(F.rank)
     )
-    out = EquivariantBundle(K, lam0, lamInf, E.torus)
-    out._degree = E.rank * degree(F) - F.rank * degree(E)
-    out._inv = dE.inverse_transition().kron(F.inverse_transition())
-    return out
+    deg = E.rank * degree(F) - F.rank * degree(E)
+    inv = dE.inverse_transition().kron(F.inverse_transition())
+    return EquivariantBundle._derived(K, lam0, lamInf, E.torus, (deg, inv))
 
 
 # -- seeded random instances with hidden ground truth -----------------------

@@ -20,12 +20,12 @@ frame.  The H^0 route needs the inverse transition of every bundle it
 peels: the input's validation takes the split's one det pass, for det A and
 A^-1 (``mat_det_inverse``: Gauss–Jordan on unit pivots, then a
 Faddeev–LeVerrier pass per block of a nonempty unit-free core), and each
-quotient inherits its inverse (a block of U A^-1 V(1/z)^-1) and degree
-from its peel, as the twists do.  The certificate identity
-MInf(1/z) A M0 = D hands out both frame inverses as products (M0^-1 =
-D^-1 MInf(1/z) A, MInf(1/z)^-1 = A M0 D^-1), so the verifier takes no
-determinant or adjugate, and it hands the inverses it read to
-``splitting_hom``, which forms no product of its own to get them.
+quotient, like each twist, is built with the det verdict its peel implies:
+its degree, and its inverse as a block of U A^-1 V(1/z)^-1.  The
+certificate identity MInf(1/z) A M0 = D hands out both frame inverses as
+products (M0^-1 = D^-1 MInf(1/z) A, MInf(1/z)^-1 = A M0 D^-1), so the
+verifier takes no determinant or adjugate, and it hands the inverses it
+read to ``splitting_hom``, which forms no product of its own to get them.
 
 With no torus (rank-0 action) the same pipeline is a constructive splitting
 of an arbitrary bundle into line bundles.
@@ -41,9 +41,7 @@ from .bundle import (
     LineSummand,
     TorusAction,
     degree,
-    direct_sum,
     hom_bundle,
-    line_bundle,
     transition_law_violations,
     twist,
     validate,
@@ -148,9 +146,9 @@ def peel(E: EquivariantBundle) -> PeelStep:
     unimodular completion, and reads off the block-triangular transition.
     A section that vanishes somewhere (a nonconstant gcd on either chart)
     cannot be completed to e_1, which raises InvariantViolation; theory
-    rules it out for valid input.  The quotient inherits its degree and
-    inverse transition (a block of U A^-1 V(1/z)^-1), so its validation
-    takes no det pass.
+    rules it out for valid input.  The quotient is built with its source's
+    det verdict: its degree and inverse transition (a block of U A^-1
+    V(1/z)^-1), so its validation takes no det pass.
     """
     if E.rank == 0:
         raise ValueError("peel of a rank-0 bundle")
@@ -172,9 +170,7 @@ def peel(E: EquivariantBundle) -> PeelStep:
     )
     if bad:
         raise InvariantViolation("frame completion broke equivariance: " + "; ".join(bad))
-    if torus.rank and (
-        nu0[0] != chi or nuInf[0] != weight_sub(chi, weight_scale(n1, torus.a))
-    ):
+    if nu0[0] != chi or nuInf[0] != weight_sub(chi, weight_scale(n1, torus.a)):
         raise InvariantViolation(
             f"peeled frame weight {nu0[0]}/{nuInf[0]} does not match the section weight {chi}"
         )
@@ -187,17 +183,18 @@ def peel(E: EquivariantBundle) -> PeelStep:
             raise InvariantViolation("reframed transition lacks the expected first column")
 
     rest = range(1, m)
-    quotient = EquivariantBundle(A_new.submatrix(rest, rest), nu0[1:], nuInf[1:], torus)
-    summand = LineSummand(n1, chi if torus.rank else ())
-    if quotient.rank:
+    A_q = A_new.submatrix(rest, rest)
+    if not rest:
+        quotient = EquivariantBundle(A_q, (), (), torus)
+    else:
         # A_new is block triangular: Q.A^-1 is the lower right block of U A^-1 V(1/z)^-1
         Vinv_z = Vinv.submatrix(range(m), rest).invert_variable()
-        quotient._inv = (U.submatrix(rest, range(m)) @ E.inverse_transition()) @ Vinv_z
-        quotient._degree = degree(E) - n1
+        inv = (U.submatrix(rest, range(m)) @ E.inverse_transition()) @ Vinv_z
+        quotient = EquivariantBundle._derived(A_q, nu0[1:], nuInf[1:], torus, (degree(E) - n1, inv))
         qreport = validate(quotient)
         if not qreport.ok:
             raise InvariantViolation("peel produced an invalid quotient: " + "; ".join(qreport.violations))
-    return PeelStep(summand, U, Uinv, V, EquivariantBundle(A_new, nu0, nuInf, torus), quotient)
+    return PeelStep(LineSummand(n1, chi), U, Uinv, V, EquivariantBundle(A_new, nu0, nuInf, torus), quotient)
 
 
 def triangular_clear(
@@ -538,12 +535,12 @@ def splitting_hom(
     if not report.ok:
         raise ValueError("refusing to build a splitting from an invalid certificate: " + report.summary())
     torus = E.torus
-    S: EquivariantBundle | None = None
-    for summand in cert.summands:
-        L = line_bundle(summand.n, summand.lam, torus)
-        S = L if S is None else direct_sum(S, L)
-    if S is None:
-        S = EquivariantBundle(LaurentMatrix.zeros(0, 0), (), (), torus)
+    S = EquivariantBundle(
+        LaurentMatrix.diagonal([LaurentPoly.monomial(-t.n) for t in cert.summands]),
+        tuple(t.lam for t in cert.summands),
+        tuple(t.chart_inf_weight(torus) for t in cert.summands),
+        torus,
+    )
     M0inv, MInfinv = inverses
     s = HomElement(S, E, cert.M0, MInfinv)
     p = HomElement(E, S, M0inv, cert.MInf)

@@ -18,8 +18,10 @@ from equisplit.bundle import (
     validate,
 )
 from equisplit import splitting
+from equisplit.cohomology import h0_dim, h1_dim
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix, mat_adjugate, mat_inverse
+from test_linalg import SINGULAR, count_adjugates
 
 P = LaurentPoly
 T1 = TorusAction(1, (1,))
@@ -85,8 +87,8 @@ class TestValidate:
         assert validate(E).ok
 
     def test_nonmonomial_det_reported(self):
-        # a det pass that finds no monomial caches neither the degree nor
-        # A^-1, so the bundle stays invalid on every later path
+        # a det pass that finds no monomial caches det A as the verdict,
+        # so the bundle stays invalid on every later path
         E = EquivariantBundle(lm([[{0: 1, 1: 1}]]), ((),), ((),))
         report = validate(E)
         assert not report.ok
@@ -97,6 +99,35 @@ class TestValidate:
         assert validate(E).violations == report.violations
         with pytest.raises(ValueError):
             degree(E)
+
+    def test_singular_verdict_is_cached(self, monkeypatch):
+        # det SINGULAR = 0 is not visible in its pattern, so the det pass
+        # takes a Faddeev–LeVerrier pass; every later layer reads its verdict
+        E = EquivariantBundle(lm(SINGULAR), ((), ()), ((), ()))
+        sizes = count_adjugates(monkeypatch)
+        assert validate(E).violations == ["det(A) = 0 is not a nonzero monomial"]
+        for ask in (h0_dim, h1_dim, degree, EquivariantBundle.inverse_transition):
+            with pytest.raises(ValueError, match="not a nonzero monomial"):
+                ask(E)
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("rows", [SINGULAR, [[{0: 1, 1: 1}]]], ids=["det-0", "det-1+z"])
+    def test_twist_carries_a_singular_verdict(self, monkeypatch, rows):
+        # the twist's det is det A z^(-n m), read off the source's verdict
+        E = EquivariantBundle(lm(rows), ((),) * len(rows), ((),) * len(rows))
+        validate(E)
+        sizes = count_adjugates(monkeypatch)
+        T = twist(E, 1, ())
+        got = validate(T).violations
+        assert sizes == []
+        fresh = EquivariantBundle(T.A, T.lambda0, T.lambdaInf, T.torus)
+        assert got == validate(fresh).violations
+        assert len(got) == 1 and got[0].endswith("is not a nonzero monomial")
+
+    def test_twist_of_a_non_square_matrix_raises(self):
+        E = EquivariantBundle(LaurentMatrix.zeros(2, 3), ((), ()), ((), ()))
+        with pytest.raises(ValueError, match="non-square"):
+            twist(E, 1, ())
 
     def test_single_corrupted_monomial_reported(self):
         rng = random.Random(0)
@@ -232,7 +263,7 @@ class TestHomAndSum:
             splitting.equivariant_split(dense(8, TorusAction(len(a), a)))
         assert peeled > 24 and len(inputs) - peeled == 3 * 7  # ranks 7..1 of each dense split
         for k, B in enumerate(inputs):
-            assert B._inv is not None, k  # inherited, not yet computed below
+            assert B._verdict is not None, k  # inherited, not yet computed below
             assert B.inverse_transition() == mat_inverse(*mat_adjugate(B.A)), k
             assert degree(B) == degree(EquivariantBundle(B.A, B.lambda0, B.lambdaInf, B.torus)), k
 

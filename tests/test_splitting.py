@@ -12,6 +12,7 @@ from equisplit.bundle import (
     LineSummand,
     TorusAction,
     degree,
+    direct_sum,
     hom_bundle,
     line_bundle,
     random_instance,
@@ -510,6 +511,23 @@ class TestSplittingHom:
             FInf_z = s.FInf.invert_variable()
             assert transition_law_violations(FInf_z, E.lambdaInf, S.lambdaInf, torus) == []
 
+    def test_rank_zero(self):
+        E = EquivariantBundle(LaurentMatrix.zeros(0, 0), (), (), T1)
+        summands, cert = equivariant_split(E)
+        assert summands == []
+        s, p = splitting_hom(E, cert)
+        assert s.source == p.target == E
+        assert s.F0 == p.F0 == LaurentMatrix.zeros(0, 0)
+
+    def test_summand_sum_is_the_diagonal_bundle(self):
+        E = e3_bundle()
+        summands, cert = equivariant_split(E)
+        s, _ = splitting_hom(E, cert)
+        want = line_bundle(summands[0].n, summands[0].lam, T1)
+        for t in summands[1:]:
+            want = direct_sum(want, line_bundle(t.n, t.lam, T1))
+        assert s.source == want
+
     def test_invalid_certificate_rejected(self):
         E = e3_bundle()
         _, cert = equivariant_split(E)
@@ -798,7 +816,7 @@ def test_split_matrices_keep_the_coefficient_normal_form(torus):
         E = dense_case(seed, torus)
         _, cert = equivariant_split(E)
         assert verify_certificate(E, cert).ok
-        assert E._inv is not None  # cached by the split, not rebuilt below
+        assert E._verdict is not None  # cached by the split, not rebuilt below
         parsed = certificate_from_json(certificate_to_json(cert), torus.rank)
         for name, M in (("M0", cert.M0), ("MInf", cert.MInf), ("A^-1", E.inverse_transition()),
                         ("parsed M0", parsed.M0), ("parsed MInf", parsed.MInf)):

@@ -109,7 +109,7 @@ def _parse_summands(text: str, r: int) -> list[LineSummand]:
         fields = part.strip().split(":")
         try:
             n = int(fields[0])
-            lam = tuple(int(x) for x in fields[1:] if x != "")
+            lam = tuple(int(x) for x in fields[1:])
         except ValueError as exc:
             raise ParseError(f"--summands[{k}]", f"bad summand {part!r}: {exc}") from exc
         if len(lam) != r:
@@ -123,8 +123,11 @@ def _parse_summands(text: str, r: int) -> list[LineSummand]:
 
 
 def _parse_torus(text: str) -> tuple[int, ...]:
+    """The base character a; the empty text means no torus."""
+    if not text:
+        return ()
     try:
-        return tuple(int(x) for x in text.split(",") if x != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise ParseError("--torus", f"bad base character {text!r}: {exc}") from exc
 

@@ -9,7 +9,7 @@ only where a division forces it; every such division goes through
 is simply a Laurent polynomial with nonnegative exponents whose variable is
 read as w.  All arithmetic is exact.
 
-The polynomial-only helpers (division, extended gcd, unimodular
+The polynomial-only helpers (division and the extended-gcd unimodular
 completion) require nonnegative exponents and raise ``ValueError`` otherwise.
 """
 
@@ -278,34 +278,6 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     return q, r
 
 
-def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Division known to be exact; raises if a remainder is left."""
-    q, r = poly_divmod(a, b)
-    if not r.is_zero():
-        raise ValueError(f"{a!r} is not divisible by {b!r}")
-    return q
-
-
-def poly_ext_gcd2(
-    a: LaurentPoly, b: LaurentPoly
-) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-    """Extended Euclid: return (g, s, t) with s*a + t*b = g, g the monic gcd."""
-    _require_polynomial(a)
-    _require_polynomial(b)
-    r0, r1 = a, b
-    s0, s1 = LaurentPoly.one(), LaurentPoly.zero()
-    t0, t1 = LaurentPoly.zero(), LaurentPoly.one()
-    while not r1.is_zero():
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - _times(q, s1)
-        t0, t1 = t1, t0 - _times(q, t1)
-    if r0.is_zero():
-        return LaurentPoly(), s0, t0
-    inv = scalar_div(1, r0.leading_coeff())
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
-
-
 def _times(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """p*q, forming no product when either factor is zero."""
     return p * q if p.terms and q.terms else LaurentPoly()
@@ -314,12 +286,14 @@ def _times(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 def poly_ext_gcd(
     polys: list[LaurentPoly],
 ) -> tuple[LaurentPoly, list[list[LaurentPoly]], list[list[LaurentPoly]]]:
-    """Unimodular completion of a polynomial column via 2x2 Bezout blocks.
+    """Unimodular completion of a polynomial column by 2x2 Bezout blocks.
 
     Returns (g, U, Uinv) with g the monic gcd of the inputs, U a k-by-k
     polynomial matrix with det(U) a nonzero rational constant such that
     U @ (f_1, ..., f_k)^T = (g, 0, ..., 0)^T, and Uinv its exact inverse.
-    Each block acts on U by row operations and on Uinv by the inverse column
+    Each nonzero entry takes one extended-Euclid pass against the gcd so
+    far, and its block is read off Euclid's two cofactor rows.  Each block
+    acts on U by row operations and on Uinv by the inverse column
     operations, so no determinant or adjugate is ever formed.  Entries are
     folded left to right, so the output is deterministic.
     """
@@ -339,23 +313,40 @@ def poly_ext_gcd(
         f = polys[i]
         if f.is_zero():
             continue
-        g2, s, t = poly_ext_gcd2(g, f)
-        # 2x2 block [[s, t], [-f/g2, g/g2]] has determinant exactly 1, and
-        # inverse [[g/g2, -t], [f/g2, s]]
-        fq, gq = poly_exact_div(f, g2), poly_exact_div(g, g2)
+        # extended Euclid on (g, f): each step multiplies the cofactor matrix
+        # [[s0, t0], [s1, t1]] on the left by [[0, 1], [1, -q]], so it ends
+        # mapping (g, f) to (r0, 0) with determinant sign = (-1)**steps
+        r0, r1 = g, f
+        s0, t0, s1, t1 = LaurentPoly.one(), LaurentPoly(), LaurentPoly(), LaurentPoly.one()
+        sign = 1
+        while r1.terms:
+            q, r = poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, s0 - _times(q, s1)
+            t0, t1 = t1, t0 - _times(q, t1)
+            sign = -sign
+        # with d = r0 / lc monic, s1*g + t1*f = 0 and the determinant force
+        # (s1, t1) = sign / lc * (-f/d, g/d), so the 2x2 block
+        # [[s, t], [-f/d, g/d]] = [[s0 / lc, t0 / lc], [sign*lc*s1, sign*lc*t1]]
+        # has determinant exactly 1, and inverse [[g/d, -t], [f/d, s]]
+        lc = r0.leading_coeff()
+        inv = scalar_div(1, lc)
+        s, t = s0.scale(inv), t0.scale(inv)
+        nfq, gq = s1.scale(sign * lc), t1.scale(sign * lc)
+        fq, nt = -nfq, -t
         # earlier blocks touched only rows 0 and i' < i of U and columns 0 and
         # i' of Uinv, so row i of U and column i of Uinv are still e_i and
         # U[0][i] = Uinv[i][0] = 0: every updated entry is a single product,
         # and none is formed with a zero entry
-        nfq, nt = -fq, -t
         row0 = U[0]
         U[0] = [t if j == i else _times(s, u) for j, u in enumerate(row0)]
         U[i] = [gq if j == i else _times(nfq, u) for j, u in enumerate(row0)]
         for j, r in enumerate(Uinv):
             r[0], r[i] = (fq, s) if j == i else (_times(r[0], gq), _times(r[0], nt))
-        g = g2
-    if not g.is_zero() and g.leading_coeff() != 1:
-        lc = g.leading_coeff()
+        g = r0.scale(inv)
+    lc = g.leading_coeff()
+    if lc != 1:
+        # no block ran: g is the lone nonzero entry polys[0]
         inv = scalar_div(1, lc)
         U[0] = [u.scale(inv) for u in U[0]]
         for r in Uinv:

@@ -286,6 +286,21 @@ class TestErrors:
         assert code == 2
         assert json.loads(out)["error"]["pointer"] == "--torus"
 
+    @pytest.mark.parametrize(
+        "torus, summands, pointer",
+        [("1,,2", "1:0:0", "--torus"), ("1,", "1:0", "--torus"), ("1", "1::0", "--summands[0]"),
+         ("1", "1:0,0:1:", "--summands[1]")],
+        ids=["torus-inner", "torus-trailing", "summand-inner", "summand-trailing"],
+    )
+    def test_empty_field(self, capsys, torus, summands, pointer):
+        code, out, err = run(
+            capsys, "random", "--seed", "1", "--summands", summands, "--torus", torus
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert list(doc) == ["error"] and doc["error"]["pointer"] == pointer
+        assert "Traceback" not in err
+
     def test_unreadable_file(self, capsys, monkeypatch):
         # a permission bit cannot be relied on when the tests run as root
         def deny(path):

@@ -1,15 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equisplit.laurent import (
     LaurentPoly,
     poly_divmod,
-    poly_exact_div,
     poly_ext_gcd,
-    poly_ext_gcd2,
     scalar_div,
 )
 from oracles import is_normal, naive_mul
@@ -79,21 +77,18 @@ class TestPolynomialHelpers:
         with pytest.raises(ValueError):
             poly_divmod(lp((-1, 1)), P.one())
 
-    def test_exact_div_raises_on_remainder(self):
-        with pytest.raises(ValueError):
-            poly_exact_div(lp((1, 1), (0, 1)), lp((1, 1)))
-
     @given(polys, polys)
     @settings(max_examples=50, deadline=None)
     def test_ext_gcd2_identity(self, a, b):
-        g, s, t = poly_ext_gcd2(a, b)
+        assume(not (a.is_zero() and b.is_zero()))
+        g, U, _ = poly_ext_gcd([a, b])
+        s, t = U[0]
         assert s * a + t * b == g
-        if not g.is_zero():
-            assert g.leading_coeff() == 1
-            if not a.is_zero():
-                assert poly_divmod(a, g)[1].is_zero()
-            if not b.is_zero():
-                assert poly_divmod(b, g)[1].is_zero()
+        assert g.leading_coeff() == 1
+        if not a.is_zero():
+            assert poly_divmod(a, g)[1].is_zero()
+        if not b.is_zero():
+            assert poly_divmod(b, g)[1].is_zero()
 
 
 class TestUnimodularCompletion:
@@ -122,6 +117,39 @@ class TestUnimodularCompletion:
         assert all(e.is_constant() for row in U for e in row)
         assert self.apply(U, [P.zero(), P.constant(5)]) == [P.one(), P.zero()]
         assert matmul(U, Uinv) == identity(2)
+
+    @given(polys, polys)
+    @example(P.zero(), lp((1, 2), (0, 2)))  # zero first entry: one step, s = 0
+    @example(lp((2, 2)), lp((1, 4)))  # non-monic gcd 4z
+    @settings(max_examples=80, deadline=None)
+    def test_pair_block_is_exact(self, a, b):
+        # with b nonzero, U is the one Bezout block [[s, t], [-b/g, a/g]]
+        assume(not b.is_zero())
+        g, U, Uinv = poly_ext_gcd([a, b])
+        (aq, ar), (bq, br) = poly_divmod(a, g), poly_divmod(b, g)
+        assert ar.is_zero() and br.is_zero()
+        assert U[1] == [-bq, aq]
+        assert U[0][0] * U[1][1] - U[0][1] * U[1][0] == P.one()
+        assert Uinv == [[aq, -U[0][1]], [bq, U[0][0]]]
+
+    def test_block_with_zero_tail(self):
+        # (z^2, z) takes one block [[0, 1], [-1, z]]; the zero tail takes none
+        fs = [lp((2, 1)), lp((1, 1)), P.zero()]
+        g, U, Uinv = poly_ext_gcd(fs)
+        assert g == lp((1, 1))
+        assert U == [
+            [P.zero(), P.one(), P.zero()],
+            [P.constant(-1), lp((1, 1)), P.zero()],
+            [P.zero(), P.zero(), P.one()],
+        ]
+        assert matmul(U, Uinv) == identity(3)
+
+    def test_single_non_monic_entry(self):
+        # 2z + 2 followed by a zero: no block runs, and only row 0 is scaled
+        g, U, Uinv = poly_ext_gcd([lp((1, 2), (0, 2)), P.zero()])
+        assert g == lp((1, 1), (0, 1))
+        assert U == [[P.constant(Fraction(1, 2)), P.zero()], [P.zero(), P.one()]]
+        assert Uinv == [[P.constant(2), P.zero()], [P.zero(), P.one()]]
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):

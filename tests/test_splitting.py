@@ -729,9 +729,10 @@ def test_rank_5_split_products(monkeypatch):
     # rank-5 split takes 42 matrix products (four more when the fold started
     # from 0x0 frames, and four more when the input took a Faddeev–LeVerrier
     # pass of three products and a fused row-times-column det); scalar scalings
-    # scale coefficients, each Bezout update is a single product with a
-    # nonzero entry, and the one-row clear reads gamma and delta off the
-    # row with no product, which leaves 63 Laurent products
+    # scale coefficients, each Bezout block is scaled off Euclid's cofactor
+    # rows, each Bezout update is a single product with a nonzero entry, and
+    # the one-row clear reads gamma and delta off the row with no product,
+    # which leaves 47 Laurent products
     E = dense_case(1000, TorusAction(0, ()))
     calls = {"matmul": 0, "mul": 0}
 
@@ -747,7 +748,7 @@ def test_rank_5_split_products(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", mul)
     monkeypatch.setattr(LaurentPoly, "__rmul__", mul)
     equivariant_split(E)
-    assert calls == {"matmul": 42, "mul": 63}
+    assert calls == {"matmul": 42, "mul": 47}
 
 
 def dense_moving(m, a):

@@ -398,8 +398,6 @@ def _apply_random_ops(
     trivial_a = torus.base_is_fixed()
 
     def legal_exponents(diff: Weight, lo: int, hi: int, need_equal: bool) -> list[int]:
-        if torus.rank == 0:
-            return list(range(lo, hi + 1))
         if trivial_a:
             return list(range(lo, hi + 1)) if need_equal else []
         e = _solve_exponent(diff, a)
@@ -407,15 +405,13 @@ def _apply_random_ops(
 
     def apply_col_add(i: int, j: int, e: int, c: Scalar) -> None:
         # column j += c*z^e * column i  (chart-0 frame change)
-        mono = LaurentPoly.monomial(e, c)
         for r in range(m):
-            A.entries[r][j] = A.entries[r][j] + A.entries[r][i] * mono
+            A.entries[r][j] = A.entries[r][j] + A.entries[r][i].shift(e).scale(c)
 
     def apply_row_add(i: int, j: int, e: int, c: Scalar) -> None:
         # row i += c*z^e * row j  (chart-inf frame change, e <= 0)
-        mono = LaurentPoly.monomial(e, c)
         for s_ in range(m):
-            A.entries[i][s_] = A.entries[i][s_] + A.entries[j][s_] * mono
+            A.entries[i][s_] = A.entries[i][s_] + A.entries[j][s_].shift(e).scale(c)
 
     def apply_col_swap(i: int, j: int) -> None:
         for r in range(m):

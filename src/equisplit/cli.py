@@ -117,8 +117,6 @@ def _parse_summands(text: str, r: int) -> list[LineSummand]:
                 f"--summands[{k}]", f"summand {part!r} needs {r} weight component(s)"
             )
         out.append(LineSummand(n, lam))
-    if not out:
-        raise ParseError("--summands", "at least one summand is required")
     return out
 
 

@@ -78,10 +78,6 @@ class Character:
     def to_json(self) -> list[dict]:
         return [{"weight": list(w), "mult": m} for w, m in self.items_sorted()]
 
-    @classmethod
-    def from_json(cls, data: list[dict]) -> "Character":
-        return cls({tuple(item["weight"]): item["mult"] for item in data})
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{w}: {m}" for w, m in self.items_sorted())
         return f"Character({{{inner}}})"

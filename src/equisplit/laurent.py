@@ -18,9 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
-#: The non-integral coefficient type: always reduced, positive denominator.
-Rational = Fraction
-
 #: A coefficient in normal form: ``int`` if integral, else a ``Fraction``
 #: whose denominator is > 1.  Both carry ``numerator`` and ``denominator``,
 #: and an ``int`` equals the ``Fraction`` of the same value.
@@ -76,10 +73,6 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def constant(cls, c: Scalar) -> "LaurentPoly":
-        return cls({0: c})
-
-    @classmethod
     def monomial(cls, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
         return cls({exp: coeff})
 
@@ -125,9 +118,6 @@ class LaurentPoly:
         if not self.terms:
             raise ValueError("the zero polynomial has no degree")
         return max(self.terms)
-
-    def coeff(self, exp: int) -> Scalar:
-        return self.terms.get(exp, 0)
 
     def leading_coeff(self) -> Scalar:
         return self.terms[self.deg]
@@ -212,18 +202,6 @@ class LaurentPoly:
         out.terms = {-e: c for e, c in self.terms.items()}
         return out
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -256,26 +234,30 @@ class LaurentPoly:
 # -- polynomial (nonnegative exponent) helpers -----------------------------
 
 
-def _require_polynomial(p: LaurentPoly, what: str = "argument") -> None:
+def _require_polynomial(p: LaurentPoly) -> None:
     if not p.is_polynomial():
-        raise ValueError(f"{what} must have nonnegative exponents, got {p!r}")
+        raise ValueError(f"argument must have nonnegative exponents, got {p!r}")
 
 
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Quotient and remainder of polynomials, deg(rem) < deg(b)."""
+    """Quotient and remainder of polynomials, deg(rem) < deg(b).
+
+    Each step subtracts c*z^e*b as a shift and a scaling of b, so no Laurent
+    product is formed; the quotient's terms are collected in one dict.
+    """
     _require_polynomial(a)
     _require_polynomial(b)
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    q = LaurentPoly()
+    q: dict[int, Scalar] = {}
     r = a
     db = b.deg
     lb = b.leading_coeff()
     while not r.is_zero() and r.deg >= db:
-        t = LaurentPoly.monomial(r.deg - db, scalar_div(r.leading_coeff(), lb))
-        q = q + t
-        r = r - t * b
-    return q, r
+        e = r.deg - db
+        c = q[e] = scalar_div(r.leading_coeff(), lb)
+        r = r - b.shift(e).scale(c)
+    return LaurentPoly.from_sums(q), r
 
 
 def _times(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:

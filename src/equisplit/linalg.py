@@ -146,11 +146,9 @@ class LaurentMatrix:
             entries.append(orow)
         return LaurentMatrix._adopt(entries, self.rows, other.cols)
 
-    def scale(self, p: LaurentPoly | Scalar) -> "LaurentMatrix":
-        """Multiply every entry by p; a scalar p scales coefficients, with no Laurent product."""
-        if isinstance(p, LaurentPoly):
-            return self.map(lambda e: e * p)
-        return self.map(lambda e: e.scale(p))
+    def scale(self, c: Scalar) -> "LaurentMatrix":
+        """Multiply every entry by the scalar c (no Laurent product)."""
+        return self.map(lambda e: e.scale(c))
 
     def shift(self, k: int) -> "LaurentMatrix":
         """Multiply every entry by z**k (an exponent shift, no arithmetic)."""

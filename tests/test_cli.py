@@ -289,8 +289,8 @@ class TestErrors:
     @pytest.mark.parametrize(
         "torus, summands, pointer",
         [("1,,2", "1:0:0", "--torus"), ("1,", "1:0", "--torus"), ("1", "1::0", "--summands[0]"),
-         ("1", "1:0,0:1:", "--summands[1]")],
-        ids=["torus-inner", "torus-trailing", "summand-inner", "summand-trailing"],
+         ("1", "1:0,0:1:", "--summands[1]"), ("", "", "--summands[0]")],
+        ids=["torus-inner", "torus-trailing", "summand-inner", "summand-trailing", "summands-empty"],
     )
     def test_empty_field(self, capsys, torus, summands, pointer):
         code, out, err = run(

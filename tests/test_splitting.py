@@ -304,7 +304,7 @@ class TestFrameCompletion:
         entries = [P.monomial(d, c) for d, c, _ in monos]
         src = [(chi + d * a,) if c else (w,) for d, c, w in monos]
         k = len(entries)
-        entries[pivot % k] = P.constant(c0)
+        entries[pivot % k] = P.monomial(0, c0)
         src[pivot % k] = (chi,)
         src = tuple(src)
         M, Minv = _frame_completion(entries)
@@ -729,10 +729,12 @@ def test_rank_5_split_products(monkeypatch):
     # rank-5 split takes 42 matrix products (four more when the fold started
     # from 0x0 frames, and four more when the input took a Faddeev–LeVerrier
     # pass of three products and a fused row-times-column det); scalar scalings
-    # scale coefficients, each Bezout block is scaled off Euclid's cofactor
-    # rows, each Bezout update is a single product with a nonzero entry, and
-    # the one-row clear reads gamma and delta off the row with no product,
-    # which leaves 47 Laurent products
+    # scale coefficients, each Euclid division step subtracts a shifted and
+    # scaled divisor, each Bezout block is scaled off Euclid's cofactor rows,
+    # each Bezout update is a single product with a nonzero entry, and the
+    # one-row clear reads gamma and delta off the row with no product, which
+    # leaves 39 Laurent products, all in the completion: 11 Euclid cofactor
+    # updates and 28 Bezout updates
     E = dense_case(1000, TorusAction(0, ()))
     calls = {"matmul": 0, "mul": 0}
 
@@ -748,7 +750,7 @@ def test_rank_5_split_products(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", mul)
     monkeypatch.setattr(LaurentPoly, "__rmul__", mul)
     equivariant_split(E)
-    assert calls == {"matmul": 42, "mul": 47}
+    assert calls == {"matmul": 42, "mul": 39}
 
 
 def dense_moving(m, a):

@@ -397,9 +397,9 @@ def _apply_random_ops(
     a = torus.a
     trivial_a = torus.base_is_fixed()
 
-    def legal_exponents(diff: Weight, lo: int, hi: int, need_equal: bool) -> list[int]:
+    def legal_exponents(diff: Weight, lo: int, hi: int) -> list[int]:
         if trivial_a:
-            return list(range(lo, hi + 1)) if need_equal else []
+            return list(range(lo, hi + 1)) if not any(diff) else []
         e = _solve_exponent(diff, a)
         return [e] if e is not None and lo <= e <= hi else []
 
@@ -432,13 +432,9 @@ def _apply_random_ops(
                 i, j = rng.sample(range(m), 2)
                 c = rng.choice(_COEFF_POOL)
                 if kind == "col_add":
-                    exps = legal_exponents(
-                        weight_sub(lam0[i], lam0[j]), 0, _MAX_OP_EXP, lam0[i] == lam0[j]
-                    )
+                    exps = legal_exponents(weight_sub(lam0[i], lam0[j]), 0, _MAX_OP_EXP)
                 else:
-                    exps = legal_exponents(
-                        weight_sub(lamInf[i], lamInf[j]), -_MAX_OP_EXP, 0, lamInf[i] == lamInf[j]
-                    )
+                    exps = legal_exponents(weight_sub(lamInf[i], lamInf[j]), -_MAX_OP_EXP, 0)
                 if exps:
                     e = rng.choice(exps)
                     if kind == "col_add":

@@ -68,9 +68,10 @@ from .bundle import (
     Weight,
     degree,
     dual,
+    transition_law_violations,
     twist,
 )
-from .equivariant import Character, monomial_weight
+from .equivariant import Character
 from .laurent import LaurentPoly, Scalar
 from .linalg import LaurentMatrix, echelon_sparse, rank_sparse, rref_sparse
 
@@ -102,15 +103,16 @@ class Section:
         for i, p in enumerate(self.g):
             if not p.is_polynomial():
                 return f"g[{i}] has negative exponents"
-        if self.weight is not None and E.torus.rank > 0:
-            for i, p in enumerate(self.f):
-                for d, _ in p.monomials():
-                    if monomial_weight(E, 0, i, d) != self.weight:
-                        return f"f[{i}] monomial z^{d} is not of weight {self.weight}"
-            for i, p in enumerate(self.g):
-                for e, _ in p.monomials():
-                    if monomial_weight(E, "inf", i, e) != self.weight:
-                        return f"g[{i}] exponent {e} is not of weight {self.weight}"
+        if self.weight is not None:
+            # f and g(1/z) are m x 1 maps from the line of weight self.weight
+            chi = (self.weight,)
+            bad = transition_law_violations(
+                LaurentMatrix([[p] for p in self.f]), E.lambda0, chi, E.torus, "f"
+            ) + transition_law_violations(
+                LaurentMatrix([[p.invert_variable()] for p in self.g]), E.lambdaInf, chi, E.torus, "g(1/z)"
+            )
+            if bad:
+                return bad[0]
         return None
 
 

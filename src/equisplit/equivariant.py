@@ -15,19 +15,10 @@ FInf(1/z), rows weighted by the target and columns by the source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable
 
-from .bundle import (
-    EquivariantBundle,
-    TorusAction,
-    Weight,
-    weight_add,
-    weight_scale,
-    weight_sub,
-)
+from .bundle import EquivariantBundle, TorusAction, Weight, weight_add, weight_scale
 from .linalg import LaurentMatrix
-
-Chart = Literal[0, "inf"]
 
 
 class Character:
@@ -81,18 +72,6 @@ class Character:
     def __repr__(self) -> str:
         inner = ", ".join(f"{w}: {m}" for w, m in self.items_sorted())
         return f"Character({{{inner}}})"
-
-
-def monomial_weight(E: EquivariantBundle, chart: Chart, i: int, exponent: int) -> Weight:
-    """Weight of the exponent's monomial in frame component i (convention C3)."""
-    if not 0 <= i < E.rank:
-        raise IndexError(f"frame index {i} out of range for rank {E.rank}")
-    a = E.torus.a
-    if chart == 0:
-        return weight_sub(E.lambda0[i], weight_scale(exponent, a))
-    if chart == "inf":
-        return weight_add(E.lambdaInf[i], weight_scale(exponent, a))
-    raise ValueError(f"chart must be 0 or 'inf', got {chart!r}")
 
 
 def derive_target_weights(

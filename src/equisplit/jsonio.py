@@ -18,15 +18,18 @@ Certificate schema::
 Matrix entries use the same monomial-list encoding; M0 exponents are powers
 of z, MInf exponents are powers of w.
 
-Decoding checks every value and raises ParseError at the first offending
-one, with its JSON pointer; integers may be any ``int`` but ``bool``, lists
-any ``list``, and polynomial coefficients come out in normal form.
+Values are the exact classes that ``json.load`` returns.  Decoding tests
+each value with one exact-class check (an integer must be an ``int``, so a
+``bool`` or an ``int`` subclass fails, and a list or object must be a
+``list`` or ``dict``) and raises ParseError at the first offending one, with
+its JSON pointer; polynomial coefficients come out in normal form.
 ``load_json_file`` maps every way a file can fail to parse as JSON, nesting
 too deep and integer literals over Python's digit limit included, to
-ParseError as well.  Encoding is canonical: ``dumps_canonical`` returns
-exactly the text of ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
-newline, and monomials are listed by ascending exponent, so equal values
-serialize byte-identically.
+ParseError as well.  Encoding is canonical: for the same exact classes,
+and tuples, ``dumps_canonical`` returns exactly the text of
+``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, and it raises
+TypeError on a subclass; monomials are listed by ascending exponent, so
+equal values serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -62,13 +65,8 @@ def _error(where: tuple, message: str) -> ParseError:
     return ParseError("/".join(map(str, where)), message)
 
 
-def _bad_int(x: Any) -> bool:
-    """True unless x is an int other than a bool: the test behind a failed exact-class check."""
-    return not isinstance(x, int) or isinstance(x, bool)
-
-
 def _get(obj: Any, key: str, where: tuple) -> Any:
-    if obj.__class__ is not dict and not isinstance(obj, dict):
+    if obj.__class__ is not dict:
         raise _error(where, "expected an object")
     if key not in obj:
         raise _error(where, f"missing key {key!r}")
@@ -76,41 +74,34 @@ def _get(obj: Any, key: str, where: tuple) -> Any:
 
 
 def _int(x: Any, where: tuple) -> int:
-    if x.__class__ is not int and _bad_int(x):
+    if x.__class__ is not int:
         raise _error(where, "expected an integer")
     return x
 
 
 def _int_list(x: Any, where: tuple) -> list[int]:
-    if x.__class__ is not list and not isinstance(x, list):
+    if x.__class__ is not list:
         raise _error(where, "expected a list")
     for i, v in enumerate(x):
-        if v.__class__ is not int and _bad_int(v):
+        if v.__class__ is not int:
             raise _error((*where, i), "expected an integer")
-    return list(x)
+    return x
 
 
 def _poly(data: Any, where: tuple) -> LaurentPoly:
-    if data.__class__ is not list and not isinstance(data, list):
+    if data.__class__ is not list:
         raise _error(where, "expected a list of monomials")
     terms: dict[int, int | Fraction] = {}
     for k, mono in enumerate(data):
-        if (mono.__class__ is not list and not isinstance(mono, list)) or len(mono) != 3:
+        if mono.__class__ is not list or len(mono) != 3:
             raise _error((*where, k), "expected [exp, num, den]")
         e, num, den = mono
-        # an int subclass passes and is stored as a plain int
         if e.__class__ is not int:
-            if _bad_int(e):
-                raise _error((*where, k, 0), "expected an integer")
-            e = int(e)
+            raise _error((*where, k, 0), "expected an integer")
         if num.__class__ is not int:
-            if _bad_int(num):
-                raise _error((*where, k, 1), "expected an integer")
-            num = int(num)
+            raise _error((*where, k, 1), "expected an integer")
         if den.__class__ is not int:
-            if _bad_int(den):
-                raise _error((*where, k, 2), "expected an integer")
-            den = int(den)
+            raise _error((*where, k, 2), "expected an integer")
         if den <= 0:
             raise _error((*where, k, 2), "denominator must be positive")
         if not num:
@@ -131,11 +122,11 @@ def poly_to_json(p: LaurentPoly) -> list[list[int]]:
 
 
 def matrix_from_json(data: Any, rows: int, cols: int, ptr: str) -> LaurentMatrix:
-    if (data.__class__ is not list and not isinstance(data, list)) or len(data) != rows:
+    if data.__class__ is not list or len(data) != rows:
         raise ParseError(ptr, f"expected {rows} rows")
     entries = []
     for i, row in enumerate(data):
-        if (row.__class__ is not list and not isinstance(row, list)) or len(row) != cols:
+        if row.__class__ is not list or len(row) != cols:
             raise _error((ptr, i), f"expected {cols} entries")
         entries.append([_poly(cell, (ptr, i, j)) for j, cell in enumerate(row)])
     return LaurentMatrix._adopt(entries, rows, cols)
@@ -146,7 +137,7 @@ def matrix_to_json(M: LaurentMatrix) -> list[list[list[list[int]]]]:
 
 
 def _weights_from_json(data: Any, m: int, r: int, ptr: str) -> tuple[tuple[int, ...], ...]:
-    if (data.__class__ is not list and not isinstance(data, list)) or len(data) != m:
+    if data.__class__ is not list or len(data) != m:
         raise ParseError(ptr, f"expected {m} weight vectors")
     out = []
     for i, w in enumerate(data):
@@ -158,7 +149,7 @@ def _weights_from_json(data: Any, m: int, r: int, ptr: str) -> tuple[tuple[int, 
 
 
 def summands_from_json(data: Any, r: int, ptr: str) -> list[LineSummand]:
-    if data.__class__ is not list and not isinstance(data, list):
+    if data.__class__ is not list:
         raise ParseError(ptr, "expected a list of summands")
     out = []
     for i, s in enumerate(data):
@@ -176,7 +167,7 @@ def summands_to_json(summands: list[LineSummand]) -> list[dict]:
 
 def instance_from_json(doc: Any) -> tuple[EquivariantBundle, list[LineSummand] | None]:
     """Decode an instance document; returns (bundle, expected summands or None)."""
-    if not isinstance(doc, dict):
+    if doc.__class__ is not dict:
         raise ParseError("", "instance must be an object")
     m = _int(_get(doc, "rank", ("",)), ("/rank",))
     if m < 0:
@@ -214,7 +205,7 @@ def instance_to_json(E: EquivariantBundle, expected: list[LineSummand] | None = 
 
 
 def certificate_from_json(doc: Any, r: int) -> SplittingCertificate:
-    if not isinstance(doc, dict):
+    if doc.__class__ is not dict:
         raise ParseError("", "certificate must be an object")
     summands = summands_from_json(_get(doc, "summands", ("",)), r, "/summands")
     m = len(summands)
@@ -234,9 +225,8 @@ def certificate_to_json(cert: SplittingCertificate) -> dict:
 def _render(o: Any, nl: str, append) -> None:
     """Append the text of ``json.dumps(o, sort_keys=True, indent=2)``, nested at line break nl.
 
-    Exact classes are tested first; subclasses then take json's own tests,
-    in its order (str, None, True, False, int, list or tuple, dict), so
-    they render as json renders them.  Dict keys must be strings.
+    Every value is tested by its exact class, so a subclass of str, int,
+    list or dict raises TypeError; so does a dict key that is not a str.
     """
     cls = o.__class__
     if cls is list or cls is tuple:
@@ -262,7 +252,7 @@ def _render(o: Any, nl: str, append) -> None:
         lead = "{" + inner
         sep = "," + inner
         for k, v in sorted(o.items()):
-            if not isinstance(k, str):
+            if k.__class__ is not str:
                 raise TypeError(f"keys must be str, not {k.__class__.__name__}")
             append(lead)
             lead = sep
@@ -273,7 +263,7 @@ def _render(o: Any, nl: str, append) -> None:
             else:
                 _render(v, inner, append)
         append(nl + "}")
-    elif cls is str or isinstance(o, str):
+    elif cls is str:
         append(_escape(o))
     elif cls is int:
         append(int.__repr__(o))
@@ -283,12 +273,6 @@ def _render(o: Any, nl: str, append) -> None:
         append("true")
     elif o is False:
         append("false")
-    elif isinstance(o, int):
-        append(int.__repr__(o))
-    elif isinstance(o, (list, tuple)):
-        _render(list(o), nl, append)
-    elif isinstance(o, dict):
-        _render(dict(o.items()), nl, append)
     else:
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
@@ -296,8 +280,9 @@ def _render(o: Any, nl: str, append) -> None:
 def dumps_canonical(doc: Any) -> str:
     """Deterministic rendering: ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline.
 
-    Takes dicts with string keys, lists, tuples, strings, ints, bools and
-    None; anything else raises TypeError.
+    Takes the exact classes dict (with str keys), list, tuple, str, int,
+    bool and None; anything else, a subclass of one of them included,
+    raises TypeError.
     """
     out: list[str] = []
     _render(doc, "\n", out.append)

@@ -168,9 +168,9 @@ class LaurentPoly:
         out.terms = {e: -c for e, c in self.terms.items()}
         return out
 
-    def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
-            return self.scale(other)
+            return NotImplemented
         if len(self.terms) > len(other.terms):
             self, other = other, self
         sums: dict[int, Scalar] = {}
@@ -182,6 +182,8 @@ class LaurentPoly:
                 sums[e] = get(e, 0) + c1 * c2
         return LaurentPoly.from_sums(sums)
 
+    # perfbench/tracer.py reads LaurentPoly.__dict__["__rmul__"], so
+    # Tracer.install raises KeyError without this binding
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "LaurentPoly":

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from equisplit.bundle import (
     EquivariantBundle,
     LineSummand,
@@ -11,8 +9,8 @@ from equisplit.bundle import (
     random_instance,
     transition_law_violations,
 )
-from equisplit.cohomology import h0_sections
-from equisplit.equivariant import Character, HomElement, monomial_weight
+from equisplit.cohomology import Section, h0_sections
+from equisplit.equivariant import Character, HomElement
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
 
@@ -82,23 +80,32 @@ class TestStandardLinearization:
         assert h0_sections(L) == []
 
 
-class TestMonomialWeight:
-    def test_chart0(self):
-        L = line_bundle(1, (0,), T1)
-        assert monomial_weight(L, 0, 0, 1) == (-1,)
+class TestSectionWeight:
+    """Section.compatibility_violation checks a section's weight on both charts."""
 
-    def test_chartinf_zero_exponent(self):
-        L = line_bundle(1, (5,), T1)
-        assert monomial_weight(L, "inf", 0, 0) == L.lambdaInf[0]
+    # on O(1) with lam0 = 0, a = 1 the section f = z, g = 1 has weight -1 on both charts
+    F, G = (P.monomial(1),), (P.monomial(0),)
 
-    def test_fixed_base_independent_of_exponent(self):
-        T0 = TorusAction(1, (0,))
-        L = line_bundle(2, (3,), T0)
-        assert monomial_weight(L, 0, 0, 0) == monomial_weight(L, 0, 0, 5) == (3,)
+    def test_right_weight(self):
+        assert Section(self.F, self.G, (-1,)).compatibility_violation(line_bundle(1, (0,), T1)) is None
 
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            monomial_weight(line_bundle(0, (0,), T1), 0, 1, 0)
+    def test_wrong_weight_on_chart0(self):
+        bad = Section(self.F, self.G, (0,)).compatibility_violation(line_bundle(1, (0,), T1))
+        assert bad.startswith("f[0][0]: monomial z^1")
+
+    def test_wrong_weight_on_chartinf(self):
+        # lambdaInf off by one: f still has weight -1, g(1/z) = 1 does not
+        L = EquivariantBundle(lm([[{-1: 1}]]), ((0,),), ((0,),), T1)
+        bad = Section(self.F, self.G, (-1,)).compatibility_violation(L)
+        assert bad.startswith("g(1/z)[0][0]: monomial z^0")
+
+    def test_fixed_base(self):
+        # a = 0: every monomial of O(2) has the linearization weight
+        L = line_bundle(2, (3,), TorusAction(1, (0,)))
+        for d in range(3):
+            section = (P.monomial(d),), (P.monomial(2 - d),)
+            assert Section(*section, (3,)).compatibility_violation(L) is None
+            assert Section(*section, (2,)).compatibility_violation(L).startswith(f"f[0][0]: monomial z^{d}")
 
 
 def _random_bundle(seed, r=1, max_rank=3):

@@ -24,6 +24,23 @@ P = LaurentPoly
 T1 = TorusAction(1, (1,))
 
 
+# Subclasses of the classes json.load returns: the codec rejects every one.
+class IntSub(int):
+    pass
+
+
+class ListSub(list):
+    pass
+
+
+class DictSub(dict):
+    pass
+
+
+class StrSub(str):
+    pass
+
+
 def make_instance(seed=3):
     summands = [LineSummand(1, (0,)), LineSummand(-2, (1,))]
     return random_instance(seed, summands, 5, T1)
@@ -127,17 +144,18 @@ class TestCanonicalDump:
     def test_bytes_match_json_dumps(self, doc):
         assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-    def test_subclasses_render_as_json_renders_them(self):
-        class Str(str):
-            pass
+    @pytest.mark.parametrize(
+        "doc",
+        [StrSub("s"), IntSub(1), ListSub(), DictSub(), [1, IntSub(2)], {"k": ListSub([1])}, ({"k": DictSub()},)],
+        ids=["str", "int", "list", "dict", "int-in-list", "list-in-dict", "dict-in-tuple"],
+    )
+    def test_subclass_value_is_a_type_error(self, doc):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            dumps_canonical(doc)
 
-        class Dict(dict):
-            pass
-
-        doc = Dict(
-            {Str("k\u00e9"): (IntSub(1), IntSub(0), True, Str('q"'), ListSub([IntSub(2**70), None])), "e": Dict()}
-        )
-        assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    def test_subclass_key_is_a_type_error(self):
+        with pytest.raises(TypeError, match="keys must be str, not StrSub"):
+            dumps_canonical({"a": 1, StrSub("b"): 2})
 
     @pytest.mark.parametrize("doc", [1.5, [float("nan")], {"x": {1, 2}}, {1: "int key"}, {None: 0}, b"bytes"])
     def test_anything_else_is_a_type_error(self, doc):
@@ -309,6 +327,29 @@ GOLDEN_ERRORS = [
 ]
 
 
+# Every exact-class check site: a subclass there, of int, bool, list or dict,
+# gets the pointer and message of a value of the wrong class.
+SUBCLASS_SITES = [
+    ("instance", (), "/", "instance must be an object"),
+    ("instance", ("rank",), "/rank", "expected an integer"),
+    ("instance", ("torus",), "/torus", "expected an object"),
+    ("instance", ("torus", "a"), "/torus/a", "expected a list"),
+    ("instance", ("torus", "a", 0), "/torus/a/0", "expected an integer"),
+    ("instance", ("lambda0",), "/lambda0", "expected 2 weight vectors"),
+    ("instance", ("A",), "/A", "expected 2 rows"),
+    ("instance", ("A", 1), "/A/1", "expected 2 entries"),
+    ("instance", ("A", 1, 0), "/A/1/0", "expected a list of monomials"),
+    ("instance", ("A", 1, 0, 0), "/A/1/0/0", "expected [exp, num, den]"),
+    ("instance", ("A", 1, 0, 0, 0), "/A/1/0/0/0", "expected an integer"),
+    ("instance", ("A", 1, 0, 0, 1), "/A/1/0/0/1", "expected an integer"),
+    ("instance", ("A", 1, 0, 0, 2), "/A/1/0/0/2", "expected an integer"),
+    ("instance", ("expected", "summands"), "/expected/summands", "expected a list of summands"),
+    ("instance", ("expected", "summands", 0), "/expected/summands/0", "expected an object"),
+    ("instance", ("expected", "summands", 1, "n"), "/expected/summands/1/n", "expected an integer"),
+    ("certificate", (), "/", "certificate must be an object"),
+]
+
+
 def _edited(kind, path, value):
     doc = copy.deepcopy(GOLDEN_INSTANCE if kind == "instance" else GOLDEN_CERTIFICATE)
     if not path:
@@ -325,14 +366,6 @@ def _edited(kind, path, value):
 
 def _decode(kind, doc):
     return instance_from_json(doc) if kind == "instance" else certificate_from_json(doc, 1)
-
-
-class IntSub(int):
-    pass
-
-
-class ListSub(list):
-    pass
 
 
 class TestGoldenErrors:
@@ -356,34 +389,19 @@ class TestGoldenErrors:
         assert (exc.value.pointer, exc.value.message) == (pointer, message)
         assert str(exc.value) == f"{pointer}: {message}"
 
-    def test_subclasses_parse_to_normal_form(self):
-        # int and list subclasses pass every check; coefficients and
-        # exponents come out as plain ints or reduced Fractions
-        doc = copy.deepcopy(GOLDEN_INSTANCE)
-        doc["rank"] = IntSub(2)
-        doc["torus"]["a"] = ListSub([IntSub(1)])
-        doc["lambda0"] = ListSub([ListSub([IntSub(0)]), [1]])
-        doc["A"] = ListSub(
-            [
-                ListSub([ListSub([ListSub([IntSub(-1), IntSub(4), IntSub(2)])]), ListSub()]),
-                [[[IntSub(0), IntSub(6), IntSub(4)], [IntSub(3), 5, IntSub(1)]], [[1, 1, 1]]],
-            ]
-        )
-        doc["expected"]["summands"] = ListSub([{"n": IntSub(1), "lam": ListSub([0])}, {"n": -1, "lam": [1]}])
-        E, expected = instance_from_json(doc)
-        assert E.rank == 2 and E.lambda0 == ((0,), (1,)) and E.torus.a == (1,)
-        assert expected == [LineSummand(1, (0,)), LineSummand(-1, (1,))]
-        want = [[{-1: 2}, {}], [{0: Fraction(3, 2), 3: 5}, {1: 1}]]
-        assert [[p.terms for p in row] for row in E.A.entries] == want
-        for row in E.A.entries:
-            for p in row:
-                for e, c in p.terms.items():
-                    assert type(e) is int
-                    assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
-
-    def test_subclass_errors_keep_their_pointer(self):
-        doc = copy.deepcopy(GOLDEN_INSTANCE)
-        doc["A"][0][0] = ListSub([ListSub([IntSub(0), IntSub(0), IntSub(1)])])
+    @pytest.mark.parametrize(
+        "kind, path, pointer, message",
+        SUBCLASS_SITES,
+        ids=[f"{k}{list(p)}" for k, p, *_ in SUBCLASS_SITES],
+    )
+    @pytest.mark.parametrize("wrap", [IntSub, bool, ListSub, DictSub], ids=lambda c: c.__name__)
+    def test_subclass_gets_the_wrong_type_error(self, kind, path, pointer, message, wrap):
+        # wrap the site's own value where it has wrap's base class, else an empty one
+        node = GOLDEN_INSTANCE if kind == "instance" else GOLDEN_CERTIFICATE
+        for key in path:
+            node = node[key]
+        base = wrap.__base__
+        value = wrap(copy.deepcopy(node) if node.__class__ is base else base())
         with pytest.raises(ParseError) as exc:
-            instance_from_json(doc)
-        assert (exc.value.pointer, exc.value.message) == ("/A/0/0/0/1", "zero coefficients must not be stored")
+            _decode(kind, _edited(kind, path, value))
+        assert (exc.value.pointer, exc.value.message) == (pointer, message)

@@ -301,10 +301,12 @@ class TestNormalForm:
     @settings(max_examples=100, deadline=None)
     def test_scale_shift_invert_match_fraction_reference(self, p, c, k):
         scaled = p.scale(c)
-        assert_normal(scaled, p * c, p.shift(k), p.invert_variable())
-        assert fterms(scaled) == fterms(p * c) == {
-            e: Fraction(c) * v for e, v in fterms(p).items() if c
-        }
+        assert_normal(scaled, p.shift(k), p.invert_variable())
+        assert fterms(scaled) == {e: Fraction(c) * v for e, v in fterms(p).items() if c}
+        # scale is the one way to scale: a product takes LaurentPoly factors only
+        for product in (lambda: p * 2, lambda: 2 * p, lambda: p * c, lambda: c * p):
+            with pytest.raises(TypeError):
+                product()
         assert fterms(p.shift(k)) == {e + k: v for e, v in fterms(p).items()}
         assert fterms(p.invert_variable()) == {-e: v for e, v in fterms(p).items()}
 

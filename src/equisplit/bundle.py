@@ -69,7 +69,10 @@ class TorusAction:
             raise ValueError("torus rank must be nonnegative")
         if len(self.a) != self.rank:
             raise ValueError(f"base character has length {len(self.a)}, expected {self.rank}")
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
+        a = tuple(self.a)
+        if any(x.__class__ is not int for x in a):
+            raise TypeError(f"base character entries must be int, got {a!r}")
+        object.__setattr__(self, "a", a)
 
     @property
     def zero_weight(self) -> Weight:
@@ -111,8 +114,7 @@ class EquivariantBundle:
     # _verdict caches the det verdict (_det_verdict); twist, dual, hom_bundle
     # and a peel's quotient are built with theirs (_derived).  _h0 caches the
     # forward-eliminated H^0 system (cohomology._H0System): column weights,
-    # pivots and echelon rows, plus the canonical kernel once a caller asks
-    # for sections
+    # pivots and echelon rows, which max_twist and eigen_section share
     __slots__ = ("A", "lambda0", "lambdaInf", "torus", "_verdict", "_h0")
 
     def __init__(

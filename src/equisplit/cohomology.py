@@ -20,12 +20,12 @@ dim H^0 and the character are read off the pivots with no back-substitution.
 The unknowns are ordered by exponent, then component, so those with e <= -s
 form a prefix: the unknowns of E(-s), with the same rows, and
 dim H^0(E(-s)) is the number of free unknowns among them, for every s >= 0.
-Only a caller that needs sections gets the canonical kernel, reduced once
-from the cached echelon rows: no row meets two weight classes, so every
-canonical kernel vector is homogeneous.  Sections (f, g) are built from it
-only on request.  An unknown outside its component's bound would be zero in
-every kernel vector, so leaving it out changes neither the pivots nor the
-canonical kernel.
+Only a caller that needs sections gets the canonical kernel, reduced from
+the cached echelon rows on each request: no row meets two weight classes,
+so every canonical kernel vector is homogeneous.  Sections (f, g) are
+built from it only on request.  An unknown outside its component's bound
+would be zero in every kernel vector, so leaving it out changes neither the
+pivots nor the canonical kernel.
 
 H^1 is computed from the two-chart cover complex (f, g) -> A f - g(1/z),
 truncated by the same bounds.
@@ -122,15 +122,13 @@ class _H0System:
 
     Column c is the unknown h[i][e] with (i, e) = ``unknowns[c]``, of weight
     ``weights[c]``; ``pivots`` and ``echelon`` are what ``echelon_sparse``
-    returned, and ``records`` holds the canonical kernel once a caller has
-    asked for it.
+    returned.
     """
 
     unknowns: list[tuple[int, int]]
     weights: list[Weight]
     pivots: list[int]
     echelon: list[dict[int, int]]
-    records: list[tuple[Weight, tuple[LaurentPoly, ...]]] | None = None
 
     def free_columns(self) -> list[int]:
         pivot_set = set(self.pivots)
@@ -219,40 +217,37 @@ def _h0_system(E: EquivariantBundle) -> _H0System:
 def _h0_records(E: EquivariantBundle) -> list[tuple[Weight, tuple[LaurentPoly, ...]]]:
     """The canonical H^0 kernel of E as (weight, h) pairs, in echelon order.
 
-    Built on first request by reducing the cached echelon rows, which are
-    already eliminated, so only back-substitution runs; the reduced form,
-    and so the kernel, is the canonical one.  Kernel vector k has entry 1 at
-    the k-th free unknown and is supported on pivot unknowns otherwise.
-    Callers must not mutate the returned list.
+    Reduces the cached echelon rows, which are already eliminated, so only
+    back-substitution runs; the reduced form, and so the kernel, is the
+    canonical one.  Kernel vector k has entry 1 at the k-th free unknown and
+    is supported on pivot unknowns otherwise.  Each call returns a new list.
     """
     system = _h0_system(E)
-    if system.records is None:
-        ncols = len(system.weights)
-        free = system.free_columns()
-        records = []
-        if free:
-            unknowns = system.unknowns
-            pivots, reduced = rref_sparse(system.echelon, ncols)
-            for fcol in free:
-                h = [{} for _ in range(E.rank)]
-                i, e = unknowns[fcol]
-                h[i][e] = 1
-                for p, row in zip(pivots, reduced):
-                    v = row.get(fcol)
-                    if v:
-                        i, e = unknowns[p]
-                        h[i][e] = -v
-                records.append((system.weights[fcol], tuple(LaurentPoly(t) for t in h)))
-        system.records = records
-    return system.records
+    free = system.free_columns()
+    if not free:
+        return []
+    unknowns = system.unknowns
+    pivots, reduced = rref_sparse(system.echelon, len(system.weights))
+    records = []
+    for fcol in free:
+        h = [{} for _ in range(E.rank)]
+        i, e = unknowns[fcol]
+        h[i][e] = 1
+        for p, row in zip(pivots, reduced):
+            v = row.get(fcol)
+            if v:
+                i, e = unknowns[p]
+                h[i][e] = -v
+        records.append((system.weights[fcol], tuple(LaurentPoly(t) for t in h)))
+    return records
 
 
 def h0_sections(E: EquivariantBundle) -> list[tuple[Section, Weight]]:
     """A basis of the global sections, graded by weight.
 
-    Sections are built from the cached kernel on each call and returned
-    sorted by weight (then by echelon position); the number of entries is
-    dim H^0.
+    Sections are built from the canonical kernel, reduced from the cached
+    system on each call, and returned sorted by weight (then by echelon
+    position); the number of entries is dim H^0.
     """
     records = sorted(_h0_records(E), key=lambda r: r[0])
     return [(_section_from_h(E, h, chi), chi) for chi, h in records]

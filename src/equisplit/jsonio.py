@@ -113,10 +113,6 @@ def _poly(data: Any, where: tuple) -> LaurentPoly:
     return LaurentPoly.from_sums(terms) if terms else LaurentPoly()
 
 
-def poly_from_json(data: Any, ptr: str) -> LaurentPoly:
-    return _poly(data, (ptr,))
-
-
 def poly_to_json(p: LaurentPoly) -> list[list[int]]:
     return [[e, c.numerator, c.denominator] for e, c in sorted(p.terms.items())]
 

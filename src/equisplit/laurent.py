@@ -57,9 +57,11 @@ class LaurentPoly:
         clean: dict[int, Scalar] = {}
         if terms:
             for e, c in terms.items():
+                if e.__class__ is not int:
+                    raise TypeError(f"exponents must be int, got {type(e).__name__}")
                 c = _canonical(c)
                 if c:
-                    clean[int(e)] = c
+                    clean[e] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------------

@@ -186,20 +186,6 @@ class LaurentMatrix:
                             out.entries[i * other.rows + p][j * other.cols + q] = a * b
         return out
 
-    def exponent_range(self) -> tuple[int, int] | None:
-        """(min, max) exponent over all monomials of all entries; None if zero."""
-        lo: int | None = None
-        hi: int | None = None
-        for row in self.entries:
-            for e in row:
-                if e.is_zero():
-                    continue
-                lo = e.ord if lo is None else min(lo, e.ord)
-                hi = e.deg if hi is None else max(hi, e.deg)
-        if lo is None or hi is None:
-            return None
-        return lo, hi
-
     def _check_same_shape(self, other: "LaurentMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")

@@ -4,10 +4,11 @@ Everything here is deliberately written from scratch against the definitions
 (dense elimination, naive recursion, products over ``Fraction`` only, the
 fiber filtrations of a moving-base bundle), sharing no algorithmic path with
 the package's sparse eliminator, determinant, integer-first Laurent
-arithmetic, windowed cohomology, or peeling split.  The one exception is
-``kernel_sparse``, a thin reading of the package's ``rref_sparse`` that the
-package itself no longer needs; its tests check it against the dense
-oracles here.
+arithmetic, windowed cohomology, or peeling split.  Beyond the package's
+data types, two things are borrowed: ``kernel_sparse`` is a thin reading of
+the package's ``rref_sparse`` (its tests check it against the dense oracles
+here), and ``reference_cech_window`` and ``per_class_h0_kernel`` take A^-1
+from the bundle's ``inverse_transition()``.
 """
 
 from __future__ import annotations
@@ -148,6 +149,12 @@ def det_certificate_checks(E, cert) -> dict[str, bool]:
     }
 
 
+def exponent_range(M: LaurentMatrix) -> tuple[int, int] | None:
+    """(least, greatest) exponent over every monomial of every entry of M; None if M is zero."""
+    exps = [e for row in M.entries for p in row for e in p.terms]
+    return (min(exps), max(exps)) if exps else None
+
+
 def brute_force_h0_dim(A: LaurentMatrix, window: int | None = None) -> int:
     """dim of {(f, g) : g(1/z) = A f} by direct coefficient enumeration.
 
@@ -156,7 +163,7 @@ def brute_force_h0_dim(A: LaurentMatrix, window: int | None = None) -> int:
     A f - g(1/z) gives one dense linear equation.
     """
     m = A.rows
-    rng = A.exponent_range()
+    rng = exponent_range(A)
     if rng is None:
         raise ValueError("zero matrix")
     lo, hi = rng
@@ -202,8 +209,8 @@ def reference_cech_window(E) -> int:
     on its own; this coarser, uniform window is the reference it must agree
     with.
     """
-    lo, _ = E.A.exponent_range()
-    lo_inv, hi_inv = E.inverse_transition().exponent_range()
+    lo, _ = exponent_range(E.A)
+    lo_inv, hi_inv = exponent_range(E.inverse_transition())
     margin = max(0, -lo)
     return max(1, -lo, hi_inv - margin, -lo_inv - 1)
 
@@ -218,7 +225,7 @@ def per_class_h0_kernel(E) -> list[tuple[tuple, tuple[LaurentPoly, ...]]]:
     column (exponent, then component), as one echelon kernel would list them.
     """
     m = E.rank
-    rng = E.A.exponent_range() if m else None
+    rng = exponent_range(E.A) if m else None
     if rng is None or rng[0] > 0:
         return []
     lo = rng[0]

@@ -6,6 +6,8 @@ the criteria executed before it, so the module keeps shared state in order.
 """
 
 from equisplit import selftest
+from equisplit.linalg import LaurentMatrix
+from equisplit.splitting import SplittingCertificate, verify_certificate
 
 _RESULTS: list[selftest.CriterionResult] = []
 
@@ -59,3 +61,40 @@ def test_criterion_8_invariant_assertions_never_fire():
 
 def test_criterion_9_mutation_detection():
     _record(selftest.criterion_9_mutation_detection(40))
+
+
+def test_criterion_1_compares_the_split_as_emitted(monkeypatch):
+    # swap two summands of equal degree and different weight, with the frames
+    # permuted to match: the certificate still verifies, but the summands are
+    # out of canonical sort_key order, so the round trip must fail
+    original = selftest.equivariant_split
+    swapped = []
+
+    def out_of_order(E):
+        summands, cert = original(E)
+        i = next(
+            (
+                i
+                for i in range(len(summands) - 1)
+                if summands[i].n == summands[i + 1].n and summands[i].lam != summands[i + 1].lam
+            ),
+            None,
+        )
+        if i is None:
+            return summands, cert
+        perm = list(range(len(summands)))
+        perm[i], perm[i + 1] = i + 1, i
+        cert = SplittingCertificate(
+            [summands[k] for k in perm],
+            LaurentMatrix([[row[k] for k in perm] for row in cert.M0.entries]),
+            LaurentMatrix([cert.MInf.entries[k] for k in perm]),
+        )
+        assert verify_certificate(E, cert).ok
+        swapped.append(i)
+        return cert.summands, cert
+
+    monkeypatch.setattr(selftest, "equivariant_split", out_of_order)
+    result = selftest.criterion_1_roundtrip(40)
+    assert swapped
+    assert not result.passed
+    assert "!= hidden" in result.detail

@@ -67,6 +67,21 @@ class TestTorusAction:
         assert TorusAction(2, (0, 0)).base_is_fixed()
         assert not TorusAction(2, (0, 1)).base_is_fixed()
 
+    @pytest.mark.parametrize("x", [0.5, 1.0, "1", True])
+    def test_non_integer_base_character_rejected(self, x):
+        # truncating 0.5 to 0 would turn a moving base into a fixed one
+        with pytest.raises(TypeError):
+            TorusAction(1, (x,))
+
+    def test_base_character_becomes_a_tuple(self):
+        assert TorusAction(2, [1, -1]).a == (1, -1)
+
+    @pytest.mark.parametrize("n", [2.7, 2.0])
+    def test_non_integer_line_bundle_degree_rejected(self, n):
+        # truncating 2.7 would build O(2)
+        with pytest.raises(TypeError):
+            line_bundle(n, (0,), T1)
+
 
 class TestValidate:
     def test_line_bundle_valid(self):

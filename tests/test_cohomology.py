@@ -34,7 +34,13 @@ from equisplit.linalg import LaurentMatrix
 from equisplit.jsonio import instance_from_json, load_json_file
 from equisplit.selftest import FIXTURE_NAMES, _closed_form_characters, fixture_dir, sample_case
 from equisplit.splitting import eigen_section, max_twist
-from oracles import brute_force_h0_dim, dense_rank, per_class_h0_kernel, reference_cech_window
+from oracles import (
+    brute_force_h0_dim,
+    dense_rank,
+    exponent_range,
+    per_class_h0_kernel,
+    reference_cech_window,
+)
 
 P = LaurentPoly
 T1 = TorusAction(1, (1,))
@@ -139,8 +145,8 @@ class TestH0Random:
         # max(-lo, hi') over the whole of A and A^-1, as the dense rank of
         # the default window would take minutes at rank 8
         for k, E in enumerate(per_row_cases()):
-            lo, _ = E.A.exponent_range()
-            _, hi_inv = E.inverse_transition().exponent_range()
+            lo, _ = exponent_range(E.A)
+            _, hi_inv = exponent_range(E.inverse_transition())
             assert h0_dim(E) == brute_force_h0_dim(E.A, max(-lo, hi_inv)), k
 
     def test_sections_are_honest(self):
@@ -208,7 +214,7 @@ class TestOneElimination:
                 system = cohomology._h0_system(Et)
                 assert [e for _, e in system.unknowns] == sorted(e for _, e in system.unknowns)
                 exps = [system.unknowns[c][1] for c in system.free_columns()]
-                for s in range(1 - Et.A.exponent_range()[0]):
+                for s in range(1 - exponent_range(Et.A)[0]):
                     want = h0_dim(twist(Et, -s, torus.zero_weight))
                     assert sum(e <= -s for e in exps) == want, (seed, k, s)
 
@@ -253,7 +259,7 @@ class TestOneElimination:
     def test_one_kernel_solve_per_bundle(self, monkeypatch):
         # one forward elimination per bundle with unknowns; counts and
         # characters read its pivots, and only sections back-substitute,
-        # once per bundle however often they are asked for
+        # once per h0_sections call
         solves, reductions = [], []
         original_echelon = cohomology.echelon_sparse
         original_rref = cohomology.rref_sparse
@@ -278,10 +284,31 @@ class TestOneElimination:
             assert reductions == []
             h0_sections(E)
             h0_sections(E)
-            want = int(E.rank > 0 and E.A.exponent_range()[0] <= 0)
+            want = int(E.rank > 0 and exponent_range(E.A)[0] <= 0)
             assert len(solves) - before == want
-            assert len(reductions) == int(h0_dim(E) > 0)
+            assert len(reductions) == 2 * int(h0_dim(E) > 0)
             reductions.clear()
+
+    def test_mutated_kernel_list_does_not_leak(self):
+        # the kernel list is the caller's: emptying or reordering it leaves
+        # the next h0_sections unchanged
+        def read(E):
+            return [(s.f, s.g, w) for s, w in h0_sections(E)]
+
+        read_any = 0
+        for seed in range(20):
+            E = sample(seed)
+            E = twist(E, seed % 3 + 1, E.torus.zero_weight)
+            want = read(E)
+            records = _h0_records(E)
+            assert len(records) == len(want), seed
+            records.reverse()
+            records += records
+            assert read(E) == want, seed
+            _h0_records(E).clear()
+            assert read(E) == want, seed
+            read_any += len(want)
+        assert read_any > 0
 
 
 class TestH1:
@@ -402,7 +429,7 @@ def enlarged(f_degrees, windows):
 def uniform_reference(E):
     """The bounds of the uniform reference window: every f at W + margin, every cokernel window at W."""
     W = reference_cech_window(E)
-    return [W + max(0, -E.A.exponent_range()[0])] * E.rank, [W] * E.rank
+    return [W + max(0, -exponent_range(E.A)[0])] * E.rank, [W] * E.rank
 
 
 class TestStabilization:
@@ -517,7 +544,7 @@ def test_cech_kernel_dim_matches_full_system_rank():
     for seed in range(12):
         E, _, _ = sample_case(seed, max_rank=3, max_ops=6)
         f_degrees, windows = _cech_bounds(E)
-        g_degree = max(0, -E.A.exponent_range()[0])
+        g_degree = max(0, -exponent_range(E.A)[0])
         h0, _ = _cech_once(E, f_degrees, windows)
         assert h0 == full_cech_kernel_dim(E, f_degrees, g_degree), seed
         truncated = [b - 1 for b in f_degrees]

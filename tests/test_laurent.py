@@ -253,6 +253,12 @@ class TestNormalForm:
         assert type(p.terms[0]) is int and type(p.terms[2]) is int
         assert_normal(p)
 
+    @pytest.mark.parametrize("e", [1.5, 1.0, "2", True])
+    def test_non_integer_exponent_rejected(self, e):
+        # truncating 1.5 would store z^1, and int("2") would parse a string
+        with pytest.raises(TypeError):
+            P({e: 1})
+
     def test_halves_cancel_to_an_int(self):
         h = P({0: Fraction(1, 2), 1: Fraction(1, 3)})
         for p in (h + h, h.scale(2), h * P.monomial(0, 6), h - h.scale(-1)):

@@ -97,6 +97,10 @@ class LineSummand:
     n: int
     lam: Weight
 
+    def __post_init__(self):
+        if self.n.__class__ is not int or any(x.__class__ is not int for x in self.lam):
+            raise TypeError(f"summand degree and weight must be int, got {self.n!r}, {self.lam!r}")
+
     def chart_inf_weight(self, torus: TorusAction) -> Weight:
         return weight_sub(self.lam, weight_scale(self.n, torus.a))
 
@@ -231,6 +235,11 @@ def validate(E: EquivariantBundle) -> ValidationReport:
         for i, w in enumerate(lams):
             if len(w) != r:
                 v.append(f"{name}[{i}] has length {len(w)}, expected torus rank {r}")
+                continue
+            for x in w:  # a plain loop: any() over a generator costs 4x on these short tuples
+                if x.__class__ is not int:
+                    v.append(f"{name}[{i}] = {w!r} has a non-integer entry")
+                    break
     if v:
         return ValidationReport(v)
     verdict = E._det_verdict()
@@ -249,6 +258,8 @@ def degree(E: EquivariantBundle) -> int:
 def line_bundle(n: int, lam: Weight = (), torus: TorusAction = NO_TORUS) -> EquivariantBundle:
     """The degree-n line bundle with chart-0 linearization weight lam."""
     lam = tuple(lam)
+    if n.__class__ is not int or any(x.__class__ is not int for x in lam):
+        raise TypeError(f"line bundle degree and weight must be int, got {n!r}, {lam!r}")
     if len(lam) != torus.rank:
         raise ValueError("linearization weight length must equal the torus rank")
     A = LaurentMatrix([[LaurentPoly.monomial(-n)]])

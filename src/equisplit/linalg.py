@@ -11,14 +11,20 @@ Two small engines live here:
   so its cost follows their nonzero terms, and wraps polynomials only for
   its results; the adjugate pass runs only on the core left with no unit
   entry, which is often empty, once per connected block of the core's
-  nonzero pattern.  The matrix product is fused: each output entry is one
-  coefficient dict accumulated over the inner index straight from the
-  operands' terms, with no intermediate polynomial per product.  Results
-  are wrapped by the private constructor ``LaurentMatrix._adopt``, which
-  takes only freshly built rows of a known shape and so skips the copy and
-  the ragged check.  Scalar scalings (by the coefficient lcm, by a sign, by
-  an inverse determinant) scale coefficients and never go through the
-  Laurent product.
+  nonzero pattern.  The matrix product is fused and row-sparse (Gustavson,
+  ACM TOMS 4, 1978): row i of the product gathers a * (row k of the right
+  operand) over the nonzero entries a of row i of the left one, so only
+  nonzero entry pairs are visited, and each output entry is one
+  coefficient dict accumulated straight from the operands' terms, with no
+  intermediate polynomial per product.  The entries that no term reaches
+  share one zero polynomial, and the entrywise maps (shift, z -> 1/z,
+  scaling, division by a unit determinant) pass a zero entry through as
+  itself; see ``LaurentMatrix`` for why sharing is safe.  Results are
+  wrapped by the private constructor ``LaurentMatrix._adopt``, which takes
+  only freshly built rows of a known shape and so skips the copy and the
+  ragged check.  Scalar scalings (by the coefficient lcm, by a sign, by an
+  inverse determinant) scale coefficients and never go through the Laurent
+  product.
 * rational row reduction — one sparse, fraction-free elimination routine
   over Python integers, used by every cohomology computation.  Rows enter
   with their denominators cleared, are combined by integer
@@ -35,13 +41,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .laurent import LaurentPoly, Scalar, scalar_div
 
 
 class LaurentMatrix:
-    """A rows-by-cols grid of LaurentPoly entries (row-major, immutable use)."""
+    """A rows-by-cols grid of LaurentPoly entries (row-major, immutable use).
+
+    Entries may be shared: between matrices (a submatrix, a transpose, an
+    entrywise map's zero entries) and within one (the zero entries of a
+    product).  That is safe because no code mutates a ``LaurentPoly``'s
+    ``terms`` after construction; only ``dict(...)`` copies are ever
+    written.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -117,54 +130,64 @@ class LaurentMatrix:
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # column j of other as (k, terms of other[k][j]), zero entries dropped
-        bcols = [
-            [(k, row[j].terms) for k, row in enumerate(other.entries) if row[j].terms]
-            for j in range(other.cols)
-        ]
+        # row-sparse (Gustavson): row k of other as its nonzero (j, terms)
+        # pairs, taken once; row i of the product gathers a * other[k] over
+        # the nonzero entries a = self[i][k] in ascending k, so each output
+        # entry sees the terms in the same order as an inner-index loop
+        brows = [[(j, p.terms) for j, p in enumerate(row) if p.terms] for row in other.entries]
+        zero = LaurentPoly()  # every entry that no term reaches
         from_sums = LaurentPoly.from_sums
+        cols = other.cols
         entries = []
         for row in self.entries:
-            aterms = [p.terms for p in row]
-            orow = []
-            for bcol in bcols:
-                sums: dict[int, Scalar] = {}
-                get = sums.get
-                for k, bt in bcol:
-                    at = aterms[k]
-                    if not at:
-                        continue
+            acc: dict[int, dict[int, Scalar]] = {}
+            for k, a in enumerate(row):
+                at = a.terms
+                brow = brows[k]
+                if not at or not brow:
+                    continue
+                aitems = at.items()
+                for j, bt in brow:
+                    sums = acc.get(j)
+                    if sums is None:
+                        sums = acc[j] = {}
+                    get = sums.get
                     bitems = bt.items()
-                    for e1, c1 in at.items():
+                    for e1, c1 in aitems:
                         for e2, c2 in bitems:
                             e = e1 + e2
                             # the first product is stored as it is: 0 + Fraction
                             # would take Fraction's slow reflected add
                             s = get(e)
                             sums[e] = c1 * c2 if s is None else s + c1 * c2
-                orow.append(from_sums(sums))
+            orow = [zero] * cols
+            for j, sums in acc.items():
+                orow[j] = from_sums(sums)
             entries.append(orow)
-        return LaurentMatrix._adopt(entries, self.rows, other.cols)
+        return LaurentMatrix._adopt(entries, self.rows, cols)
 
     def scale(self, c: Scalar) -> "LaurentMatrix":
         """Multiply every entry by the scalar c (no Laurent product)."""
-        return self.map(lambda e: e.scale(c))
+        return LaurentMatrix._adopt(
+            [[p.scale(c) if p.terms else p for p in row] for row in self.entries], self.rows, self.cols
+        )
 
     def shift(self, k: int) -> "LaurentMatrix":
         """Multiply every entry by z**k (an exponent shift, no arithmetic)."""
-        return self.map(lambda e: e.shift(k))
+        return LaurentMatrix._adopt(
+            [[p.shift(k) if p.terms else p for p in row] for row in self.entries], self.rows, self.cols
+        )
 
     def transpose(self) -> "LaurentMatrix":
         return LaurentMatrix._adopt(
             [[row[j] for row in self.entries] for j in range(self.cols)], self.cols, self.rows
         )
 
-    def map(self, fn: Callable[[LaurentPoly], LaurentPoly]) -> "LaurentMatrix":
-        return LaurentMatrix._adopt([[fn(e) for e in row] for row in self.entries], self.rows, self.cols)
-
     def invert_variable(self) -> "LaurentMatrix":
         """Substitute z -> 1/z in every entry."""
-        return self.map(lambda e: e.invert_variable())
+        return LaurentMatrix._adopt(
+            [[p.invert_variable() if p.terms else p for p in row] for row in self.entries], self.rows, self.cols
+        )
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "LaurentMatrix":
         return LaurentMatrix._adopt(
@@ -244,7 +267,11 @@ def mat_inverse(adj: LaurentMatrix, det: LaurentPoly) -> LaurentMatrix:
         raise ValueError(f"determinant {det!r} is not a nonzero monomial")
     ((e, c),) = det.terms.items()
     inv = scalar_div(1, c)
-    return adj.map(lambda p: _adopt_terms(_unit_quotient(p.terms, e, inv)))
+    return LaurentMatrix._adopt(
+        [[_adopt_terms(_unit_quotient(p.terms, e, inv)) if p.terms else p for p in row] for row in adj.entries],
+        adj.rows,
+        adj.cols,
+    )
 
 
 # -- the det pass on raw term dicts -----------------------------------------

@@ -352,9 +352,13 @@ def _frame_inverses(
     by n_j.  MInf^-1 comes back in w, like MInf: its entry (i, j) maps each
     exponent e of R[i][j] to -(e + n_j).
     """
-    M0inv = LaurentMatrix([[p.shift(k) for p in row] for row, k in zip(L.entries, n)], L.rows, L.cols)
-    winv = [[{-(e + k): c for e, c in p.terms.items()} for p, k in zip(row, n)] for row in R.entries]
-    return M0inv, LaurentMatrix([[LaurentPoly.from_sums(t) for t in row] for row in winv], R.rows, R.cols)
+    M0inv = [[p.shift(k) if p.terms else p for p in row] for row, k in zip(L.entries, n)]
+    from_sums = LaurentPoly.from_sums
+    MInfinv = [
+        [from_sums({-(e + k): c for e, c in p.terms.items()}) if p.terms else p for p, k in zip(row, n)]
+        for row in R.entries
+    ]
+    return LaurentMatrix._adopt(M0inv, L.rows, L.cols), LaurentMatrix._adopt(MInfinv, R.rows, R.cols)
 
 
 def _det_exponent(M: LaurentMatrix, Minv: LaurentMatrix) -> int:

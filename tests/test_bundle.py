@@ -82,6 +82,18 @@ class TestTorusAction:
         with pytest.raises(TypeError):
             line_bundle(n, (0,), T1)
 
+    @pytest.mark.parametrize("lam", [(0.5,), (1.0,), ("1",), (True,)])
+    def test_non_integer_line_bundle_weight_rejected(self, lam):
+        # (0.5,) would build a bundle that validates, with H^0 character
+        # {(0.5,): 1, (-0.5,): 1}
+        with pytest.raises(TypeError):
+            line_bundle(1, lam, T1)
+
+    @pytest.mark.parametrize("n, lam", [(2.7, (0,)), (2.0, (0,)), (True, (0,)), (2, (0.5,)), (2, ("0",))])
+    def test_non_integer_summand_rejected(self, n, lam):
+        with pytest.raises(TypeError):
+            LineSummand(n, lam)
+
 
 class TestValidate:
     def test_line_bundle_valid(self):
@@ -96,6 +108,16 @@ class TestValidate:
         assert not report.ok
         assert "A[0][0]" in report.violations[0]
         assert "z^-1" in report.violations[0]
+
+    def test_non_integer_frame_weights_reported(self):
+        # the frames of line_bundle(1, (0.5,), T1), built past its type check
+        E = EquivariantBundle(lm([[{-1: 1}]]), ((0.5,),), ((-0.5,),), T1)
+        assert validate(E).violations == [
+            "lambda0[0] = (0.5,) has a non-integer entry",
+            "lambdaInf[0] = (-0.5,) has a non-integer entry",
+        ]
+        F = EquivariantBundle(lm([[{-1: 1}]]), ((0,),), ((1.0,),), T1)
+        assert validate(F).violations == ["lambdaInf[0] = (1.0,) has a non-integer entry"]
 
     def test_jump_instance_no_torus(self):
         E = EquivariantBundle(lm([[{1: 1}, {0: 1}], [{}, {-1: 1}]]), ((), ()), ((), ()))

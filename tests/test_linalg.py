@@ -462,7 +462,6 @@ class TestMatrixOps:
         for shape in ((0, 3), (3, 0)):
             Z = LaurentMatrix.zeros(*shape)
             for M in (
-                Z.map(lambda p: p),
                 Z.shift(2),
                 Z.invert_variable(),
                 Z.scale(2),
@@ -620,6 +619,16 @@ def _square_matrices(draw, integral):
     return M
 
 
+def _sparse_cells(laurents):
+    """Laurent entries that are zero with probability about 0.6."""
+    return st.tuples(st.integers(0, 9), laurents.filter(bool)).map(lambda t: P.zero() if t[0] < 6 else t[1])
+
+
+def _sparse_laurent_matrices(rows, cols, laurents=_LAURENTS):
+    cells = st.lists(_sparse_cells(laurents), min_size=cols, max_size=cols)
+    return st.lists(cells, min_size=rows, max_size=rows).map(lambda e: LaurentMatrix(e, rows, cols))
+
+
 @st.composite
 def _sparse_matrices(draw, integral):
     """Square Laurent matrices of size 1..6 whose cells are empty with probability about 0.6.
@@ -628,21 +637,36 @@ def _sparse_matrices(draw, integral):
     non-square components, which dense draws rarely do.
     """
     m = draw(st.integers(1, 6))
-    laurents = _INT_LAURENTS if integral else _LAURENTS
-    cell = st.tuples(st.integers(0, 9), laurents.filter(bool)).map(lambda t: P.zero() if t[0] < 6 else t[1])
-    return LaurentMatrix(draw(st.lists(st.lists(cell, min_size=m, max_size=m), min_size=m, max_size=m)), m, m)
+    return draw(_sparse_laurent_matrices(m, m, _INT_LAURENTS if integral else _LAURENTS))
+
+
+def _snapshot(*matrices):
+    """Every entry's terms, in insertion order and with each coefficient's class."""
+    return [[[[(e, c.__class__, c) for e, c in p.terms.items()] for p in row] for row in M.entries] for M in matrices]
 
 
 class TestExactNormalForm:
+    @pytest.mark.parametrize("matrices", [_laurent_matrices, _sparse_laurent_matrices], ids=["dense", "sparse"])
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
-    def test_matmul_matches_fraction_reference(self, n, k, p, data):
-        A = data.draw(_laurent_matrices(n, k))
-        B = data.draw(_laurent_matrices(k, p))
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_matmul_matches_fraction_reference(self, matrices, n, k, p, data):
+        # the row-sparse product skips zero entries of both operands, and the
+        # entries no term reaches share one zero; no operand is written to
+        A = data.draw(matrices(n, k))
+        B = data.draw(matrices(k, p))
+        before = _snapshot(A, B)
         C = A @ B
+        assert _snapshot(A, B) == before
         assert (C.rows, C.cols) == (n, p)
         _assert_normal(C)
-        assert [[q.terms for q in row] for row in C.entries] == naive_matmul(A, B)
+        assert _terms(C) == naive_matmul(A, B)
+        # a product with shared zero entries as an operand of the next one
+        X = data.draw(matrices(p, k))
+        product = _snapshot(C, X)
+        D = C @ X
+        assert _snapshot(C, X) == product and _snapshot(A, B) == before
+        _assert_normal(D)
+        assert _terms(D) == naive_matmul(C, X)
 
     @settings(max_examples=60, deadline=None)
     @given(_invertible_matrices())
@@ -654,15 +678,27 @@ class TestExactNormalForm:
         identity = [[{0: 1} if i == j else {} for j in range(M.rows)] for i in range(M.rows)]
         assert naive_matmul(M, inv) == naive_matmul(inv, M) == identity
 
+    @pytest.mark.parametrize("matrices", [_laurent_matrices, _sparse_laurent_matrices], ids=["dense", "sparse"])
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 3), st.integers(0, 3), _COEFFS, st.data())
-    def test_scale_matches_fraction_reference(self, n, k, c, data):
-        # an int or Fraction scales the coefficients
-        M = data.draw(_laurent_matrices(n, k))
-        S = M.scale(c)
-        assert (S.rows, S.cols) == (n, k)
-        _assert_normal(S)
-        assert _terms(S) == [[naive_mul(e, P.monomial(0, c)) for e in row] for row in M.entries]
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(-3, 3), _COEFFS, st.data())
+    def test_entrywise_maps_match_fraction_reference(self, matrices, n, k, s, c, data):
+        # an int or Fraction scales the coefficients; shift, invert_variable
+        # and scale pass zero entries through as they are
+        M = data.draw(matrices(n, k))
+        before = _snapshot(M)
+        S, V, W = M.shift(s), M.invert_variable(), M.scale(c)
+        assert _snapshot(M) == before
+        for R in (S, V, W):
+            assert (R.rows, R.cols) == (n, k)
+            _assert_normal(R)
+        assert _terms(S) == [[naive_mul(e, P.monomial(s)) for e in row] for row in M.entries]
+        assert _terms(V) == [[{-d: v for d, v in e.terms.items()} for e in row] for row in M.entries]
+        assert _terms(W) == [[naive_mul(e, P.monomial(0, c)) for e in row] for row in M.entries]
+        # the maps' outputs share M's zero entries, and a product of them writes to none
+        mapped = _snapshot(S, V, W)
+        Y = S @ W.transpose()
+        assert _snapshot(M) == before and _snapshot(S, V, W) == mapped
+        assert _terms(Y) == naive_matmul(S, W.transpose())
 
     @pytest.mark.parametrize("integral", [True, False])
     @settings(max_examples=60, deadline=None)
@@ -698,7 +734,9 @@ class TestExactNormalForm:
         adj, det = mat_adjugate(M)
         assert det == naive_det(M) and det.is_monomial()
         ((e, c),) = det.terms.items()
+        before = _snapshot(adj)
         inv = mat_inverse(adj, det)
+        assert _snapshot(adj) == before
         _assert_normal(inv)
         want = [[{k - e: Fraction(v, c) for k, v in cell.items()} for cell in row] for row in _naive_adjugate(M)]
         assert _terms(inv) == want

@@ -12,6 +12,7 @@ internals stay importable from their modules.
 
 from .bundle import (
     EquivariantBundle,
+    HomElement,
     LineSummand,
     TorusAction,
     NO_TORUS,
@@ -27,6 +28,7 @@ from .bundle import (
     validate,
 )
 from .cohomology import (
+    Character,
     EulerReport,
     Section,
     cech_cohomology,
@@ -37,7 +39,6 @@ from .cohomology import (
     h1_character,
     h1_dim,
 )
-from .equivariant import Character, HomElement
 from .laurent import LaurentPoly
 from .linalg import LaurentMatrix
 from .splitting import (

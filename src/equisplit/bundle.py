@@ -21,7 +21,9 @@ Conventions (fixed here, cited everywhere else):
   w-exponent j in component i has weight lambdaInf[i] + j*a on chart inf.
 
 The equivariance law for transition entries follows: every monomial c*z^d of
-A[i][j] must satisfy d*a = lambdaInf[i] - lambda0[j].
+A[i][j] must satisfy d*a = lambdaInf[i] - lambda0[j].  A frame map (new
+coords = M @ old coords) obeys it with rows weighted by the new frame, and
+``derive_target_weights`` reads those weights off it in one checked pass.
 """
 
 from __future__ import annotations
@@ -218,6 +220,46 @@ def transition_law_violations(
     return out
 
 
+def derive_target_weights(
+    M: LaurentMatrix,
+    source: tuple[Weight, ...],
+    torus: TorusAction,
+    label: str,
+) -> tuple[Weight, ...]:
+    """Row weights of a frame map (new coords = M @ old coords over k[z]), law checked.
+
+    Every z^d of M[i][j] needs d*a = target[i] - source[j], the law of
+    ``transition_law_violations``; a chart-inf frame over k[w] is passed as
+    ``M.invert_variable()``.  The first monomial of row i fixes target[i],
+    every other one is compared with it in the same pass, and a mismatch
+    raises InvariantViolation naming label[i][j].  A zero row raises ValueError.
+    """
+    if torus.rank == 0:
+        return ((),) * M.rows
+    a = torus.a
+    out = []
+    bad = []
+    for i, row in enumerate(M.entries):
+        lam = None
+        for j, p in enumerate(row):
+            if not p.terms:
+                continue
+            exps = sorted(p.terms)
+            if lam is None:
+                lam = weight_add(source[j], weight_scale(exps[0], a))
+            need = weight_sub(lam, source[j])
+            for d in exps:
+                got = tuple([d * x for x in a])
+                if got != need:
+                    bad.append(f"{label}[{i}][{j}]: monomial z^{d} has d*a={got}, law requires {need}")
+        if lam is None:
+            raise ValueError(f"row {i} is zero; weights cannot be derived")
+        out.append(lam)
+    if bad:
+        raise InvariantViolation("frame completion broke equivariance: " + "; ".join(bad))
+    return tuple(out)
+
+
 def validate(E: EquivariantBundle) -> ValidationReport:
     """Report every violated bundle invariant (empty report means valid)."""
     v: list[str] = []
@@ -257,13 +299,11 @@ def degree(E: EquivariantBundle) -> int:
 
 def line_bundle(n: int, lam: Weight = (), torus: TorusAction = NO_TORUS) -> EquivariantBundle:
     """The degree-n line bundle with chart-0 linearization weight lam."""
-    lam = tuple(lam)
-    if n.__class__ is not int or any(x.__class__ is not int for x in lam):
-        raise TypeError(f"line bundle degree and weight must be int, got {n!r}, {lam!r}")
-    if len(lam) != torus.rank:
+    s = LineSummand(n, tuple(lam))
+    if len(s.lam) != torus.rank:
         raise ValueError("linearization weight length must equal the torus rank")
     A = LaurentMatrix([[LaurentPoly.monomial(-n)]])
-    return EquivariantBundle(A, (lam,), (weight_sub(lam, weight_scale(n, torus.a)),), torus)
+    return EquivariantBundle(A, (s.lam,), (s.chart_inf_weight(torus),), torus)
 
 
 def twist(E: EquivariantBundle, n: int, lam: Weight) -> EquivariantBundle:
@@ -273,8 +313,8 @@ def twist(E: EquivariantBundle, n: int, lam: Weight) -> EquivariantBundle:
     weights by lam - n*a; the degree grows by rank*n, and a singular det
     is multiplied by z^(-n*rank).
     """
-    lam = tuple(lam)
-    shift_inf = weight_sub(lam, weight_scale(n, E.torus.a))
+    s = LineSummand(n, tuple(lam))
+    shift_inf = s.chart_inf_weight(E.torus)
     verdict = E._det_verdict()
     if isinstance(verdict, LaurentPoly):
         verdict = verdict.shift(-n * E.rank)
@@ -282,7 +322,7 @@ def twist(E: EquivariantBundle, n: int, lam: Weight) -> EquivariantBundle:
         verdict = (verdict[0] + n * E.rank, verdict[1].shift(n))
     return EquivariantBundle._derived(
         E.A.shift(-n),
-        tuple(weight_add(w, lam) for w in E.lambda0),
+        tuple(weight_add(w, s.lam) for w in E.lambda0),
         tuple(weight_add(w, shift_inf) for w in E.lambdaInf),
         E.torus,
         verdict,
@@ -337,6 +377,25 @@ def hom_bundle(E: EquivariantBundle, F: EquivariantBundle) -> EquivariantBundle:
     deg = E.rank * degree(F) - F.rank * degree(E)
     inv = dE.inverse_transition().kron(F.inverse_transition())
     return EquivariantBundle._derived(K, lam0, lamInf, E.torus, (deg, inv))
+
+
+@dataclass
+class HomElement:
+    """A bundle map: chart-local matrices (F0 over k[z], FInf over k[w]).
+
+    Satisfies the intertwining law  target.A @ F0 = FInf(1/z) @ source.A
+    as an exact Laurent identity.
+    """
+
+    source: EquivariantBundle
+    target: EquivariantBundle
+    F0: LaurentMatrix
+    FInf: LaurentMatrix
+
+    def intertwining_violation(self) -> str | None:
+        if self.target.A @ self.F0 != self.FInf.invert_variable() @ self.source.A:
+            return "target.A @ F0 != FInf(1/z) @ source.A"
+        return None
 
 
 # -- seeded random instances with hidden ground truth -----------------------

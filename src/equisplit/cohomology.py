@@ -1,5 +1,8 @@
 """Exact sheaf cohomology on the projective line, with weight grading.
 
+Weight decompositions are ``Character`` values: finite multisets of weights
+with integer multiplicities.
+
 A global section is a pair (f, g) of polynomial vectors with g(1/z) = A f,
 and every exponent bound below is read off one component at a time.  With
 lo_i the least exponent of row i of A and hi'_j the greatest exponent of row
@@ -61,6 +64,7 @@ rank stays armed: a failure raises InvariantViolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .bundle import (
     EquivariantBundle,
@@ -71,9 +75,67 @@ from .bundle import (
     transition_law_violations,
     twist,
 )
-from .equivariant import Character
 from .laurent import LaurentPoly, Scalar
 from .linalg import LaurentMatrix, echelon_sparse, rank_sparse, rref_sparse
+
+
+class Character:
+    """A finite multiset of weights with integer (possibly negative) multiplicities.
+
+    Multiplicities and weight entries must be exactly ``int``; anything else,
+    ``bool`` included, raises TypeError.
+    """
+
+    __slots__ = ("mult",)
+
+    def __init__(self, mult: dict[Weight, int] | None = None):
+        out = {}
+        for w, m in (mult or {}).items():
+            w = tuple(w)
+            for x in (m, *w):  # a plain loop: any() over a generator costs 2x here
+                if x.__class__ is not int:
+                    raise TypeError(f"character weights and multiplicities must be int, got {w!r}: {m!r}")
+            if m:
+                out[w] = m
+        self.mult = out
+
+    @classmethod
+    def from_weights(cls, weights: Iterable[Weight]) -> "Character":
+        out: dict[Weight, int] = {}
+        for w in weights:
+            w = tuple(w)
+            out[w] = out.get(w, 0) + 1
+        return cls(out)
+
+    def total(self) -> int:
+        """Sum of multiplicities (the dimension, for honest characters)."""
+        return sum(self.mult.values())
+
+    def __add__(self, other: "Character") -> "Character":
+        out = dict(self.mult)
+        for w, m in other.mult.items():
+            out[w] = out.get(w, 0) + m
+        return Character(out)
+
+    def __sub__(self, other: "Character") -> "Character":
+        return self + Character({w: -m for w, m in other.mult.items()})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Character):
+            return NotImplemented
+        return self.mult == other.mult
+
+    __hash__ = None
+
+    def __bool__(self) -> bool:
+        return bool(self.mult)
+
+    def to_json(self) -> list[dict]:
+        return [{"weight": list(w), "mult": m} for w, m in sorted(self.mult.items())]
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{w}: {m}" for w, m in sorted(self.mult.items()))
+        return f"Character({{{inner}}})"
 
 
 def _times_column(M: LaurentMatrix, v: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:

@@ -25,7 +25,9 @@ each value with one exact-class check (an integer must be an ``int``, so a
 its JSON pointer; polynomial coefficients come out in normal form.
 ``load_json_file`` maps every way a file can fail to parse as JSON, nesting
 too deep and integer literals over Python's digit limit included, to
-ParseError as well.  Encoding is canonical: for the same exact classes,
+ParseError as well, and rejects a key repeated within one object, at any
+depth, with a ParseError that names the key.  Keys the schema does not name
+are ignored.  Encoding is canonical: for the same exact classes,
 and tuples, ``dumps_canonical`` returns exactly the text of
 ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, and it raises
 TypeError on a subclass; monomials are listed by ascending exponent, so
@@ -286,11 +288,29 @@ def dumps_canonical(doc: Any) -> str:
     return "".join(out)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """``json.load``'s object hook: the object as a dict, or ParseError on a repeated key."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError("(document)", f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+# built once: json.load with a hook builds a new decoder on every call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_json_file(path: str) -> Any:
-    """Parse a UTF-8 JSON file; any text that does not parse raises ParseError."""
+    """Parse a UTF-8 JSON file; text that does not parse, or repeats a key, raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return _DECODER.decode(fh.read())
+        except ParseError:  # a duplicate key; not an over-long integer literal below
+            raise
         except json.JSONDecodeError as exc:
             raise ParseError(f"(line {exc.lineno}, column {exc.colno})", exc.msg) from exc
         except UnicodeDecodeError as exc:

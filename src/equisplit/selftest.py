@@ -24,8 +24,7 @@ from .bundle import (
     transition_law_violations,
     validate,
 )
-from .cohomology import cech_cohomology, h0_character, h0_dim, h1_character
-from .equivariant import Character
+from .cohomology import Character, cech_cohomology, h0_character, h0_dim, h1_character
 from .jsonio import (
     certificate_from_json,
     certificate_to_json,

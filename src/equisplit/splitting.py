@@ -37,10 +37,12 @@ from dataclasses import dataclass
 
 from .bundle import (
     EquivariantBundle,
+    HomElement,
     InvariantViolation,
     LineSummand,
     TorusAction,
     degree,
+    derive_target_weights,
     hom_bundle,
     transition_law_violations,
     twist,
@@ -49,7 +51,6 @@ from .bundle import (
     weight_sub,
 )
 from .cohomology import Section, _h0_records, _h0_system, _section_from_h, h0_character, h0_dim
-from .equivariant import HomElement, derive_target_weights
 from .laurent import LaurentPoly, poly_ext_gcd
 from .linalg import LaurentMatrix, rank_sparse
 
@@ -163,14 +164,10 @@ def peel(E: EquivariantBundle) -> PeelStep:
     # the chart-inf law of V is the chart-0 law of V(1/z)
     Vz = V.invert_variable()
 
-    nu0 = derive_target_weights(U, E.lambda0, torus)
-    nuInf = derive_target_weights(Vz, E.lambdaInf, torus)
-    bad = transition_law_violations(U, nu0, E.lambda0, torus, "U") + transition_law_violations(
-        Vz, nuInf, E.lambdaInf, torus, "V(1/z)"
-    )
-    if bad:
-        raise InvariantViolation("frame completion broke equivariance: " + "; ".join(bad))
-    if nu0[0] != chi or nuInf[0] != weight_sub(chi, weight_scale(n1, torus.a)):
+    nu0 = derive_target_weights(U, E.lambda0, torus, "U")
+    nuInf = derive_target_weights(Vz, E.lambdaInf, torus, "V(1/z)")
+    summand = LineSummand(n1, chi)
+    if nu0[0] != chi or nuInf[0] != summand.chart_inf_weight(torus):
         raise InvariantViolation(
             f"peeled frame weight {nu0[0]}/{nuInf[0]} does not match the section weight {chi}"
         )
@@ -194,7 +191,7 @@ def peel(E: EquivariantBundle) -> PeelStep:
         qreport = validate(quotient)
         if not qreport.ok:
             raise InvariantViolation("peel produced an invalid quotient: " + "; ".join(qreport.violations))
-    return PeelStep(LineSummand(n1, chi), U, Uinv, V, EquivariantBundle(A_new, nu0, nuInf, torus), quotient)
+    return PeelStep(summand, U, Uinv, V, EquivariantBundle(A_new, nu0, nuInf, torus), quotient)
 
 
 def triangular_clear(

@@ -232,6 +232,12 @@ class TestTwist:
         assert out.A == E.A
         assert out.lambda0 == tuple((w[0] + 2,) for w in E.lambda0)
 
+    @pytest.mark.parametrize("n, lam", [(0.5, (0,)), (True, (0,)), (1, (0.5,)), (1, (True,))])
+    def test_non_integer_twist_rejected(self, n, lam):
+        # (0.5, (0,)) used to build the transition z^-2.5 with degree 2.5
+        with pytest.raises(TypeError):
+            twist(line_bundle(2, (0,), T1), n, lam)
+
     def test_degree_shift(self):
         for seed in range(10):
             E, _, torus = sample(seed)

@@ -1,19 +1,24 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equisplit import cli, cohomology, linalg
 from equisplit.bundle import EquivariantBundle, LineSummand, TorusAction, random_instance, random_reframe
 from equisplit.cli import main
-from equisplit.equivariant import Character
+from equisplit.cohomology import Character
 from equisplit.jsonio import certificate_to_json, dumps_canonical, instance_to_json, load_json_file
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
 from equisplit.selftest import CriterionResult, _closed_form_characters, fixture_dir
-from equisplit.splitting import InvariantViolation, SplittingCertificate
+from equisplit.splitting import InvariantViolation, SplittingCertificate, equivariant_split
 
 
 def run(capsys, *argv):
@@ -24,6 +29,20 @@ def run(capsys, *argv):
 
 def fixture_path(name):
     return str(fixture_dir() / name / "instance.json")
+
+
+def dumps_with_duplicate(doc, path, key, value):
+    """JSON text of doc whose object at path lists key once more, with value, after its own keys."""
+    marker = "duplicate-key-marker"
+    doc = copy.deepcopy(doc)
+    parent, obj = None, doc
+    for part in path:
+        parent, obj = obj, obj[part]
+    text = json.dumps(obj)[:-1] + f", {json.dumps(key)}: {json.dumps(value)}}}"
+    if parent is None:
+        return text
+    parent[path[-1]] = marker
+    return json.dumps(doc).replace(json.dumps(marker), text)
 
 
 class TestValidate:
@@ -244,6 +263,33 @@ class TestErrors:
         assert code == 2
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize(
+        "kind, path, key, value",
+        [("instance", (), "rank", 3), ("instance", ("torus",), "a", [2]), ("certificate", (), "M0", [])],
+        ids=["top-level", "torus", "certificate"],
+    )
+    def test_duplicate_key_is_a_parse_error(self, capsys, tmp_path, kind, path, key, value):
+        # json.load alone keeps the last value: "rank": 1 then "rank": 3 read as rank 3
+        inst, cert = fixture_path("o_3"), tmp_path / "cert.json"
+        run(capsys, "split", inst, "--certificate", str(cert))
+        bad = tmp_path / "bad.json"
+        base = load_json_file(inst if kind == "instance" else str(cert))
+        bad.write_text(dumps_with_duplicate(base, path, key, value))
+        argv = ["validate", str(bad)] if kind == "instance" else ["verify", inst, str(bad)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": {"pointer": "(document)", "message": f"duplicate key {key!r}"}}
+        assert "Traceback" not in err
+
+    def test_unknown_key_is_ignored(self, capsys, tmp_path):
+        doc = load_json_file(fixture_path("o_3"))
+        doc["comment"] = "not part of the schema"
+        path = tmp_path / "extra.json"
+        path.write_text(dumps_canonical(doc))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 0
+        assert json.loads(out) == {"valid": True, "violations": []}
+
     def test_undecodable_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"rank": 1, "A": "\xff\xfe"}')
@@ -398,6 +444,136 @@ class TestErrors:
     def test_euler_failure_is_an_invariant_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(cohomology, "_cech_once", lambda E, f_degrees, W: (0, Character()))
         self._assert_invariant_document(capsys, "Euler identity fails at Cech window")
+
+
+def _fuzz_base(seed, summands, torus):
+    E, hidden = random_instance(seed, summands, 6, torus)
+    return instance_to_json(E, hidden), certificate_to_json(equivariant_split(E)[1])
+
+
+# small valid instances, with their certificates, that the fuzz test mutates
+FUZZ_BASES = [
+    _fuzz_base(1, [LineSummand(1, (0,)), LineSummand(-1, (1,))], TorusAction(1, (1,))),
+    _fuzz_base(2, [LineSummand(2, ()), LineSummand(0, ()), LineSummand(-1, ())], TorusAction(0, ())),
+    _fuzz_base(3, [LineSummand(1, (0,)), LineSummand(1, (-1,)), LineSummand(0, (2,))], TorusAction(1, (0,))),
+    _fuzz_base(4, [LineSummand(0, (0, 0)), LineSummand(-2, (1, 0))], TorusAction(2, (1, -1))),
+]
+
+# one value of each JSON type, small enough that no exponent span grows
+FUZZ_VALUES = [None, True, 0, 1, -1, 1.5, "x", [], [0], {}, {"n": 0}]
+
+
+def _fuzz_node(data, doc):
+    """(parent, key) of a node reached by walking a drawn number of levels down from the root."""
+    parent, key, node = None, None, doc
+    for _ in range(data.draw(st.integers(0, 6))):
+        if node.__class__ not in (dict, list) or not node:
+            break
+        keys = sorted(node) if node.__class__ is dict else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        parent, node = node, node[key]
+    return parent, key
+
+
+def _fuzz_entries(doc, names):
+    """(matrix name, row, column) of every entry of the named matrices."""
+    return [(name, i, j) for name in names for i, row in enumerate(doc[name]) for j in range(len(row))]
+
+
+def _mutated(data, doc, kind):
+    """The text of doc with one drawn change; kind is "instance" or "certificate"."""
+    doc = copy.deepcopy(doc)
+    matrices = ("A",) if kind == "instance" else ("M0", "MInf")
+    mutations = ["retype", "drop_key", "duplicate_key", "resize_row", "zero_row"]
+    mutations.append("break_law" if kind == "instance" else "perturb_coefficient")
+    mutation = data.draw(st.sampled_from(mutations))
+    if mutation == "retype":
+        parent, key = _fuzz_node(data, doc)
+        old = doc if parent is None else parent[key]
+        value = data.draw(st.sampled_from([v for v in FUZZ_VALUES if v.__class__ is not old.__class__]))
+        if parent is None:
+            return json.dumps(value)
+        parent[key] = value
+    elif mutation in ("drop_key", "duplicate_key"):
+        path = []
+        node = doc
+        while True:  # descend through objects only, stopping at a drawn depth
+            children = [k for k, v in node.items() if v.__class__ is dict and v]
+            if not children or not data.draw(st.booleans()):
+                break
+            path.append(data.draw(st.sampled_from(sorted(children))))
+            node = node[path[-1]]
+        key = data.draw(st.sampled_from(sorted(node)))
+        if mutation == "duplicate_key":
+            value = data.draw(st.sampled_from([node[key], *FUZZ_VALUES]))
+            return dumps_with_duplicate(doc, path, key, value)
+        del node[key]
+    elif mutation in ("resize_row", "zero_row"):
+        name = data.draw(st.sampled_from(matrices))
+        row = doc[name][data.draw(st.integers(0, len(doc[name]) - 1))]
+        if mutation == "zero_row":
+            row[:] = [[] for _ in row]
+        elif row and data.draw(st.booleans()):
+            row.pop()
+        else:
+            row.append([])
+    elif mutation == "break_law":
+        weights = [w for name in ("lambda0", "lambdaInf") for w in doc[name]]
+        if weights[0]:  # shift one weight entry: the law pairs it with the transition
+            w = data.draw(st.sampled_from(weights))
+            w[data.draw(st.integers(0, len(w) - 1))] += data.draw(st.sampled_from([-1, 1]))
+        else:  # no torus: the law is empty, so add a monomial to A instead
+            name, i, j = data.draw(st.sampled_from(_fuzz_entries(doc, ("A",))))
+            entry = doc["A"][i][j]
+            entry[:] = [m for m in entry if m[0] != 1] + [[1, 1, 1]]
+    else:
+        monomials = [(name, i, j, k) for name, i, j in _fuzz_entries(doc, matrices)
+                     for k in range(len(doc[name][i][j]))]
+        name, i, j, k = data.draw(st.sampled_from(monomials))
+        mono = doc[name][i][j][k]
+        mono[1] += data.draw(st.sampled_from([1, 2]))
+        if mono[1] == 0:
+            mono[1] = 3
+    return json.dumps(doc)
+
+
+def _assert_contract(argv):
+    """cli.main returns 0, 1 or 2 and writes exactly one JSON document; nothing escapes it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    text = out.getvalue()
+    doc, end = json.JSONDecoder().raw_decode(text)
+    assert text[end:] == "\n" and doc.__class__ is dict
+    if code == 2:
+        assert list(doc) == ["error"]
+
+
+class TestContractFuzz:
+    """Mutated instances and certificates keep the CLI contract on every command.
+
+    Each example changes one thing in a valid document: a value's JSON type,
+    a dropped or duplicated key, a resized or zeroed matrix row, the weight
+    law, or one certificate coefficient.  Exponents stay small, so this does
+    not cover a huge exponent span, on which ``cohomology`` has no bound yet.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(range(len(FUZZ_BASES))), st.sampled_from(["instance", "certificate"]), st.data())
+    def test_mutated_documents_keep_the_contract(self, tmp_path_factory, base, kind, data):
+        inst_doc, cert_doc = FUZZ_BASES[base]
+        folder = tmp_path_factory.mktemp("fuzz")
+        inst, cert = folder / "instance.json", folder / "cert.json"
+        inst.write_text(json.dumps(inst_doc))
+        cert.write_text(json.dumps(cert_doc))
+        if kind == "instance":
+            inst.write_text(_mutated(data, inst_doc, kind))
+            for command in ("validate", "cohomology", "split"):
+                _assert_contract([command, str(inst)])
+        else:
+            cert.write_text(_mutated(data, cert_doc, kind))
+        _assert_contract(["verify", str(inst), str(cert)])
 
 
 class TestSelftest:

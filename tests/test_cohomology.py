@@ -17,6 +17,7 @@ from equisplit.bundle import (
 )
 from equisplit.cli import main
 from equisplit.cohomology import (
+    Character,
     _cech_bounds,
     _cech_once,
     _h0_records,
@@ -28,7 +29,6 @@ from equisplit.cohomology import (
     h1_character,
     h1_dim,
 )
-from equisplit.equivariant import Character
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
 from equisplit.jsonio import instance_from_json, load_json_file

@@ -1,7 +1,11 @@
 import random
+from fractions import Fraction
+
+import pytest
 
 from equisplit.bundle import (
     EquivariantBundle,
+    HomElement,
     LineSummand,
     TorusAction,
     hom_bundle,
@@ -9,8 +13,7 @@ from equisplit.bundle import (
     random_instance,
     transition_law_violations,
 )
-from equisplit.cohomology import Section, h0_sections
-from equisplit.equivariant import Character, HomElement
+from equisplit.cohomology import Character, Section, h0_sections
 from equisplit.laurent import LaurentPoly
 from equisplit.linalg import LaurentMatrix
 
@@ -34,6 +37,20 @@ class TestCharacter:
 
     def test_zero_mult_dropped(self):
         assert not (Character({(0,): 1}) - Character({(0,): 1}))
+
+    @pytest.mark.parametrize(
+        "mult",
+        [{(0,): 1.5}, {(0,): Fraction(3, 2)}, {(0,): True}, {(0,): 0.0}, {(0.5,): 1}, {(True,): 1}],
+        ids=["float-mult", "fraction-mult", "bool-mult", "float-zero-mult", "float-weight", "bool-weight"],
+    )
+    def test_non_integer_rejected(self, mult):
+        # each used to read as multiplicity 1 (or be dropped), or keep its weight
+        with pytest.raises(TypeError):
+            Character(mult)
+
+    def test_from_weights_rejects_non_integer_weight(self):
+        with pytest.raises(TypeError):
+            Character.from_weights([(0,), (0.5,)])
 
     def test_json_sorted(self):
         c = Character({(1, 0): 1, (-1, 2): 3})

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from equisplit.bundle import (
     EquivariantBundle,
+    HomElement,
     LineSummand,
     TorusAction,
     degree,
+    derive_target_weights,
     direct_sum,
     hom_bundle,
     line_bundle,
@@ -19,9 +21,10 @@ from equisplit.bundle import (
     random_reframe,
     transition_law_violations,
     validate,
+    weight_add,
+    weight_scale,
 )
-from equisplit.cohomology import h0_character, h0_dim, h0_sections, h1_character
-from equisplit.equivariant import Character, HomElement, derive_target_weights
+from equisplit.cohomology import Character, h0_character, h0_dim, h0_sections, h1_character
 from equisplit import cohomology, linalg, splitting
 from equisplit.jsonio import certificate_from_json, certificate_to_json, dumps_canonical
 from equisplit.laurent import LaurentPoly
@@ -312,7 +315,7 @@ class TestFrameCompletion:
         assert M @ LaurentMatrix([[p] for p in entries]) == LaurentMatrix(
             [[P.one()]] + [[P.zero()] for _ in range(k - 1)]
         )
-        target = derive_target_weights(M, src, torus)
+        target = derive_target_weights(M, src, torus, "M")
         assert transition_law_violations(M, target, src, torus) == []
         assert target[0] == (chi,)
 
@@ -325,6 +328,86 @@ class TestFrameCompletion:
         # a section whose entries share a zero has no completion to e_1
         with pytest.raises(InvariantViolation, match="share the factor"):
             _frame_completion(entries)
+
+
+def derive_then_check(M, source, torus, label):
+    """The two-pass guard: row weights from each row's first monomial, then the law."""
+    target = []
+    for row in M.entries:
+        j, p = next((j, p) for j, p in enumerate(row) if p.terms)
+        target.append(weight_add(source[j], weight_scale(min(p.terms), torus.a)))
+    return tuple(target), transition_law_violations(M, tuple(target), source, torus, label)
+
+
+class TestDeriveTargetWeights:
+    """``derive_target_weights`` derives the row weights and checks the law in one pass."""
+
+    @given(
+        st.lists(st.integers(-2, 2), min_size=1, max_size=2),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_flags_what_derive_then_check_flags(self, a, rows, cols, data):
+        torus = TorusAction(len(a), tuple(a))
+        weight = st.tuples(*[st.integers(-3, 3)] * len(a))
+        source = tuple(data.draw(st.lists(weight, min_size=cols, max_size=cols)))
+        entry = st.dictionaries(st.integers(-2, 2), coeffs, max_size=2).map(P)
+        M = LaurentMatrix(
+            [data.draw(st.lists(entry, min_size=cols, max_size=cols).filter(lambda r: any(p.terms for p in r)))
+             for _ in range(rows)]
+        )
+        target, bad = derive_then_check(M, source, torus, "U")
+        if bad:
+            with pytest.raises(InvariantViolation) as exc:
+                derive_target_weights(M, source, torus, "U")
+            assert str(exc.value) == "frame completion broke equivariance: " + "; ".join(bad)
+        else:
+            assert derive_target_weights(M, source, torus, "U") == target
+
+    def test_disagreeing_row_names_the_monomial(self):
+        # row 1: 1 in column 0 fixes weight (0,); z in column 1 needs (1,)
+        M = lm([[{0: 1}, {}], [{0: 1}, {1: 2}]])
+        with pytest.raises(InvariantViolation, match=r"broke equivariance: V\(1/z\)\[1\]\[1\]: monomial z\^1 "):
+            derive_target_weights(M, ((0,), (0,)), T1, "V(1/z)")
+
+    def test_zero_row_raises_value_error(self):
+        with pytest.raises(ValueError, match="row 1 is zero"):
+            derive_target_weights(lm([[{0: 1}], [{}]]), ((0,),), T1, "U")
+
+    def test_no_torus_derives_nothing(self):
+        assert derive_target_weights(lm([[{0: 1}], [{}]]), ((),), TorusAction(0, ()), "U") == ((),) * 2
+
+    @pytest.mark.parametrize("call, label", [(0, "U"), (1, "V(1/z)")])
+    def test_peel_rejects_a_frame_that_breaks_the_law(self, monkeypatch, call, label):
+        # one extra monomial in row 0's first entry, past the row's first
+        # monomial (which fixes the row weight), under a moving base
+        E, _ = random_instance(3, [LineSummand(1, (0,)), LineSummand(-1, (1,)), LineSummand(0, (2,))], 8, T1)
+        peel(E)  # the unpatched frames pass
+        complete = splitting._frame_completion
+        calls = []
+
+        def corrupted(entries):
+            M, Minv = complete(entries)
+            if len(calls) == call:
+                rows = [row[:] for row in M.entries]
+                j = next(j for j, p in enumerate(rows[0]) if p.terms)
+                # U is over z; V is over w, so w^e reaches the law as z^-e
+                d = max(rows[0][j].terms) + 1 if call == 0 else 1 - min(rows[0][j].terms)
+                rows[0][j] = rows[0][j] + P.monomial(d if call == 0 else -d)
+                M = LaurentMatrix(rows)
+                calls.append(d)
+            else:
+                calls.append(None)
+            return M, Minv
+
+        monkeypatch.setattr(splitting, "_frame_completion", corrupted)
+        with pytest.raises(InvariantViolation) as exc:
+            peel(E)
+        message = str(exc.value)
+        assert message.startswith(f"frame completion broke equivariance: {label}[0][")
+        assert f"monomial z^{calls[call]} " in message
 
 
 class TestEquivariantSplit:

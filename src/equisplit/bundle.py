@@ -297,11 +297,17 @@ def degree(E: EquivariantBundle) -> int:
     return E._verdict[0]
 
 
-def line_bundle(n: int, lam: Weight = (), torus: TorusAction = NO_TORUS) -> EquivariantBundle:
-    """The degree-n line bundle with chart-0 linearization weight lam."""
+def _linearization(n: int, lam: Weight, torus: TorusAction) -> LineSummand:
+    """The (n, lam) line summand, its weight length checked against the torus rank."""
     s = LineSummand(n, tuple(lam))
     if len(s.lam) != torus.rank:
         raise ValueError("linearization weight length must equal the torus rank")
+    return s
+
+
+def line_bundle(n: int, lam: Weight = (), torus: TorusAction = NO_TORUS) -> EquivariantBundle:
+    """The degree-n line bundle with chart-0 linearization weight lam."""
+    s = _linearization(n, lam, torus)
     A = LaurentMatrix([[LaurentPoly.monomial(-n)]])
     return EquivariantBundle(A, (s.lam,), (s.chart_inf_weight(torus),), torus)
 
@@ -313,7 +319,7 @@ def twist(E: EquivariantBundle, n: int, lam: Weight) -> EquivariantBundle:
     weights by lam - n*a; the degree grows by rank*n, and a singular det
     is multiplied by z^(-n*rank).
     """
-    s = LineSummand(n, tuple(lam))
+    s = _linearization(n, lam, E.torus)
     shift_inf = s.chart_inf_weight(E.torus)
     verdict = E._det_verdict()
     if isinstance(verdict, LaurentPoly):

@@ -25,7 +25,9 @@ form a prefix: the unknowns of E(-s), with the same rows, and
 dim H^0(E(-s)) is the number of free unknowns among them, for every s >= 0.
 Only a caller that needs sections gets the canonical kernel, reduced from
 the cached echelon rows on each request: no row meets two weight classes,
-so every canonical kernel vector is homogeneous.  Sections (f, g) are
+so every canonical kernel vector is homogeneous.  A caller that needs only
+the first kernel vector (the eigen-section of a peel) reduces only the
+echelon rows whose pivots precede its free unknown.  Sections (f, g) are
 built from it only on request.  An unknown outside its component's bound
 would be zero in every kernel vector, so leaving it out changes neither the
 pivots nor the canonical kernel.
@@ -276,6 +278,25 @@ def _h0_system(E: EquivariantBundle) -> _H0System:
     return E._h0
 
 
+def _kernel_record(
+    E: EquivariantBundle, system: _H0System, pivots: list[int], reduced: list[dict], fcol: int
+) -> tuple[Weight, tuple[LaurentPoly, ...]]:
+    """The canonical kernel vector of free column fcol as (weight, h).
+
+    Entry 1 at fcol, and -v at each pivot p whose reduced row holds v at fcol.
+    """
+    h = [{} for _ in range(E.rank)]
+    unknowns = system.unknowns
+    i, e = unknowns[fcol]
+    h[i][e] = 1
+    for p, row in zip(pivots, reduced):
+        v = row.get(fcol)
+        if v:
+            i, e = unknowns[p]
+            h[i][e] = -v
+    return system.weights[fcol], tuple(LaurentPoly(t) for t in h)
+
+
 def _h0_records(E: EquivariantBundle) -> list[tuple[Weight, tuple[LaurentPoly, ...]]]:
     """The canonical H^0 kernel of E as (weight, h) pairs, in echelon order.
 
@@ -288,20 +309,28 @@ def _h0_records(E: EquivariantBundle) -> list[tuple[Weight, tuple[LaurentPoly, .
     free = system.free_columns()
     if not free:
         return []
-    unknowns = system.unknowns
     pivots, reduced = rref_sparse(system.echelon, len(system.weights))
-    records = []
-    for fcol in free:
-        h = [{} for _ in range(E.rank)]
-        i, e = unknowns[fcol]
-        h[i][e] = 1
-        for p, row in zip(pivots, reduced):
-            v = row.get(fcol)
-            if v:
-                i, e = unknowns[p]
-                h[i][e] = -v
-        records.append((system.weights[fcol], tuple(LaurentPoly(t) for t in h)))
-    return records
+    return [_kernel_record(E, system, pivots, reduced, fcol) for fcol in free]
+
+
+def _first_h0_record(E: EquivariantBundle) -> tuple[Weight, tuple[LaurentPoly, ...]] | None:
+    """``_h0_records(E)[0]`` (None without sections), back-substituting only what it reads.
+
+    Every column before the first free one, c0, is a pivot, so the echelon
+    rows of those pivots are the first c0, and every later row leads past
+    c0: it is zero at c0 and at every column before it.  Adding multiples of
+    later rows leaves the first c0 rows unchanged up to column c0, so those
+    rows reduced among themselves hold the canonical reduced entries at c0,
+    and every later reduced row holds 0 there: the vector is the canonical
+    one.
+    """
+    system = _h0_system(E)
+    free = system.free_columns()
+    if not free:
+        return None
+    c0 = free[0]
+    pivots, reduced = rref_sparse(system.echelon[:c0], len(system.weights))
+    return _kernel_record(E, system, pivots, reduced, c0)
 
 
 def h0_sections(E: EquivariantBundle) -> list[tuple[Section, Weight]]:

@@ -105,7 +105,7 @@ class LaurentPoly:
 
     def is_polynomial(self) -> bool:
         """True if all exponents are nonnegative (an element of k[z])."""
-        return all(e >= 0 for e in self.terms)
+        return not self.terms or min(self.terms) >= 0
 
     @property
     def ord(self) -> int:
@@ -264,11 +264,6 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     return LaurentPoly.from_sums(q), r
 
 
-def _times(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """p*q, forming no product when either factor is zero."""
-    return p * q if p.terms and q.terms else LaurentPoly()
-
-
 def poly_ext_gcd(
     polys: list[LaurentPoly],
 ) -> tuple[LaurentPoly, list[list[LaurentPoly]], list[list[LaurentPoly]]]:
@@ -282,34 +277,42 @@ def poly_ext_gcd(
     acts on U by row operations and on Uinv by the inverse column
     operations, so no determinant or adjugate is ever formed.  Entries are
     folded left to right, so the output is deterministic.
+
+    A block for entry i rewrites only row 0 and row i of U and columns 0
+    and i of Uinv, so those are kept as ``{index: poly}`` maps of their
+    nonzero entries and a block visits only the nonzero entries of row 0
+    and column 0; every other row and column stays e_i.  The k-by-k lists
+    are built once at the end, their zero and unit entries sharing one
+    polynomial each.
     """
     k = len(polys)
-    if k == 0 or all(p.is_zero() for p in polys):
+    if not any(p.terms for p in polys):
         raise ValueError("poly_ext_gcd needs at least one nonzero polynomial")
     for p in polys:
         _require_polynomial(p)
 
-    U = [
-        [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(k)]
-        for i in range(k)
-    ]
-    Uinv = [row[:] for row in U]  # entries are replaced, never mutated
+    zero, one = LaurentPoly(), LaurentPoly.one()
+    # the rows of U and the columns of Uinv that differ from e_i, as their
+    # nonzero entries: row 0 and column 0 always, row and column i once
+    # entry i took a block
+    U_rows: dict[int, dict[int, LaurentPoly]] = {0: {0: one}}
+    Uinv_cols: dict[int, dict[int, LaurentPoly]] = {0: {0: one}}
     g = polys[0]
     for i in range(1, k):
         f = polys[i]
-        if f.is_zero():
+        if not f.terms:
             continue
         # extended Euclid on (g, f): each step multiplies the cofactor matrix
         # [[s0, t0], [s1, t1]] on the left by [[0, 1], [1, -q]], so it ends
         # mapping (g, f) to (r0, 0) with determinant sign = (-1)**steps
         r0, r1 = g, f
-        s0, t0, s1, t1 = LaurentPoly.one(), LaurentPoly(), LaurentPoly(), LaurentPoly.one()
+        s0, t0, s1, t1 = one, zero, zero, one
         sign = 1
         while r1.terms:
             q, r = poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, s0 - _times(q, s1)
-            t0, t1 = t1, t0 - _times(q, t1)
+            s0, s1 = s1, s0 - q * s1 if q.terms and s1.terms else s0
+            t0, t1 = t1, t0 - q * t1 if q.terms and t1.terms else t0
             sign = -sign
         # with d = r0 / lc monic, s1*g + t1*f = 0 and the determinant force
         # (s1, t1) = sign / lc * (-f/d, g/d), so the 2x2 block
@@ -322,20 +325,31 @@ def poly_ext_gcd(
         fq, nt = -nfq, -t
         # earlier blocks touched only rows 0 and i' < i of U and columns 0 and
         # i' of Uinv, so row i of U and column i of Uinv are still e_i and
-        # U[0][i] = Uinv[i][0] = 0: every updated entry is a single product,
-        # and none is formed with a zero entry
-        row0 = U[0]
-        U[0] = [t if j == i else _times(s, u) for j, u in enumerate(row0)]
-        U[i] = [gq if j == i else _times(nfq, u) for j, u in enumerate(row0)]
-        for j, r in enumerate(Uinv):
-            r[0], r[i] = (fq, s) if j == i else (_times(r[0], gq), _times(r[0], nt))
+        # U[0][i] = Uinv[i][0] = 0: every updated entry is a single product
+        # with a nonzero entry of row 0 (column 0), and none is formed with a
+        # zero factor; the factors keep the dense loop's order
+        row0, col0 = U_rows[0], Uinv_cols[0]
+        U_rows[0] = {j: s * u for j, u in row0.items()} if s.terms else {}
+        U_rows[i] = {j: nfq * u for j, u in row0.items()} if nfq.terms else {}
+        Uinv_cols[0] = {j: u * gq for j, u in col0.items()} if gq.terms else {}
+        Uinv_cols[i] = {j: u * nt for j, u in col0.items()} if nt.terms else {}
+        for entries, p in ((U_rows[0], t), (U_rows[i], gq), (Uinv_cols[0], fq), (Uinv_cols[i], s)):
+            if p.terms:
+                entries[i] = p
         g = r0.scale(inv)
     lc = g.leading_coeff()
     if lc != 1:
         # no block ran: g is the lone nonzero entry polys[0]
         inv = scalar_div(1, lc)
-        U[0] = [u.scale(inv) for u in U[0]]
-        for r in Uinv:
-            r[0] = r[0].scale(lc)
+        U_rows[0] = {j: u.scale(inv) for j, u in U_rows[0].items()}
+        Uinv_cols[0] = {j: u.scale(lc) for j, u in Uinv_cols[0].items()}
         g = g.scale(inv)
+
+    U = [[zero] * k for _ in range(k)]
+    Uinv = [[zero] * k for _ in range(k)]
+    for i in range(k):
+        for j, u in U_rows.get(i, {i: one}).items():
+            U[i][j] = u
+        for j, u in Uinv_cols.get(i, {i: one}).items():
+            Uinv[j][i] = u
     return g, U, Uinv

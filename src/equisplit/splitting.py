@@ -50,7 +50,15 @@ from .bundle import (
     weight_scale,
     weight_sub,
 )
-from .cohomology import Section, _h0_records, _h0_system, _section_from_h, h0_character, h0_dim
+from .cohomology import (
+    Section,
+    _first_h0_record,
+    _h0_records,
+    _h0_system,
+    _section_from_h,
+    h0_character,
+    h0_dim,
+)
 from .laurent import LaurentPoly, poly_ext_gcd
 from .linalg import LaurentMatrix, rank_sparse
 
@@ -84,14 +92,16 @@ def eigen_section(E: EquivariantBundle) -> Section:
     Deterministic choice: the first vector of the canonical echelon kernel
     basis (unknowns ordered by exponent, then component).  It belongs to the
     first free unknown h[i0][e0] and lies on the unknowns up to it, so its g
-    is divisible by w^-e0.  Kernel vectors of the graded section system are
+    is divisible by w^-e0.  Only that vector is built: ``_first_h0_record``
+    back-substitutes the echelon rows whose pivot precedes h[i0][e0] and no
+    others.  Kernel vectors of the graded section system are
     weight-homogeneous, so this is always an eigenvector; with a nontrivial
     base action its entries are monomials.
     """
-    records = _h0_records(E)
-    if not records:
+    record = _first_h0_record(E)
+    if record is None:
         raise ValueError("the bundle has no nonzero global sections")
-    chi, h = records[0]
+    chi, h = record
     section = _section_from_h(E, h, chi)
     if not E.torus.base_is_fixed():
         for p in (*section.f, *section.g):
@@ -135,7 +145,8 @@ def _frame_completion(entries: list[LaurentPoly]) -> tuple[LaurentMatrix, Lauren
         raise InvariantViolation(
             f"frame completion failed to reduce the section to e_1: its entries share the factor {g!r}"
         )
-    return LaurentMatrix(U), LaurentMatrix(Uinv)
+    k = len(entries)
+    return LaurentMatrix._adopt(U, k, k), LaurentMatrix._adopt(Uinv, k, k)
 
 
 def peel(E: EquivariantBundle) -> PeelStep:
@@ -382,6 +393,12 @@ def verify_certificate(E: EquivariantBundle, cert: SplittingCertificate) -> Cert
     (v) the chart-inf weights implied by MInf match lam_i - n_i a.
     (ii) and (iv) read the frame inverses off the identity in (i), so when
     (i) fails they fail too, with detail "needs product_diagonal".
+
+    (i)-(iii) visit only what can fail: each product entry is tested for
+    being zero (off the diagonal) or exactly z^-n_i (on it), and the
+    expected polynomial is built only to word a failure; (ii) and (iii)
+    read the exponents of nonzero frame entries only, and (iii) computes the
+    weight each such entry requires once.
     """
     return _verify(E, cert)[0]
 
@@ -415,12 +432,14 @@ def _verify(
     product = L @ cert.M0
     diag_ok = True
     detail = ""
-    for i in range(m):
-        for j in range(m):
-            want = LaurentPoly.monomial(-n_list[i]) if i == j else LaurentPoly.zero()
-            if product.entries[i][j] != want:
+    for i, row in enumerate(product.entries):
+        d = -n_list[i]
+        for j, p in enumerate(row):
+            # off the diagonal only a zero entry passes; on it, exactly z^d
+            if p.terms if i != j else p.terms != {d: 1}:
                 diag_ok = False
-                detail = f"entry ({i},{j}) is {product.entries[i][j]!r}, expected {want!r}"
+                want = LaurentPoly.monomial(d) if i == j else LaurentPoly.zero()
+                detail = f"entry ({i},{j}) is {p!r}, expected {want!r}"
                 break
         if not diag_ok:
             break
@@ -437,7 +456,7 @@ def _verify(
         not_polynomial = [
             name
             for name, M in (("M0", cert.M0), ("M0^-1", M0inv), ("MInf", cert.MInf), ("MInf^-1", MInfinv))
-            if not all(p.is_polynomial() for row in M.entries for p in row)
+            if not all(min(p.terms) >= 0 for row in M.entries for p in row if p.terms)
         ]
         inv_ok = not not_polynomial
         detail = "; ".join(f"{name} has a negative exponent" for name in not_polynomial)
@@ -445,21 +464,25 @@ def _verify(
 
     # (iii) weight law, written out directly: M0 maps summand coordinates to
     # bundle coordinates on chart 0, MInf maps bundle to summand on chart inf.
+    # Only nonzero entries have monomials, so only they need a weight,
+    # and each computes the weight it requires once
+    lam = [s.lam for s in cert.summands]
+    lam_inf = [weight_sub(s.lam, weight_scale(s.n, a)) for s in cert.summands]
     law_bad: list[str] = []
     if r:
-        for i in range(m):
-            for j in range(m):
-                need = weight_sub(E.lambda0[i], cert.summands[j].lam)
-                for d, _ in cert.M0.entries[i][j].monomials():
-                    if weight_scale(d, a) != need:
-                        law_bad.append(f"M0[{i}][{j}] exponent {d}")
-        for i in range(m):
-            lam_inf_i = weight_sub(cert.summands[i].lam, weight_scale(n_list[i], a))
-            for j in range(m):
-                need = weight_sub(E.lambdaInf[j], lam_inf_i)
-                for e, _ in cert.MInf.entries[i][j].monomials():
-                    if weight_scale(e, a) != need:
-                        law_bad.append(f"MInf[{i}][{j}] exponent {e}")
+        for name, M, need in (
+            ("M0", cert.M0, lambda i, j: weight_sub(E.lambda0[i], lam[j])),
+            ("MInf", cert.MInf, lambda i, j: weight_sub(E.lambdaInf[j], lam_inf[i])),
+        ):
+            for i, row in enumerate(M.entries):
+                for j, p in enumerate(row):
+                    if p.terms:
+                        want = need(i, j)
+                        law_bad += [
+                            f"{name}[{i}][{j}] exponent {d}"
+                            for d in sorted(p.terms)
+                            if weight_scale(d, a) != want
+                        ]
     checks.append(CertCheck("frames_equivariant", not law_bad, "; ".join(law_bad[:4])))
 
     # (iv) degree bookkeeping: det MInf(1/z) det A det M0 = z^-sum(n), so
@@ -480,7 +503,7 @@ def _verify(
     detail = ""
     if r:
         for i in range(m):
-            want = weight_sub(cert.summands[i].lam, weight_scale(n_list[i], a))
+            want = lam_inf[i]
             got = None
             for j in range(m):
                 entry = cert.MInf.entries[i][j]

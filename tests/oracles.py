@@ -7,8 +7,10 @@ the package's sparse eliminator, determinant, integer-first Laurent
 arithmetic, windowed cohomology, or peeling split.  Beyond the package's
 data types, two things are borrowed: ``kernel_sparse`` is a thin reading of
 the package's ``rref_sparse`` (its tests check it against the dense oracles
-here), and ``reference_cech_window`` and ``per_class_h0_kernel`` take A^-1
-from the bundle's ``inverse_transition()``.
+here), ``reference_cech_window`` and ``per_class_h0_kernel`` take A^-1
+from the bundle's ``inverse_transition()``, and ``reference_poly_ext_gcd``,
+a frozen copy of the dense Bezout-block completion that the sparse
+``poly_ext_gcd`` replaced, divides with the package's ``poly_divmod``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from equisplit.bundle import LineSummand
-from equisplit.laurent import LaurentPoly, Scalar
+from equisplit.laurent import LaurentPoly, Scalar, poly_divmod, scalar_div
 from equisplit.linalg import LaurentMatrix, rref_sparse
 
 
@@ -315,3 +317,60 @@ def filtration_splitting(E) -> list[LineSummand]:
                     C[r2] = [x - f * y for x, y in zip(C[r2], C[r])]
             out.append(LineSummand(cols[J[c]][1] - rows[I[r]][1], E.lambda0[J[c]]))
     return sorted(out, key=LineSummand.sort_key)
+
+
+def reference_poly_ext_gcd(
+    polys: list[LaurentPoly],
+) -> tuple[LaurentPoly, list[list[LaurentPoly]], list[list[LaurentPoly]]]:
+    """The dense Bezout-block completion (g, U, Uinv), kept as a reference.
+
+    Every block rewrites all of row 0 and row i of U and all of columns 0
+    and i of Uinv over full k-by-k lists; the package's ``poly_ext_gcd``
+    must return the same three values, entry for entry.
+    """
+
+    def times(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+        return p * q if p.terms and q.terms else LaurentPoly()
+
+    k = len(polys)
+    if k == 0 or all(p.is_zero() for p in polys):
+        raise ValueError("poly_ext_gcd needs at least one nonzero polynomial")
+    for p in polys:
+        if not p.is_polynomial():
+            raise ValueError(f"argument must have nonnegative exponents, got {p!r}")
+
+    U = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(k)] for i in range(k)]
+    Uinv = [row[:] for row in U]
+    g = polys[0]
+    for i in range(1, k):
+        f = polys[i]
+        if f.is_zero():
+            continue
+        r0, r1 = g, f
+        s0, t0, s1, t1 = LaurentPoly.one(), LaurentPoly(), LaurentPoly(), LaurentPoly.one()
+        sign = 1
+        while r1.terms:
+            q, r = poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, s0 - times(q, s1)
+            t0, t1 = t1, t0 - times(q, t1)
+            sign = -sign
+        lc = r0.leading_coeff()
+        inv = scalar_div(1, lc)
+        s, t = s0.scale(inv), t0.scale(inv)
+        nfq, gq = s1.scale(sign * lc), t1.scale(sign * lc)
+        fq, nt = -nfq, -t
+        row0 = U[0]
+        U[0] = [t if j == i else times(s, u) for j, u in enumerate(row0)]
+        U[i] = [gq if j == i else times(nfq, u) for j, u in enumerate(row0)]
+        for j, r in enumerate(Uinv):
+            r[0], r[i] = (fq, s) if j == i else (times(r[0], gq), times(r[0], nt))
+        g = r0.scale(inv)
+    lc = g.leading_coeff()
+    if lc != 1:
+        inv = scalar_div(1, lc)
+        U[0] = [u.scale(inv) for u in U[0]]
+        for r in Uinv:
+            r[0] = r[0].scale(lc)
+        g = g.scale(inv)
+    return g, U, Uinv

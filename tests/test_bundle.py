@@ -238,6 +238,12 @@ class TestTwist:
         with pytest.raises(TypeError):
             twist(line_bundle(2, (0,), T1), n, lam)
 
+    @pytest.mark.parametrize("torus, lam", [(T1, ()), (T1, (0, 0)), (TorusAction(0, ()), (0,))])
+    def test_weight_length_rejected(self, torus, lam):
+        E = line_bundle(2, (0,) * torus.rank, torus)
+        with pytest.raises(ValueError, match="linearization weight length must equal the torus rank"):
+            twist(E, 1, lam)
+
     def test_degree_shift(self):
         for seed in range(10):
             E, _, torus = sample(seed)

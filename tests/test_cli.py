@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,77 @@ class TestSplit:
         ]
 
 
+def _tampered(cert, kind):
+    """cert with one thing broken: a product entry, a weight-law monomial or an exponent's sign."""
+    P = LaurentPoly
+    M0 = [row[:] for row in cert.M0.entries]
+    MInf = [row[:] for row in cert.MInf.entries]
+    summands = list(cert.summands)
+    if kind == "off_diagonal_product":  # column 1 += column 0
+        for row in M0:
+            row[1] = row[1] + row[0]
+    elif kind == "diagonal_product":
+        for row in M0:
+            row[0] = row[0].scale(2)
+    elif kind == "m0_weight_law":  # five monomials off the law, so the detail is cut at four
+        M0[1][2] = M0[1][2] + P({5: 3, 6: -1})
+        M0[3][1] = M0[3][1] + P({7: 2})
+        M0[0][3] = M0[0][3] + P.monomial(1)
+        M0[2][0] = M0[2][0] + P.monomial(2)
+    elif kind == "minf_weight_law":
+        MInf[2][0] = MInf[2][0] + P.monomial(4, Fraction(1, 2))
+    else:  # M0 diag(z^-1, 1, 1, 1) still reaches the diagonal with n_0 one larger
+        for row in M0:
+            row[0] = row[0].shift(-1)
+        summands[0] = LineSummand(summands[0].n + 1, summands[0].lam)
+    return SplittingCertificate(summands, LaurentMatrix(M0), LaurentMatrix(MInf))
+
+
+def _failed(**details):
+    """A verify document whose named checks fail with the given details; the others pass."""
+    names = ["product_diagonal", "frames_invertible", "frames_equivariant", "degrees_sum", "summand_inf_weights"]
+    checks = [
+        {"name": name, "ok": False, "detail": details[name]} if name in details else {"name": name, "ok": True}
+        for name in names
+    ]
+    return {"ok": False, "checks": checks}
+
+
+NEEDS = "needs product_diagonal"
+TAMPERED_DOCUMENTS = {
+    "off_diagonal_product": _failed(
+        product_diagonal="entry (0,1) is z^-2, expected 0",
+        frames_invertible=NEEDS,
+        frames_equivariant="M0[1][1] exponent 0",
+        degrees_sum=NEEDS,
+    ),
+    "diagonal_product": _failed(
+        product_diagonal="entry (0,0) is 2*z^-2, expected z^-2",
+        frames_invertible=NEEDS,
+        degrees_sum=NEEDS,
+    ),
+    "m0_weight_law": _failed(
+        product_diagonal="entry (0,2) is 3*z^3 - z^4, expected 0",
+        frames_invertible=NEEDS,
+        frames_equivariant="M0[0][3] exponent 1; M0[1][2] exponent 5; M0[1][2] exponent 6; M0[2][0] exponent 2",
+        degrees_sum=NEEDS,
+    ),
+    "minf_weight_law": _failed(
+        product_diagonal="entry (2,0) is 1/2*z^-6, expected 0",
+        frames_invertible=NEEDS,
+        frames_equivariant="MInf[2][0] exponent 4",
+        degrees_sum=NEEDS,
+        summand_inf_weights="row 2: implied (-5,), claimed (0,)",
+    ),
+    "negative_exponent": _failed(
+        frames_invertible="M0 has a negative exponent",
+        frames_equivariant="M0[1][0] exponent -1; MInf[0][0] exponent 0",
+        degrees_sum="degrees [3, 0, 0, -1] vs degree(E) = 1",
+        summand_inf_weights="row 0: implied (-1,), claimed (-2,)",
+    ),
+}
+
+
 class TestVerify:
     def test_tampered_certificate(self, capsys, tmp_path):
         cert_file = tmp_path / "cert.json"
@@ -213,6 +285,21 @@ class TestVerify:
         report = json.loads(out)
         assert report["ok"] is False
         assert [c["name"] for c in report["checks"] if not c["ok"]] == ["frames_invertible"]
+
+    @pytest.mark.parametrize("kind", sorted(TAMPERED_DOCUMENTS))
+    def test_failure_document_is_pinned(self, capsys, tmp_path, kind):
+        # one certificate of a rank-4 moving-base bundle, tampered one way per
+        # case; the verify command's stdout stays byte for byte the same
+        T = TorusAction(1, (1,))
+        summands = [LineSummand(2, (1,)), LineSummand(0, (0,)), LineSummand(0, (-1,)), LineSummand(-1, (2,))]
+        E, _ = random_instance(5, summands, 14, T)
+        _, cert = equivariant_split(E)
+        inst, cert_file = tmp_path / "inst.json", tmp_path / "cert.json"
+        inst.write_text(dumps_canonical(instance_to_json(E)))
+        cert_file.write_text(dumps_canonical(certificate_to_json(_tampered(cert, kind))))
+        code, out, _ = run(capsys, "verify", str(inst), str(cert_file))
+        assert code == 1
+        assert out == dumps_canonical(TAMPERED_DOCUMENTS[kind])
 
 
 class TestRandom:

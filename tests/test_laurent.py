@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from equisplit.laurent import (
     poly_ext_gcd,
     scalar_div,
 )
-from oracles import is_normal, naive_mul
+from equisplit import splitting
+from oracles import is_normal, naive_mul, reference_poly_ext_gcd
 
 P = LaurentPoly
 
@@ -336,3 +338,85 @@ class TestNormalForm:
         for i, row in enumerate(U):
             got = fsum(*((1, naive_mul(u, f)) for u, f in zip(row, fs)))
             assert got == (fterms(g) if i == 0 else {})
+
+
+def _random_entry(rng: random.Random) -> LaurentPoly:
+    """A zero, a constant, a monomial or a short polynomial, int or Fraction coefficients."""
+
+    def coeff():
+        n = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+        return n if rng.random() < 0.6 else Fraction(n, rng.choice([2, 3, 4]))
+
+    kind = rng.random()
+    if kind < 0.3:
+        return P.zero()
+    if kind < 0.45:
+        return P.monomial(0, coeff())
+    if kind < 0.75:
+        return P.monomial(rng.randint(1, 4), coeff())
+    return P({rng.randint(0, 3): coeff() for _ in range(rng.randint(2, 3))})
+
+
+# common factors for the columns that cannot reach e_1
+SHARED_FACTORS = [lp((1, 1)), lp((2, 1)), lp((1, 1), (0, 1)), lp((1, 2), (0, -3)), lp((2, 1), (0, Fraction(1, 2)))]
+
+
+def _random_column(rng: random.Random) -> list[LaurentPoly]:
+    column = [_random_entry(rng) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.2:
+        factor = rng.choice(SHARED_FACTORS)
+        column = [p * factor for p in column]
+    return column
+
+
+def _exact(p: LaurentPoly) -> list:
+    """p's terms with the class of every coefficient, so int 1 and Fraction(1) differ."""
+    return [(e, c.__class__, c) for e, c in sorted(p.terms.items())]
+
+
+def _outcome(fn, *args):
+    """fn(*args) with every polynomial in exact form, or the exception it raised."""
+    try:
+        out = fn(*args)
+    except (ValueError, splitting.InvariantViolation) as exc:
+        return exc.__class__, str(exc)
+    g, U, Uinv = out if len(out) == 3 else (None, out[0].entries, out[1].entries)
+    return (
+        g if g is None else _exact(g),
+        [[_exact(p) for p in row] for row in U],
+        [[_exact(p) for p in row] for row in Uinv],
+    )
+
+
+class TestSparseCompletionMatchesReference:
+    """poly_ext_gcd against the frozen dense completion on 2400 seeded columns."""
+
+    COLUMNS = [_random_column(random.Random(seed)) for seed in range(2400)]
+
+    def test_same_gcd_and_frames(self):
+        sizes, outcomes = set(), set()
+        for n, column in enumerate(self.COLUMNS):
+            want = _outcome(reference_poly_ext_gcd, column)
+            got = _outcome(poly_ext_gcd, column)
+            assert got == want, (n, column)
+            if isinstance(want[0], type):
+                outcomes.add(want[0])
+                continue
+            g, U, Uinv = poly_ext_gcd(column)
+            assert_normal(g, *(p for row in U + Uinv for p in row))
+            sizes.add(len(column))
+            outcomes.add("e_1" if want[0] == _exact(P.one()) else "shared factor")
+        assert sizes == set(range(1, 7))
+        assert outcomes == {ValueError, "e_1", "shared factor"}
+        assert any(isinstance(c, Fraction) for col in self.COLUMNS for p in col for c in p.terms.values())
+
+    def test_frame_completion_matches_reference(self, monkeypatch):
+        # _frame_completion over the reference raises or returns what it does
+        # over the package: the same InvariantViolation for a shared factor
+        with monkeypatch.context() as patch:
+            patch.setattr(splitting, "poly_ext_gcd", reference_poly_ext_gcd)
+            want = [_outcome(splitting._frame_completion, column) for column in self.COLUMNS]
+        got = [_outcome(splitting._frame_completion, column) for column in self.COLUMNS]
+        assert got == want
+        failures = {w[0] for w in want if isinstance(w[0], type)}
+        assert failures == {ValueError, splitting.InvariantViolation}

@@ -167,6 +167,25 @@ class TestEigenSection:
         assert s.weight == ()
         assert s.compatibility_violation(jump_bundle()) is None
 
+    def test_is_the_first_canonical_kernel_section(self):
+        # the one kernel vector eigen_section reduces is the first vector of
+        # the full canonical kernel, weight included
+        kinds, later_rows = set(), 0
+        for seed in range(60):
+            E, _, torus = sample_case(seed, max_rank=4, max_ops=8)
+            bundles = [twist_by(E, k) for k in (0, 1, 2)] + [max_twist(E)[1]]
+            for n, B in enumerate(bundles):
+                records = cohomology._h0_records(B)
+                if not records:
+                    continue
+                chi, h = records[0]
+                assert eigen_section(B) == cohomology._section_from_h(B, h, chi), (seed, n)
+                kinds.add(torus.rank and ("fixed" if torus.base_is_fixed() else "moving"))
+                system = cohomology._h0_system(B)
+                later_rows += len(system.pivots) > system.free_columns()[0]
+        assert kinds == {0, "fixed", "moving"}
+        assert later_rows > 0  # some echelon rows lie past the first free unknown
+
 
 class TestPeel:
     def test_rank_one(self):

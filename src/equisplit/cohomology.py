@@ -50,13 +50,16 @@ truncated by the same bounds.
   elimination stops at the forward pass: the cokernel is spanned by the
   non-pivot columns.
 
-Every system is built in one pass over the nonzero entries of A or A^-1,
-each entry's terms sorted once: an entry's monomial z^d fills the rows it
-meets directly, so building costs what the system's nonzero terms cost.
-The bounds hi'_j and lo'_i come from one pass over A^-1, and weights are
-plain tuple arithmetic.  Rows are created in a fixed order (by component,
-then at their first term; generators by column, then degree), so every
-elimination, and with it every pivot, is the same on every run.
+All three systems come from one builder, ``_coefficient_rows``: the
+equations "coefficient of z^x in M u vanishes", x in a half-open window,
+for unknowns u in per-component exponent boxes.  H^0 is M = A^-1 on
+[lo_i, 0], x < 0; the kernel is M = A on [0, hi'_j], x >= 1; the cokernel
+is M = A^T on [-W_i, -1] (overlap exponent x as -x), x <= 0 (generator z^e
+as -e).  Each entry's terms are sorted once, A's for both halves, and fill
+the rows they meet directly, so building costs what the system's nonzero
+terms cost, and rows come in a fixed order: every elimination, and with it
+every pivot, is the same on every run.  The bounds hi'_j and lo'_i come
+from one pass over A^-1, and weights are plain tuple arithmetic.
 
 Every entry point takes A^-1 from ``E.inverse_transition()``, so a singular
 transition raises its ValueError.  The Euler identity h0 - h1 = degree +
@@ -66,7 +69,7 @@ rank stays armed: a failure raises InvariantViolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .bundle import (
     EquivariantBundle,
@@ -180,6 +183,47 @@ class Section:
         return None
 
 
+#: a Laurent matrix as its nonzero entries, row by row: (column, terms sorted by exponent)
+_Entries = list[list[tuple[int, list[tuple[int, Scalar]]]]]
+
+
+def _entry_rows(M: LaurentMatrix) -> _Entries:
+    return [[(j, sorted(p.terms.items())) for j, p in enumerate(row) if p.terms] for row in M.entries]
+
+
+def _coefficient_rows(
+    M_rows: _Entries, starts: list[int], columns: list[Sequence[int]], lo: int | None = None, hi: int | None = None
+) -> list[dict[int, Scalar]]:
+    """The equations "coefficient of z^x in (M u)_i vanishes", lo <= x < hi, for each row i of M.
+
+    u_j runs over the exponents e >= starts[j], and the unknown (j, e) is
+    column columns[j][e - starts[j]], so u_j has len(columns[j]) unknowns,
+    perhaps none.  A bound of None is open.  Unknown (j, e) meets equation
+    (i, x) through the one monomial of M_ij of exponent x - e, so building
+    costs what the system's nonzero terms cost, and no equation is empty.
+    Equations are created at their first term, so their order is fixed.
+    """
+    out: list[dict[int, Scalar]] = []
+    for entries in M_rows:
+        by_x: dict[int, dict[int, Scalar]] = {}
+        for j, terms in entries:
+            cols = columns[j]
+            n = len(cols)
+            if not n:
+                continue
+            start = starts[j]
+            for d, c in terms:
+                s = d + start  # the x that the first unknown of u_j meets
+                for k in range(0 if lo is None else max(0, lo - s), n if hi is None else min(n, hi - s)):
+                    x = s + k
+                    row = by_x.get(x)
+                    if row is None:
+                        row = by_x[x] = {}
+                    row[cols[k]] = c
+        out.extend(by_x.values())
+    return out
+
+
 @dataclass(slots=True)
 class _H0System:
     """The forward-eliminated section system of one bundle, cached as ``E._h0``.
@@ -231,25 +275,9 @@ def _h0_basis(E: EquivariantBundle) -> _H0System:
     col_weight: list[Weight] = [tuple([x - e * y for x, y in zip(lam[i], a)]) for i, e in unknowns]
 
     # constraint rows: coefficient of z^x in (A^-1 h)_i must vanish for
-    # x < 0; column (j, e) meets row (i, x) through the one monomial of
-    # exponent x - e.  Rows keep A^-1's coefficients; the elimination clears
-    # their denominators.  Row (i, x) is created at its first term, rows of
-    # component i before those of i + 1.
-    rows: list[dict[int, Scalar]] = []
-    for inv_row in inv.entries:
-        by_x: dict[int, dict[int, Scalar]] = {}
-        for j, p in enumerate(inv_row):
-            start = starts[j]
-            if start > 0 or not p.terms:
-                continue
-            cols_j = columns[j]
-            for d, c in sorted(p.terms.items()):
-                for e in range(start, min(1, -d)):
-                    row = by_x.get(d + e)
-                    if row is None:
-                        row = by_x[d + e] = {}
-                    row[cols_j[e - start]] = c
-        rows.extend(by_x.values())
+    # x < 0.  Rows keep A^-1's coefficients; the elimination clears their
+    # denominators.
+    rows = _coefficient_rows(_entry_rows(inv), starts, columns, hi=0)
 
     # a graded system never mixes classes within a row, so straddling rows
     # mean the input was not actually equivariant
@@ -389,82 +417,48 @@ def _cech_once(E: EquivariantBundle, f_degrees: list[int], windows: list[int]) -
     The kernel's unknowns are f[j][e] for e in [0, f_degrees[j]]; g is not
     truncated, as it absorbs every overlap exponent <= 0.  The cokernel's
     component i is taken on the overlap exponents [1, windows[i]].  Both
-    systems are built from one sorted copy of the terms of each nonzero
-    entry of A, listed by row and by column.
+    systems come from ``_coefficient_rows`` over one sorted copy of the
+    terms of each nonzero entry of A.
     """
     m = E.rank
-    by_row: list[list[tuple[int, list[tuple[int, Scalar]]]]] = [[] for _ in range(m)]
-    by_col: list[list[tuple[int, list[tuple[int, Scalar]]]]] = [[] for _ in range(m)]
-    lo = 0  # the least exponent of A, where it is negative
-    for i, row in enumerate(E.A.entries):
-        for j, p in enumerate(row):
-            if p.terms:
-                terms = sorted(p.terms.items())
-                by_row[i].append((j, terms))
-                by_col[j].append((i, terms))
-                if terms[0][0] < lo:
-                    lo = terms[0][0]
+    a_rows = _entry_rows(E.A)
 
-    # kernel: column offset[j] + e is f[j][e].  Rows of A f with exponent
-    # x >= 1, with A's coefficients; column (j, e) meets row (i, x) through
-    # the one monomial of exponent x - e.  Each row with x <= 0 holds a
-    # g-chain column of its own, which no other row meets, so those rows are
-    # independent of everything else: the kernel dimension is the number of
-    # f columns minus the rank of the remaining rows.  Row (i, x) is created
-    # at its first term, rows of component i before those of i + 1.
-    offset, ncols = [], 0
+    # kernel: the unknowns of f[j] are the columns boxes[j], and the rows
+    # are those of A f with exponent x >= 1.  Each row with x <= 0 holds a
+    # g-chain column of its own, which no other row meets, so those rows
+    # are independent of everything else: the kernel dimension is the
+    # number of f columns minus the rank of the remaining rows.
+    boxes, ncols = [], 0
     for b in f_degrees:
-        offset.append(ncols)
-        ncols += max(0, b + 1)
-    frows: list[dict[int, Scalar]] = []
-    for entries in by_row:
-        by_x: dict[int, dict[int, Scalar]] = {}
-        for j, terms in entries:
-            b, off = f_degrees[j], offset[j]
-            for d, c in terms:
-                for e in range(max(0, 1 - d), b + 1):
-                    row = by_x.get(d + e)
-                    if row is None:
-                        row = by_x[d + e] = {}
-                    row[off + e] = c
-        frows.extend(by_x.values())
-    kernel_dim = ncols - rank_sparse(frows, ncols)
+        boxes.append(range(ncols, ncols + max(0, b + 1)))
+        ncols += len(boxes[-1])
+    kernel_dim = ncols - rank_sparse(_coefficient_rows(a_rows, [0] * m, boxes, lo=1), ncols)
 
     # cokernel on the overlap exponents (i, x), x in [1, windows[i]],
     # ordered by (x, i): the g-side image and the preimages of z^x e_i for
     # larger x cover everything else, so only chart-0 generators projected
-    # to the window remain.  columns[i][x - 1] is the column of (i, x); the
-    # generator z^e e_j, e in [0, emax], is row e of column j of A shifted
-    # by e, its terms in (i, d) order, and rows go by (j, e)
+    # to the window remain.  Generator z^e e_j meets (i, x) through the
+    # coefficient of z^(x - e) in A_ij, that of z^(X - E) in (A^T)_ji for
+    # X = -e, E = -x: its row is equation X of row j of A^T u, with
+    # reversed_cols[i][E + windows[i]] the column of (i, -E).  e needs no
+    # upper bound: past max(windows) - (least exponent of A) it meets none.
     top = max(windows, default=0)
     ocols = [(i, x) for x in range(1, top + 1) for i in range(m) if x <= windows[i]]
-    columns: list[list[int]] = [[] for _ in range(m)]
-    for k, (i, _) in enumerate(ocols):
-        columns[i].append(k)
-    emax = top - lo
-    gen_rows: list[dict[int, Scalar]] = []
-    for entries in by_col:
-        by_e: dict[int, dict[int, Scalar]] = {}
-        for i, terms in entries:
-            w, cols_i = windows[i], columns[i]
-            for d, c in terms:
-                for e in range(max(0, 1 - d), min(emax, w - d) + 1):
-                    row = by_e.get(e)
-                    if row is None:
-                        row = by_e[e] = {}
-                    row[cols_i[d + e - 1]] = c
-        gen_rows.extend(by_e[e] for e in sorted(by_e))
-    pivots, _ = echelon_sparse(gen_rows, len(ocols))
+    reversed_cols: list[list[int]] = [[] for _ in range(m)]
+    for k in range(len(ocols) - 1, -1, -1):
+        reversed_cols[ocols[k][0]].append(k)
+    transposed: _Entries = [[] for _ in range(m)]
+    for i, entries in enumerate(a_rows):
+        for j, terms in entries:
+            transposed[j].append((i, terms))
+    rows = _coefficient_rows(transposed, [-w for w in windows], reversed_cols, hi=1)
+    pivot_set = set(echelon_sparse(rows, len(ocols))[0])
 
     # the free column (i, x) is the class of w^-x e_i, of weight lambdaInf[i] - x*a
-    pivot_set = set(pivots)
     a, lam = E.torus.a, E.lambdaInf
-    mult: dict[Weight, int] = {}
-    for k, (i, x) in enumerate(ocols):
-        if k not in pivot_set:
-            w = tuple([l - x * y for l, y in zip(lam[i], a)])
-            mult[w] = mult.get(w, 0) + 1
-    return kernel_dim, Character(mult)
+    return kernel_dim, Character.from_weights(
+        [l - x * y for l, y in zip(lam[i], a)] for k, (i, x) in enumerate(ocols) if k not in pivot_set
+    )
 
 
 def cech_cohomology(E: EquivariantBundle) -> tuple[int, Character]:

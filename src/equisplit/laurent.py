@@ -108,13 +108,6 @@ class LaurentPoly:
         return not self.terms or min(self.terms) >= 0
 
     @property
-    def ord(self) -> int:
-        """Minimum exponent; raises on the zero polynomial."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no order")
-        return min(self.terms)
-
-    @property
     def deg(self) -> int:
         """Maximum exponent; raises on the zero polynomial."""
         if not self.terms:

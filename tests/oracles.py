@@ -11,6 +11,11 @@ here), ``reference_cech_window`` and ``per_class_h0_kernel`` take A^-1
 from the bundle's ``inverse_transition()``, and ``reference_poly_ext_gcd``,
 a frozen copy of the dense Bezout-block completion that the sparse
 ``poly_ext_gcd`` replaced, divides with the package's ``poly_divmod``.
+``reference_h0_basis`` and ``reference_cech_once`` are frozen copies of
+the row loops that built the H^0 system and the Cech complex before one
+shared builder replaced them; they eliminate with the package's
+``echelon_sparse`` and ``rank_sparse`` and return its ``_H0System`` and
+``Character``.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from equisplit.bundle import LineSummand
+from equisplit.cohomology import Character, _H0System
 from equisplit.laurent import LaurentPoly, Scalar, poly_divmod, scalar_div
-from equisplit.linalg import LaurentMatrix, rref_sparse
+from equisplit.linalg import LaurentMatrix, echelon_sparse, rank_sparse, rref_sparse
 
 
 def dense_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], list[list[Fraction]]]:
@@ -374,3 +380,109 @@ def reference_poly_ext_gcd(
             r[0] = r[0].scale(lc)
         g = g.scale(inv)
     return g, U, Uinv
+
+
+def reference_h0_basis(E) -> _H0System:
+    """The H^0 section system as ``cohomology._h0_basis`` built it with its own row loop.
+
+    A frozen copy of that builder: the unknowns h[i][e], e in [lo_i, 0], in
+    (exponent, component) order, and one row per coefficient of z^x, x < 0,
+    of (A^-1 h)_i, created at its first term, rows of component i before
+    those of i + 1.  The package now builds these rows with its one shared
+    coefficient-equation builder and must give the same system.
+    """
+    m = E.rank
+    if m == 0:
+        return _H0System([], [], [], [])
+    inv = E.inverse_transition()
+    starts = [min(1, *(min(p.terms) for p in row if p.terms)) for row in E.A.entries]
+    unknowns = [(i, e) for e in range(min(starts), 1) for i, start in enumerate(starts) if start <= e]
+    n = len(unknowns)
+    if n == 0:
+        return _H0System([], [], [], [])
+    columns: list[list[int]] = [[] for _ in range(m)]
+    for c, (i, _) in enumerate(unknowns):
+        columns[i].append(c)
+    a = E.torus.a
+    lam = E.lambdaInf
+    col_weight = [tuple([x - e * y for x, y in zip(lam[i], a)]) for i, e in unknowns]
+    rows: list[dict[int, Scalar]] = []
+    for inv_row in inv.entries:
+        by_x: dict[int, dict[int, Scalar]] = {}
+        for j, p in enumerate(inv_row):
+            start = starts[j]
+            if start > 0 or not p.terms:
+                continue
+            cols_j = columns[j]
+            for d, c in sorted(p.terms.items()):
+                for e in range(start, min(1, -d)):
+                    by_x.setdefault(d + e, {})[cols_j[e - start]] = c
+        rows.extend(by_x.values())
+    if E.torus.rank:
+        for row in rows:
+            if len({col_weight[c] for c in row}) > 1:
+                raise ValueError("section system mixes weight classes; the bundle is not equivariant")
+    return _H0System(unknowns, col_weight, *echelon_sparse(rows, n))
+
+
+def reference_cech_once(E, f_degrees: list[int], windows: list[int]) -> tuple[int, Character]:
+    """(kernel dimension, cokernel character) as ``cohomology._cech_once`` built them with its own row loops.
+
+    A frozen copy of that builder.  Kernel: unknowns f[j][e], e in
+    [0, f_degrees[j]], and the rows x >= 1 of A f.  Cokernel: columns (i, x),
+    x in [1, windows[i]], in (x, i) order, and one row per generator z^e e_j,
+    e in [0, max(windows) - lo] (lo the least exponent of A, where
+    negative), holding A z^e e_j projected to those columns.
+    """
+    m = E.rank
+    by_row: list[list] = [[] for _ in range(m)]
+    by_col: list[list] = [[] for _ in range(m)]
+    lo = 0
+    for i, row in enumerate(E.A.entries):
+        for j, p in enumerate(row):
+            if p.terms:
+                terms = sorted(p.terms.items())
+                by_row[i].append((j, terms))
+                by_col[j].append((i, terms))
+                lo = min(lo, terms[0][0])
+
+    offset, ncols = [], 0
+    for b in f_degrees:
+        offset.append(ncols)
+        ncols += max(0, b + 1)
+    frows: list[dict[int, Scalar]] = []
+    for entries in by_row:
+        by_x: dict[int, dict[int, Scalar]] = {}
+        for j, terms in entries:
+            b, off = f_degrees[j], offset[j]
+            for d, c in terms:
+                for e in range(max(0, 1 - d), b + 1):
+                    by_x.setdefault(d + e, {})[off + e] = c
+        frows.extend(by_x.values())
+    kernel_dim = ncols - rank_sparse(frows, ncols)
+
+    top = max(windows, default=0)
+    ocols = [(i, x) for x in range(1, top + 1) for i in range(m) if x <= windows[i]]
+    columns: list[list[int]] = [[] for _ in range(m)]
+    for k, (i, _) in enumerate(ocols):
+        columns[i].append(k)
+    emax = top - lo
+    gen_rows: list[dict[int, Scalar]] = []
+    for entries in by_col:
+        by_e: dict[int, dict[int, Scalar]] = {}
+        for i, terms in entries:
+            w, cols_i = windows[i], columns[i]
+            for d, c in terms:
+                for e in range(max(0, 1 - d), min(emax, w - d) + 1):
+                    by_e.setdefault(e, {})[cols_i[d + e - 1]] = c
+        gen_rows.extend(by_e[e] for e in sorted(by_e))
+    pivots, _ = echelon_sparse(gen_rows, len(ocols))
+
+    pivot_set = set(pivots)
+    a, lam = E.torus.a, E.lambdaInf
+    mult: dict = {}
+    for k, (i, x) in enumerate(ocols):
+        if k not in pivot_set:
+            w = tuple([l - x * y for l, y in zip(lam[i], a)])
+            mult[w] = mult.get(w, 0) + 1
+    return kernel_dim, Character(mult)

